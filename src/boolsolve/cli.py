@@ -17,9 +17,11 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 from .elimination import (
     NotIndependent,
+    depends_on,
     forall_eliminate,
     project_vocabulary,
     weakest_precondition,
@@ -130,6 +132,17 @@ def _fresh_parameters(pf: ProblemFile) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _restriction_violation(pf: ProblemFile, components: Sequence[Formula]) -> str | None:
+    """How the first component that depends on an atom forbidden to it
+    by ``forbid:`` or ``forbid(p):`` breaks the restriction, or None."""
+    for p, c in zip(pf.unknowns, components):
+        forbidden = sorted(set(pf.forbid or ()) | set(pf.per_forbid.get(p, ())))
+        if depends_on(forbidden, c):
+            b = next(b for b in forbidden if depends_on([b], c))
+            return f"component {p} depends on forbidden atom {b}"
+    return None
+
+
 def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
     for name, component in zip(unknowns, sol.components):
         print(f"{name} := {component}")
@@ -203,13 +216,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     components = [parse(text) for text in texts]
     sp = SolutionProblem(pf.formula, pf.unknowns, pf.parameters)
     report = check_particular(sp, components)
-    if report.verdict:
-        print("valid solution")
-        return 0
-    failure = report.failures[0]
-    detail = f" at {failure.valuation}" if failure.valuation else ""
-    print(f"not a solution: {failure.reason}{detail}")
-    return 1
+    if not report.verdict:
+        failure = report.failures[0]
+        detail = f" at {failure.valuation}" if failure.valuation else ""
+        print(f"not a solution: {failure.reason}{detail}")
+        return 1
+    violation = _restriction_violation(pf, components)
+    if violation is not None:
+        print(f"not a solution: {violation}")
+        return 1
+    print("valid solution")
+    return 0
 
 
 def _cmd_eliminate(args: argparse.Namespace) -> int:
@@ -228,7 +245,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     pf = _load(args.file)
     basis = _idents(args.basis, "--basis")
     sp = SolutionProblem(pf.formula, pf.unknowns)
-    solutions = enumerate_solutions(sp, basis)
+    solutions = [
+        sol
+        for sol in enumerate_solutions(sp, basis)
+        if _restriction_violation(pf, sol.components) is None
+    ]
     if args.bits:
         print(f"basis: {' '.join(sorted(set(basis)))}")
         for sol in solutions:
@@ -313,10 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -332,6 +355,9 @@ def run(argv: list[str]) -> int:
         return 1
     except BoolsolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

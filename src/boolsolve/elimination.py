@@ -104,6 +104,12 @@ def eliminate_all(ps: Sequence[str], f: Formula) -> Formula:
     return f
 
 
+def depends_on(ps: Sequence[str], f: Formula) -> bool:
+    """Whether ``f`` semantically depends on any of the atoms ``ps``."""
+    dropped = tuple(sorted(set(free_atoms(f)) & set(ps)))
+    return bool(dropped) and not equivalent(eliminate_all(dropped, f), f)
+
+
 def elim_witness(p: str, f: Formula) -> WitnessResult:
     """Witness via self-substitution of the true cofactor.
 

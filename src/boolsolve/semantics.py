@@ -86,18 +86,19 @@ def evaluate(f: Formula, valuation: Valuation) -> bool:
 def atom_patterns(basis: AtomSet) -> dict[str, int]:
     """Per-atom bitmasks over all valuations of ``basis``.
 
-    Atom ``i`` is true exactly at indices with bit ``i`` set.
+    Atom ``i`` is true exactly at indices with bit ``i`` set.  Each mask
+    starts as one block of 2^i ones above 2^i zeros and doubles in
+    length until it covers all 2^|basis| indices.
     """
     masks: dict[str, int] = {}
     size = 1 << len(basis)
     for i, name in enumerate(basis):
-        block = ((1 << (1 << i)) - 1) << (1 << i)  # 2^i zeros then 2^i ones
-        m = 0
-        shift = 0
-        while shift < size:
-            m |= block << shift
-            shift += 1 << (i + 1)
-        masks[name] = m & ((1 << size) - 1)
+        period = 2 << i
+        m = ((1 << (1 << i)) - 1) << (1 << i)
+        while period < size:
+            m |= m << period
+            period <<= 1
+        masks[name] = m
     return masks
 
 
@@ -237,6 +238,102 @@ def formula_from_table(t: TruthTable) -> Formula:
     if all(t.bits):
         return TOP
     return disj(minterm(i, t.basis) for i, b in enumerate(t.bits) if b)
+
+
+class _OverBudget(Exception):
+    """A cover in ``irredundant_two_level`` outgrew its literal budget."""
+
+
+def irredundant_two_level(f: Formula) -> Formula:
+    """Irredundant two-level form of ``f``'s exact function.
+
+    The Minato-Morreale recursion (Minato, IEICE Trans. Fundamentals
+    1993) runs on ``f``'s bitmask over its free atoms, splitting on the
+    atoms in sorted order, so equivalent inputs give the same output.
+    It covers both ``f``, which gives a sum of products, and ``~f``,
+    whose cubes negated by De Morgan give a product of sums.  The form
+    with fewer literals is returned, the sum of products on a tie, so a
+    function built from clauses stays a product of clauses instead of
+    growing into exponentially many cubes.  Each cover is built under a
+    literal budget that grows fourfold until one fits, so the larger
+    form costs at most a few times the smaller.  The result is
+    quantifier-free, mentions only atoms the function depends on, and
+    no cube (clause) or literal of it can be dropped.
+    """
+    basis = free_atoms(f)
+    patterns = atom_patterns(basis)
+    full = (1 << (1 << len(basis))) - 1
+    mask = formula_mask(f, basis, patterns)
+    Cube = tuple[tuple[str, bool], ...]
+    spent = budget = 0
+
+    def cover(lower: int, upper: int, i: int, lits: int) -> tuple[list[Cube], int]:
+        # Cubes, as (atom, value) literals, of an irredundant cover c
+        # with lower <= c <= upper, and c.  Neither bound depends on the
+        # atoms before position i, and lits literals are already fixed
+        # above this call.  A call with lower != 0 yields a cube or has
+        # a child with lower != 0, so there are O(|basis| * cubes) calls.
+        nonlocal spent
+        if lower == 0:
+            return [], 0
+        if upper == full:
+            spent += lits
+            if spent > budget:
+                raise _OverBudget
+            return [()], full
+        while True:
+            pos = patterns[basis[i]]
+            shift = 1 << i
+            neg = full ^ pos
+            l0 = lower & neg
+            l0 |= l0 << shift
+            l1 = lower & pos
+            l1 |= l1 >> shift
+            u0 = upper & neg
+            u0 |= u0 << shift
+            u1 = upper & pos
+            u1 |= u1 >> shift
+            if l0 != l1 or u0 != u1:
+                break
+            i += 1
+        name = basis[i]
+        cubes0, c0 = cover(l0 & (full ^ u1), u0, i + 1, lits + 1)
+        cubes1, c1 = cover(l1 & (full ^ u0), u1, i + 1, lits + 1)
+        rest = (l0 & (full ^ c0)) | (l1 & (full ^ c1))
+        cubes_r, cr = cover(rest, u0 & u1, i + 1, lits)
+        cubes = (
+            [((name, False), *c) for c in cubes0]
+            + [((name, True), *c) for c in cubes1]
+            + cubes_r
+        )
+        return cubes, (c0 & neg) | (c1 & pos) | cr
+
+    def within(target: int, limit: int) -> list[Cube] | None:
+        # The cubes of target's cover, or None if it has over limit literals.
+        nonlocal spent, budget
+        spent, budget = 0, limit
+        try:
+            return cover(target, target, 0, 0)[0]
+        except _OverBudget:
+            return None
+
+    limit = 64
+    while True:
+        ones = within(mask, limit)
+        if ones is not None:
+            zeros = within(full ^ mask, sum(map(len, ones)) - 1)
+            break
+        zeros = within(full ^ mask, limit)
+        if zeros is not None:
+            break
+        limit *= 4
+
+    def literal(name: str, value: bool) -> Formula:
+        return Atom(name) if value else Not(Atom(name))
+
+    if zeros is not None:
+        return conj(disj(literal(a, not v) for a, v in c) for c in zeros)
+    return disj(conj(literal(a, v) for a, v in c) for c in ones)
 
 
 def _simp_not(f: Formula) -> Formula:

@@ -40,6 +40,7 @@ from .formula import (
 from .elimination import (
     NotIndependent,
     ackermann_rewrite,
+    depends_on,
     elim_witness,
     elim_witness_dnf,
     eliminate_all,
@@ -50,9 +51,9 @@ from .elimination import (
 from .semantics import (
     TruthTable,
     entails,
-    equivalent,
     falsifying_valuation,
     formula_from_table,
+    irredundant_two_level,
     is_valid,
     simplify,
 )
@@ -174,11 +175,12 @@ def _strip_exists_prefix(f: Formula, keep: str) -> tuple[list[str], Formula]:
 
 def _interval_bounds(f: Formula, p: str) -> tuple[Formula, Formula]:
     """(lower, upper) cofactor bounds of the unknown ``p`` after
-    eliminating any leading existential prefix of ``f``."""
+    eliminating any leading existential prefix of ``f``, each in its
+    irredundant two-level form."""
     prefix, body = _strip_exists_prefix(f, p)
     core = clean_variant(eliminate_all(prefix, body))
-    lower = simplify(Not(substitute(core, [p], [BOT])))
-    upper = simplify(substitute(core, [p], [TOP]))
+    lower = irredundant_two_level(Not(substitute(core, [p], [BOT])))
+    upper = irredundant_two_level(substitute(core, [p], [TOP]))
     return lower, upper
 
 
@@ -293,7 +295,9 @@ def solve_succ_elim(sp: SolutionProblem) -> Solution:
     intermediate formula.  Phase 2 walks first-to-last and emits for
     unknown i the reproductive unary solution
     ``(~F_i[G.. false] & ~t_i) | (F_i[G.. true] & t_i)`` built from the
-    stored formula F_i with the earlier components substituted.
+    stored formula F_i with the earlier components substituted.  Both
+    bounds are rewritten in the irredundant two-level form of their
+    exact functions, so components do not grow from stage to stage.
     """
     params = _require_parameters(sp)
     if not exists_solution(sp):
@@ -303,8 +307,10 @@ def solve_succ_elim(sp: SolutionProblem) -> Solution:
     for i, p in enumerate(sp.unknowns):
         stage = stages[i + 1]  # formula with unknowns 1..i still present
         ps = list(sp.unknowns[: i + 1])
-        lower = simplify(Not(substitute(stage, ps, [*components, BOT])))
-        upper = simplify(substitute(stage, ps, [*components, TOP]))
+        lower = irredundant_two_level(
+            Not(substitute(stage, ps, [*components, BOT]))
+        )
+        upper = irredundant_two_level(substitute(stage, ps, [*components, TOP]))
         t = Atom(params[i])
         components.append(simplify(Or(And(lower, Not(t)), And(upper, t))))
     return Solution(components, SolutionKind.REPRODUCTIVE)
@@ -329,6 +335,7 @@ def solve_by_witnesses(
     Unknown i receives a witness computed in the formula with the later
     components already substituted; each new component is then folded
     into all later ones, so the final components contain no unknowns.
+    Every component is kept in its irredundant two-level form.
     """
     if not exists_solution(sp):
         raise NoSolution("the existential closure over the unknowns is not valid")
@@ -336,8 +343,10 @@ def solve_by_witnesses(
     tail: list[Formula] = []  # components for the unknowns after position i
     for i in range(len(sp.unknowns) - 1, -1, -1):
         cur = substitute(work, sp.unknowns[i + 1 :], tail)
-        g = _witness_for(witness_fn, sp.unknowns[i], cur)
-        tail = [g] + [substitute(h, [sp.unknowns[i]], [g]) for h in tail]
+        g = irredundant_two_level(_witness_for(witness_fn, sp.unknowns[i], cur))
+        tail = [g] + [
+            irredundant_two_level(substitute(h, [sp.unknowns[i]], [g])) for h in tail
+        ]
     return Solution(tail, SolutionKind.PARTICULAR)
 
 
@@ -552,13 +561,10 @@ def _stage2_search(
             inst = [
                 simplify(substitute(g, params, ts)) for g in reproductive.components
             ]
-            ok = True
-            for c, forbidden in zip(inst, per_unknown_forbidden):
-                dropped = tuple(sorted(set(free_atoms(c)) & set(forbidden)))
-                if dropped and not equivalent(eliminate_all(dropped, c), c):
-                    ok = False
-                    break
-            if ok:
+            if not any(
+                depends_on(forbidden, c)
+                for c, forbidden in zip(inst, per_unknown_forbidden)
+            ):
                 return ts
         for pos in range(len(indexes) - 1, -1, -1):
             indexes[pos] += 1

@@ -1,7 +1,16 @@
 import pytest
 
-from boolsolve import SolutionProblem, check_particular, equivalent, parse
+from boolsolve import (
+    Not,
+    SolutionProblem,
+    check_particular,
+    equivalent,
+    is_valid,
+    parse,
+    substitute,
+)
 from boolsolve.cli import parse_problem_file, run, ProblemFileError
+from boolsolve.formula import BINARY, QUANT
 
 EXAMPLE_FILE = """\
 # background theory implies a chain through the unknowns
@@ -193,3 +202,105 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     path.write_text("unknowns: p\nformula: p -> -> a\n")
     assert run(["solve", str(path)]) == 2
     capsys.readouterr()
+
+
+RESTRICTED_FILE = """\
+unknowns: p
+forbid: b
+formula: (a & b) -> p
+"""
+
+
+def test_check_honours_forbid(tmp_path, capsys):
+    path = tmp_path / "forbid.sp"
+    path.write_text(RESTRICTED_FILE)
+    assert run(["check", "--with", "b", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "not a solution: component p depends on forbidden atom b\n"
+    )
+    # mentioning b without depending on it is allowed
+    assert run(["check", "--with", "a | b & ~b", str(path)]) == 0
+    assert capsys.readouterr().out == "valid solution\n"
+
+    path.write_text("unknowns: p q\nforbid(q): a\nformula: (a & b) -> p & q\n")
+    assert run(["check", "--with", "a; b", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["check", "--with", "b; a", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "not a solution: component q depends on forbidden atom a\n"
+    )
+
+
+def test_enumerate_honours_forbid(tmp_path, capsys):
+    path = tmp_path / "forbid.sp"
+    path.write_text(RESTRICTED_FILE)
+    assert run(["enumerate", "--basis", "a b", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    assert equivalent(parse(lines[0]), parse("a"))
+    assert equivalent(parse(lines[1]), parse("true"))
+
+    path.write_text("unknowns: p\nforbid(p): a b\nformula: (a & b) -> p\n")
+    assert run(["enumerate", "--basis", "a b", "--bits", str(path)]) == 0
+    assert capsys.readouterr().out == "basis: a b\n1111\n"
+
+
+def test_deep_formula_exit_code(tmp_path, capsys):
+    path = tmp_path / "deep.sp"
+    clauses = " & ".join(f"(a{i} | p)" for i in range(1200))
+    path.write_text(f"unknowns: p\nformula: {clauses}\n")
+    assert run(["exists", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula nested too deeply\n"
+
+
+def _nodes(f):
+    if isinstance(f, Not):
+        return 1 + _nodes(f.operand)
+    if isinstance(f, BINARY):
+        return 1 + _nodes(f.left) + _nodes(f.right)
+    if isinstance(f, QUANT):
+        return 1 + _nodes(f.body)
+    return 1
+
+
+def test_chain_output_stays_polynomial(tmp_path, capsys):
+    # The paper's running example grown to n unknowns.  Syntactic
+    # substitution of whole components grows the output about tenfold
+    # per unknown; printing each component from its exact function keeps
+    # it quadratic in n.
+    n = 8
+    unknowns = [f"p{i}" for i in range(1, n + 1)]
+    links = zip(["a", *unknowns], [*unknowns, "b"])
+    formula = "(a -> b) -> (" + " & ".join(f"({x} -> {y})" for x, y in links) + ")"
+    path = tmp_path / "chain.sp"
+    path.write_text(f"unknowns: {' '.join(unknowns)}\nformula: {formula}\n")
+    f = parse(formula)
+    total = 0
+    for extra in ([], ["--method", "second-order"],
+                  ["--method", "second-order", "--reproductive"]):
+        assert run(["solve", *extra, str(path)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(" := ")[0] for line in lines] == unknowns
+        components = [parse(line.split(" := ", 1)[1]) for line in lines]
+        assert is_valid(substitute(f, unknowns, components))
+        total += sum(_nodes(c) for c in components)
+    assert total <= 16 * n * n
+
+
+def test_clause_bounds_stay_clauses(tmp_path, capsys):
+    # The upper bound of p is a conjunction of m clauses, whose sum of
+    # products has 2^m cubes; each method prints it as the m clauses.
+    m = 10
+    clauses = [f"(x{i} | y{i} | ~p)" for i in range(m)]
+    path = tmp_path / "clauses.sp"
+    path.write_text(f"unknowns: p\nformula: {' & '.join(clauses)}\n")
+    f = parse(" & ".join(clauses))
+    for extra in ([], ["--method", "second-order"], ["--method", "witnesses"]):
+        assert run(["solve", *extra, str(path)]) == 0
+        name, text = capsys.readouterr().out.strip().split(" := ")
+        assert name == "p"
+        component = parse(text)
+        assert is_valid(substitute(f, ["p"], [component]))
+        assert _nodes(component) <= 8 * m

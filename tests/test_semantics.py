@@ -11,12 +11,16 @@ from boolsolve import (
     TOP,
     TruthTable,
     UnboundAtom,
+    conj,
+    disj,
     entails,
     equivalent,
     evaluate,
     exists,
     formula_from_table,
     free_atoms,
+    has_quantifier,
+    irredundant_two_level,
     is_substitutible,
     is_valid,
     parse,
@@ -24,6 +28,7 @@ from boolsolve import (
     substitute,
     truth_table,
 )
+from boolsolve.semantics import atom_patterns
 from genutil import QUANT_POOL, random_formula
 
 
@@ -62,6 +67,65 @@ def test_truth_table_encoding():
 def test_truth_table_requires_basis_coverage():
     with pytest.raises(UnboundAtom):
         truth_table(parse("a & c"), ["a", "b"])
+
+
+def test_atom_patterns_pointwise():
+    for k in range(11):
+        basis = tuple(f"x{i:02d}" for i in range(k))
+        masks = atom_patterns(basis)
+        for i, name in enumerate(basis):
+            expected = sum(1 << idx for idx in range(1 << k) if (idx >> i) & 1)
+            assert masks[name] == expected
+
+
+def _flatten(f, op):
+    if isinstance(f, op):
+        return _flatten(f.left, op) + _flatten(f.right, op)
+    return [f]
+
+
+def test_irredundant_two_level_examples():
+    assert irredundant_two_level(parse("a | ~a")) == TOP
+    assert irredundant_two_level(parse("a & ~a")) == BOT
+    assert irredundant_two_level(parse("(a & b) | (a & ~b)")) == Atom("a")
+    assert irredundant_two_level(parse("exists q . q & a | b")) == parse("a | b")
+    # atoms split in sorted order, whatever the input's shape
+    expected = parse("a & b | ~b & ~c")
+    assert irredundant_two_level(parse("(c -> b) & (b -> a)")) == expected
+    assert irredundant_two_level(parse("(b -> a) & (c -> b)")) == expected
+    # a product of clauses has fewer literals than its sum of products
+    cnf = parse("(a | b) & (c | d) & (e | f)")
+    assert irredundant_two_level(cnf) == cnf
+
+
+def _irredundant(g, outer, inner, unit):
+    # g read as an outer-combination of inner-combinations (terms): no
+    # term and no literal of a term can be dropped without changing g.
+    combine = disj if outer is Or else conj
+    terms = [] if g == unit else _flatten(g, outer)
+    for i, term in enumerate(terms):
+        others = terms[:i] + terms[i + 1 :]
+        if equivalent(combine(others), g):
+            return False
+        literals = [] if term in (TOP, BOT) else _flatten(term, inner)
+        for j in range(len(literals)):
+            shortened = literals[:j] + literals[j + 1 :]
+            term_j = conj(shortened) if inner is And else disj(shortened)
+            if equivalent(combine(others + [term_j]), g):
+                return False
+    return True
+
+
+def test_irredundant_two_level_random():
+    rng = random.Random(43)
+    for _ in range(400):
+        f = random_formula(rng, ("a", "b", "c", "d"), depth=5, quant_pool=QUANT_POOL)
+        g = irredundant_two_level(f)
+        assert equivalent(g, f)
+        assert not has_quantifier(g)
+        for x in free_atoms(g):
+            assert not equivalent(substitute(f, [x], [TOP]), substitute(f, [x], [BOT]))
+        assert _irredundant(g, Or, And, BOT) or _irredundant(g, And, Or, TOP)
 
 
 def test_formula_from_table():
