@@ -240,13 +240,44 @@ class NotSubstitutible(BoolsolveError):
         super().__init__(msg)
 
 
+def free_binders(f: Formula) -> dict[str, frozenset[str]]:
+    """Map each free atom of ``f`` to the names bound by the quantifiers
+    above its free occurrences.
+
+    Replacing the atom by a formula whose free atoms meet this set would
+    capture them; an atom with no quantifier above any of its free
+    occurrences maps to the empty set.
+    """
+    out: dict[str, set[str]] = {}
+
+    def walk(g: Formula, bound: frozenset[str]) -> None:
+        if isinstance(g, Atom):
+            if g.name not in bound:
+                out.setdefault(g.name, set()).update(bound)
+        elif isinstance(g, Not):
+            walk(g.operand, bound)
+        elif isinstance(g, BINARY):
+            walk(g.left, bound)
+            walk(g.right, bound)
+        elif isinstance(g, QUANT):
+            walk(g.body, bound | {g.var})
+
+    walk(f, frozenset())
+    return {name: frozenset(binders) for name, binders in out.items()}
+
+
+_UNBOUND: frozenset[str] = frozenset()
+
+
 def _substitution_violation(
     gs: Sequence[Formula], ps: Sequence[str], f: Formula
 ) -> tuple[int, int] | None:
     """First violated (condition, index), or None when substitutible.
 
-    A position whose replacement is literally the replaced atom is a
-    no-op and is exempt from both conditions.
+    Condition (2) is tested at every position before condition (1), and
+    the lowest violating position is reported.  A position whose
+    replacement is literally the replaced atom is a no-op and is exempt
+    from both conditions.
     """
     active = [i for i, g in enumerate(gs) if g != Atom(ps[i])]
     pset = set(ps)
@@ -254,27 +285,13 @@ def _substitution_violation(
     for i in active:
         if free_gs[i] & pset:
             return (2, i)
-    watched = {ps[i]: i for i in active}
-    hit: list[tuple[int, int]] = []
-
-    def walk(g: Formula, binders: frozenset[str]) -> None:
-        if hit:
-            return
-        if isinstance(g, Atom):
-            i = watched.get(g.name)
-            if i is not None and g.name not in binders:
-                if binders & free_gs[i]:
-                    hit.append((1, i))
-        elif isinstance(g, Not):
-            walk(g.operand, binders)
-        elif isinstance(g, BINARY):
-            walk(g.left, binders)
-            walk(g.right, binders)
-        elif isinstance(g, QUANT):
-            walk(g.body, binders | {g.var})
-
-    walk(f, frozenset())
-    return hit[0] if hit else None
+    if not any(free_gs.values()):
+        return None
+    binders = free_binders(f)
+    for i in active:
+        if binders.get(ps[i], _UNBOUND) & free_gs[i]:
+            return (1, i)
+    return None
 
 
 def is_substitutible(gs: Sequence[Formula], ps: Sequence[str], f: Formula) -> bool:

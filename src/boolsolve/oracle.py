@@ -5,11 +5,16 @@ basis atoms, represented canonically as full-DNF formulas.  The checks
 mirror the solution-type definitions exactly: particular (substitutible
 and valid), reproductive (every parameter instantiation solves, and
 every enumerated solution is reproduced) and general (every enumerated
-solution is reachable by some instantiation).
+solution is reachable by some instantiation).  The basis must not meet
+the unknowns, nor, for these checks, the parameters.
 
-Internally candidates are composed as truth tables, which is exact for
-quantifier-free material; anything involving quantifiers falls back to
-literal substitution.
+Every check composes truth tables.  ``formula_mask`` evaluates
+quantifiers exactly, so composing tables gives the table of the literal
+substitution whenever that substitution is capture-free.  The capture
+test is syntactic and made once per call with ``free_binders``: a
+canonical basis formula mentions every basis atom unless it is
+constant, so a tuple of basis functions is refused exactly when literal
+substitution would raise ``NotSubstitutible``.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from .formula import (
     AtomSet,
     BoolsolveError,
     Formula,
+    NotSubstitutible,
     free_atoms,
-    has_quantifier,
+    free_binders,
     is_substitutible,
     substitute,
 )
@@ -31,7 +37,6 @@ from .semantics import (
     TruthTable,
     atom_patterns,
     decode_valuation,
-    equivalent,
     falsifying_valuation,
     formula_from_table,
     formula_mask,
@@ -40,6 +45,8 @@ from .solve import Solution, SolutionKind, SolutionProblem
 
 MAX_BASIS = 3
 MAX_UNKNOWNS = 2
+
+_NO_ATOMS: frozenset[str] = frozenset()
 
 
 class TooLarge(BoolsolveError):
@@ -57,6 +64,7 @@ class FunctionSpace:
         self.basis: AtomSet = tuple(sorted(set(basis)))
         self.tables: range = range(1 << (1 << len(self.basis)))
         self._formulas: dict[int, Formula] = {}
+        self._basis_atoms = frozenset(self.basis)
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -71,6 +79,13 @@ class FunctionSpace:
                 TruthTable.from_int(table, self.basis)
             )
         return self._formulas[table]
+
+    def free_atoms(self, table: int) -> frozenset[str]:
+        """Free atoms of ``formula(table)``: a full DNF mentions every
+        basis atom, and the constants mention none."""
+        if table == 0 or table == self.tables[-1]:
+            return _NO_ATOMS
+        return self._basis_atoms
 
     @property
     def formulas(self) -> list[Formula]:
@@ -105,13 +120,29 @@ def _guard(basis: Sequence[str], unknowns: Sequence[str], allow_large: bool) -> 
         )
 
 
+def _basis(
+    sp: SolutionProblem, basis: Sequence[str], allow_large: bool, parameters: bool
+) -> AtomSet:
+    """The basis sorted and deduplicated, after the cost guard.  It must
+    not meet the unknowns, nor, with ``parameters``, the parameters."""
+    basis_t = tuple(sorted(set(basis)))
+    if set(basis_t) & set(sp.unknowns):
+        raise ValueError("basis atoms must not be unknowns")
+    if parameters and set(basis_t) & set(sp.parameters or ()):
+        raise ValueError("basis atoms must not be parameters")
+    _guard(basis_t, sp.unknowns, allow_large)
+    return basis_t
+
+
 class _Composer:
     """Row bookkeeping for evaluating F[p := candidate functions] on tables."""
 
     def __init__(self, sp: SolutionProblem, basis: AtomSet, extra: Sequence[str] = ()):
-        self.sp = sp
-        self.basis = basis
-        eval_names = (set(free_atoms(sp.formula)) - set(sp.unknowns)) | set(basis)
+        binders = free_binders(sp.formula)
+        # the binders above each unknown's free occurrences in F: literal
+        # substitution refuses a component that mentions one of them
+        self.capturing = [binders.get(p, _NO_ATOMS) for p in sp.unknowns]
+        eval_names = (set(binders) - set(sp.unknowns)) | set(basis)
         eval_names |= set(extra)
         self.eval_names: AtomSet = tuple(sorted(eval_names))
         self.all_names: AtomSet = tuple(sorted(eval_names | set(sp.unknowns)))
@@ -146,19 +177,15 @@ class _Composer:
         return None
 
 
-def _solution_tables(
-    sp: SolutionProblem, space: FunctionSpace, composer: _Composer
-) -> Iterator[tuple[int, ...]]:
-    quantified = has_quantifier(sp.formula)
-    n = len(sp.unknowns)
-    for tables in product(space.tables, repeat=n):
-        if composer.failing_valuation(tables) is not None:
+def _solution_tables(space: FunctionSpace, composer: _Composer) -> Iterator[tuple[int, ...]]:
+    """Tuples of basis tables that substitute into F without capture and
+    make it valid."""
+    captured = [i for i, c in enumerate(composer.capturing) if c & set(space.basis)]
+    for tables in product(space.tables, repeat=len(composer.capturing)):
+        if any(space.free_atoms(tables[i]) for i in captured):
             continue
-        if quantified:
-            components = [space.formula(t) for t in tables]
-            if not is_substitutible(components, sp.unknowns, sp.formula):
-                continue
-        yield tables
+        if composer.failing_valuation(tables) is None:
+            yield tables
 
 
 def enumerate_solutions(
@@ -166,14 +193,10 @@ def enumerate_solutions(
 ) -> list[Solution]:
     """Every tuple of basis functions that is a particular solution, as
     canonical full-DNF formulas, in enumeration order."""
-    basis_t = tuple(sorted(set(basis)))
-    if set(basis_t) & set(sp.unknowns):
-        raise ValueError("basis atoms must not be unknowns")
-    _guard(basis_t, sp.unknowns, allow_large)
+    basis_t = _basis(sp, basis, allow_large, parameters=False)
     space = FunctionSpace(basis_t)
-    composer = _Composer(sp, basis_t)
     out = []
-    for tables in _solution_tables(sp, space, composer):
+    for tables in _solution_tables(space, _Composer(sp, basis_t)):
         out.append(
             Solution([space.formula(t) for t in tables], SolutionKind.PARTICULAR)
         )
@@ -184,52 +207,44 @@ def any_enumerated_solution(
     sp: SolutionProblem, basis: Sequence[str], allow_large: bool = False
 ) -> bool:
     """Early-exiting nonemptiness test for ``enumerate_solutions``."""
-    basis_t = tuple(sorted(set(basis)))
-    if set(basis_t) & set(sp.unknowns):
-        raise ValueError("basis atoms must not be unknowns")
-    _guard(basis_t, sp.unknowns, allow_large)
+    basis_t = _basis(sp, basis, allow_large, parameters=False)
     space = FunctionSpace(basis_t)
-    composer = _Composer(sp, basis_t)
-    return next(_solution_tables(sp, space, composer), None) is not None
+    return next(_solution_tables(space, _Composer(sp, basis_t)), None) is not None
 
 
 def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport:
     """Substitutibility plus validity of the substituted formula."""
-    label = "(" + ", ".join(str(g) for g in sol) + ")"
+
+    def failed(reason: str, valuation: dict[str, bool] | None = None) -> CheckReport:
+        label = "(" + ", ".join(str(g) for g in sol) + ")"
+        return CheckReport(False, (CheckFailure(label, reason, valuation),))
+
     if len(sol) != len(sp.unknowns):
-        return CheckReport(
-            False, (CheckFailure(label, "component count differs from unknown count"),)
-        )
+        return failed("component count differs from unknown count")
     if not is_substitutible(sol, sp.unknowns, sp.formula):
-        return CheckReport(False, (CheckFailure(label, "NotSubstitutible"),))
-    counterexample = falsifying_valuation(
-        substitute(sp.formula, sp.unknowns, sol)
-    )
+        return failed("NotSubstitutible")
+    counterexample = falsifying_valuation(substitute(sp.formula, sp.unknowns, sol))
     if counterexample is not None:
-        return CheckReport(
-            False, (CheckFailure(label, "substituted formula falsified", counterexample),)
-        )
+        return failed("substituted formula falsified", counterexample)
     return CheckReport(True)
 
 
-def _components_mention_unknowns(sp: SolutionProblem, sol: Sequence[Formula]) -> bool:
-    unknowns = set(sp.unknowns)
-    return any(set(free_atoms(g)) & unknowns for g in sol)
-
-
 class _ReproductiveChecker:
-    """Shared table machinery for the reproductive and general checks."""
+    """Shared table machinery for the parametric, reproductive and
+    general checks."""
 
     def __init__(self, sp: SolutionProblem, sol: Sequence[Formula], basis: AtomSet):
-        if sp.parameters is None:
-            raise ValueError("the problem carries no parameters")
-        self.sp = sp
-        self.sol = tuple(sol)
-        self.basis = basis
         self.params = sp.parameters
-        extra = set()
-        for g in sol:
-            extra |= set(free_atoms(g)) - set(self.params)
+        self.comp_binders = [free_binders(g) for g in sol]
+        # per component, the parameters under a quantifier that binds a
+        # basis atom: a non-constant basis function put there is captured
+        self.captured_params = [
+            [j for j, t in enumerate(self.params) if binders.get(t, _NO_ATOMS) & set(basis)]
+            for binders in self.comp_binders
+        ]
+        extra: set[str] = set()
+        for binders in self.comp_binders:
+            extra |= set(binders) - set(self.params)
         self.composer = _Composer(sp, basis, extra=tuple(extra))
         self.space = FunctionSpace(basis)
         eval_names = self.composer.eval_names
@@ -246,6 +261,33 @@ class _ReproductiveChecker:
                 if (w >> k) & 1:
                     row |= 1 << pos
             self.comp_rows.append(row)
+
+    def component_capture(self, t_tables: Sequence[int]) -> str | None:
+        """Why literal substitution of the basis functions for the
+        parameters is refused in the components (a quantifier there binds
+        an atom of the function), or None.  The reason is the message of
+        the ``NotSubstitutible`` that ``substitute`` raises."""
+        for captured in self.captured_params:
+            for j in captured:
+                if self.space.free_atoms(t_tables[j]):
+                    detail = f"replacing {self.params[j]} by {self.space.formula(t_tables[j])}"
+                    return str(NotSubstitutible(1, j, detail))
+        return None
+
+    def instance_captured(self, t_tables: Sequence[int]) -> bool:
+        """True when some instantiated component mentions an atom bound
+        above its unknown's free occurrences in F."""
+        for binders, capturing in zip(self.comp_binders, self.composer.capturing):
+            if not capturing:
+                continue
+            free = set(binders)
+            for j, t in enumerate(self.params):
+                if t in free:
+                    free.discard(t)
+                    free |= self.space.free_atoms(t_tables[j])
+            if free & capturing:
+                return True
+        return False
 
     def instantiated_tables(self, t_tables: Sequence[int]) -> list[int]:
         """Tables over eval_names of each component with the parameters
@@ -290,47 +332,59 @@ class _ReproductiveChecker:
         return "(" + ", ".join(str(self.space.formula(t)) for t in tables) + ")"
 
 
+def _checker(
+    kind: str,
+    sp: SolutionProblem,
+    sol: Sequence[Formula],
+    basis: Sequence[str],
+    allow_large: bool,
+) -> _ReproductiveChecker | CheckReport:
+    """The checker for a parameterised candidate, or the failed report
+    when a component mentions an unknown."""
+    if sp.parameters is None:
+        raise ValueError(f"{kind} check needs a problem with parameters")
+    basis_t = _basis(sp, basis, allow_large, parameters=True)
+    unknowns = set(sp.unknowns)
+    if any(set(free_atoms(g)) & unknowns for g in sol):
+        return CheckReport(
+            False, (CheckFailure("components", "components mention an unknown"),)
+        )
+    return _ReproductiveChecker(sp, sol, basis_t)
+
+
 def _instantiation_failures(
-    checker: _ReproductiveChecker, limit: int = 5
+    checker: _ReproductiveChecker,
+    images: set[tuple[int, ...]] | None = None,
+    limit: int = 5,
 ) -> list[CheckFailure]:
     """Failures of the all-instantiations clause: every tuple of basis
-    functions substituted for the parameters must solve the problem."""
-    failures: list[CheckFailure] = []
-    n = len(checker.params)
-    for t_tables in product(checker.space.tables, repeat=n):
-        inst = checker.instantiated_tables(t_tables)
-        bad = checker.check_solution_tables(inst)
-        if bad is not None:
-            failures.append(
-                CheckFailure(
-                    f"instantiation T = {checker.tuple_label(t_tables)}",
-                    "instantiated components do not solve the problem",
-                    decode_valuation(bad, checker.composer.eval_names),
-                )
-            )
-            if len(failures) >= limit:
-                break
-    return failures
+    functions substituted for the parameters must solve the problem.
 
-
-def _slow_instantiation_failures(
-    sp: SolutionProblem, sol: Sequence[Formula], space: FunctionSpace, limit: int = 5
-) -> list[CheckFailure]:
+    Checking stops at ``limit`` failures.  Given ``images``, every tuple
+    that substitutes into the components adds its instantiated tables
+    there, including the tuples after the stop.
+    """
     failures: list[CheckFailure] = []
-    params = sp.parameters or ()
-    for ts in product(space.formulas, repeat=len(params)):
-        label = "instantiation T = (" + ", ".join(str(t) for t in ts) + ")"
-        try:
-            inst = [substitute(g, params, list(ts)) for g in sol]
-            report = check_particular(sp, inst)
-        except BoolsolveError as exc:
-            failures.append(CheckFailure(label, str(exc)))
-        else:
-            if not report.verdict:
-                first = report.failures[0]
-                failures.append(CheckFailure(label, first.reason, first.valuation))
+    for t_tables in product(checker.space.tables, repeat=len(checker.params)):
+        reason = checker.component_capture(t_tables)
+        inst = None if reason else checker.instantiated_tables(t_tables)
+        if inst is not None and images is not None:
+            images.add(tuple(inst))
         if len(failures) >= limit:
-            return failures
+            continue
+        if reason is None and checker.instance_captured(t_tables):
+            reason = "NotSubstitutible"
+        valuation = None
+        if reason is None:
+            bad = checker.check_solution_tables(inst)
+            if bad is None:
+                continue
+            reason = "instantiated components do not solve the problem"
+            valuation = decode_valuation(bad, checker.composer.eval_names)
+        subject = f"instantiation T = {checker.tuple_label(t_tables)}"
+        failures.append(CheckFailure(subject, reason, valuation))
+        if len(failures) >= limit and images is None:
+            break
     return failures
 
 
@@ -342,18 +396,10 @@ def check_parametric(
 ) -> CheckReport:
     """Parametric-solution check: every instantiation of the parameters
     with basis functions must be a particular solution."""
-    basis_t = tuple(sorted(set(basis)))
-    _guard(basis_t, sp.unknowns, allow_large)
-    if sp.parameters is None:
-        raise ValueError("parametric check needs a problem with parameters")
-    if _components_mention_unknowns(sp, sol):
-        return CheckReport(
-            False, (CheckFailure("components", "components mention an unknown"),)
-        )
-    if has_quantifier(sp.formula) or any(has_quantifier(g) for g in sol):
-        failures = _slow_instantiation_failures(sp, sol, FunctionSpace(basis_t))
-    else:
-        failures = _instantiation_failures(_ReproductiveChecker(sp, sol, basis_t))
+    checker = _checker("parametric", sp, sol, basis, allow_large)
+    if isinstance(checker, CheckReport):
+        return checker
+    failures = _instantiation_failures(checker)
     return CheckReport(not failures, tuple(failures))
 
 
@@ -370,55 +416,25 @@ def check_reproductive(
     enumerated particular solution H, substituting H for the parameters
     reproduces H up to equivalence.
     """
-    basis_t = tuple(sorted(set(basis)))
-    _guard(basis_t, sp.unknowns, allow_large)
-    if sp.parameters is None:
-        raise ValueError("reproductive check needs a problem with parameters")
-    if _components_mention_unknowns(sp, sol):
-        return CheckReport(
-            False, (CheckFailure("components", "components mention an unknown"),)
-        )
-    slow = has_quantifier(sp.formula) or any(has_quantifier(g) for g in sol)
-    if slow:
-        return _check_reproductive_slow(sp, sol, basis_t, allow_large)
-    checker = _ReproductiveChecker(sp, sol, basis_t)
+    checker = _checker("reproductive", sp, sol, basis, allow_large)
+    if isinstance(checker, CheckReport):
+        return checker
     failures = _instantiation_failures(checker)
-    composer = _Composer(sp, basis_t)
-    space = checker.space
-    for h_tables in _solution_tables(sp, space, composer):
-        reproduced = checker.instantiated_tables(h_tables)
-        for i, h in enumerate(h_tables):
-            if reproduced[i] != checker.extend_basis_table(h):
-                failures.append(
-                    CheckFailure(
-                        f"solution H = {checker.tuple_label(h_tables)}",
-                        f"component {i + 1} is not reproduced",
-                    )
-                )
-                break
-    return CheckReport(not failures, tuple(failures))
-
-
-def _check_reproductive_slow(
-    sp: SolutionProblem, sol: Sequence[Formula], basis: AtomSet, allow_large: bool
-) -> CheckReport:
-    space = FunctionSpace(basis)
-    failures = _slow_instantiation_failures(sp, sol, space)
-    params = sp.parameters or ()
-    for h_sol in enumerate_solutions(sp, basis, allow_large):
-        h = h_sol.components
-        label = "solution H = (" + ", ".join(str(g) for g in h) + ")"
-        try:
-            reproduced = [substitute(g, params, list(h)) for g in sol]
-        except BoolsolveError as exc:
-            failures.append(CheckFailure(label, str(exc)))
-            continue
-        for i, (r, original) in enumerate(zip(reproduced, h)):
-            if not equivalent(r, original):
-                failures.append(
-                    CheckFailure(label, f"component {i + 1} is not reproduced")
-                )
-                break
+    for h_tables in _solution_tables(checker.space, checker.composer):
+        reason = checker.component_capture(h_tables)
+        if reason is None:
+            reproduced = checker.instantiated_tables(h_tables)
+            reason = next(
+                (
+                    f"component {i + 1} is not reproduced"
+                    for i, h in enumerate(h_tables)
+                    if reproduced[i] != checker.extend_basis_table(h)
+                ),
+                None,
+            )
+        if reason is not None:
+            subject = f"solution H = {checker.tuple_label(h_tables)}"
+            failures.append(CheckFailure(subject, reason))
     return CheckReport(not failures, tuple(failures))
 
 
@@ -434,57 +450,18 @@ def check_general(
     enumerated particular solution equals some instantiation of the
     candidate with basis functions.
     """
-    basis_t = tuple(sorted(set(basis)))
-    _guard(basis_t, sp.unknowns, allow_large)
-    if sp.parameters is None:
-        raise ValueError("general check needs a problem with parameters")
-    if _components_mention_unknowns(sp, sol):
-        return CheckReport(
-            False, (CheckFailure("components", "components mention an unknown"),)
-        )
-    if has_quantifier(sp.formula) or any(has_quantifier(g) for g in sol):
-        return _check_general_slow(sp, sol, basis_t, allow_large)
-    checker = _ReproductiveChecker(sp, sol, basis_t)
-    failures = _instantiation_failures(checker)
-    composer = _Composer(sp, basis_t)
-    space = checker.space
-    images: list[tuple[int, ...]] = [
-        tuple(checker.instantiated_tables(t_tables))
-        for t_tables in product(space.tables, repeat=len(checker.params))
-    ]
-    image_set = set(images)
-    for h_tables in _solution_tables(sp, space, composer):
+    checker = _checker("general", sp, sol, basis, allow_large)
+    if isinstance(checker, CheckReport):
+        return checker
+    images: set[tuple[int, ...]] = set()
+    failures = _instantiation_failures(checker, images)
+    for h_tables in _solution_tables(checker.space, checker.composer):
         extended = tuple(checker.extend_basis_table(h) for h in h_tables)
-        if extended not in image_set:
+        if extended not in images:
             failures.append(
                 CheckFailure(
                     f"solution H = {checker.tuple_label(h_tables)}",
                     "not reachable by any parameter instantiation",
                 )
-            )
-    return CheckReport(not failures, tuple(failures))
-
-
-def _check_general_slow(
-    sp: SolutionProblem, sol: Sequence[Formula], basis: AtomSet, allow_large: bool
-) -> CheckReport:
-    space = FunctionSpace(basis)
-    failures = _slow_instantiation_failures(sp, sol, space)
-    params = sp.parameters or ()
-    for h_sol in enumerate_solutions(sp, basis, allow_large):
-        h = h_sol.components
-        label = "solution H = (" + ", ".join(str(g) for g in h) + ")"
-        reached = False
-        for ts in product(space.formulas, repeat=len(params)):
-            try:
-                image = [substitute(g, params, list(ts)) for g in sol]
-            except BoolsolveError:
-                continue
-            if all(equivalent(r, original) for r, original in zip(image, h)):
-                reached = True
-                break
-        if not reached:
-            failures.append(
-                CheckFailure(label, "not reachable by any parameter instantiation")
             )
     return CheckReport(not failures, tuple(failures))

@@ -1,0 +1,32 @@
+"""The benchmark runs end to end and its checks hold: the self-test
+rejects every planted wrong output, and a short verify run answers
+correctly with no failed operation."""
+
+import json
+import os
+import subprocess
+import sys
+
+RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "run.py")
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, RUN, *args], capture_output=True, text=True, timeout=300, check=False
+    )
+
+
+def test_selftest_rejects_planted_outputs():
+    proc = _run("--selftest")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "planted output rejected" in proc.stdout
+    assert "ACCEPTED" not in proc.stdout
+
+
+def test_verify_workload_is_correct():
+    proc = _run("--workload", "verify", "--seed", "1", "--seconds", "0")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    assert report["failed"] == 0
+    assert report["attempted"] > 0

@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+import oracle_reference as reference
 from boolsolve import (
+    And,
     Atom,
     BOT,
+    Exists,
     FunctionSpace,
+    NotSubstitutible,
     SolutionProblem,
     TOP,
     TooLarge,
@@ -19,6 +23,7 @@ from boolsolve import (
     exists_solution,
     parse,
     solve_succ_elim,
+    substitute,
     truth_table,
 )
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
@@ -200,11 +205,29 @@ def test_slow_path_with_quantifiers():
     assert check_general(sp, rep.components, ["a"]).verdict
 
 
+def _bind_above_parameters(g, params, var):
+    """``g`` with each free parameter occurrence t replaced by the
+    equivalent ``exists var . (t & var)``: literal substitution of a
+    basis function that mentions ``var`` for t is then refused."""
+    hidden = [f"{t}_h" for t in params]
+    g = substitute(g, params, [Atom(h) for h in hidden])
+    return substitute(g, hidden, [Exists(var, And(Atom(t), Atom(var))) for t in params])
+
+
+def _assert_agree(sp, sol, basis):
+    # same verdict, and the same failing instantiations and solutions in
+    # the same order (the reasons for a falsified instance are worded
+    # differently)
+    for check in (check_parametric, check_reproductive, check_general):
+        fast = check(sp, sol, basis)
+        slow = getattr(reference, check.__name__)(sp, sol, basis)
+        assert fast.verdict == slow.verdict, (check.__name__, sp.formula, sol)
+        assert [f.subject for f in fast.failures] == [f.subject for f in slow.failures]
+
+
 def test_fast_and_slow_paths_agree():
     # the table-composition path must give the same verdicts as literal
     # substitution
-    from boolsolve.oracle import _check_general_slow, _check_reproductive_slow
-
     rng = random.Random(109)
     for _ in range(15):
         sp = random_solvable_sp(rng, rng.choice((1, 2)), 2, depth=3, parameters=True)
@@ -214,8 +237,87 @@ def test_fast_and_slow_paths_agree():
             candidates.append(mutated[0].components)  # usually not reproductive
         for sol in candidates:
             fast = check_reproductive(sp, sol, ("a", "b")).verdict
-            slow = _check_reproductive_slow(sp, sol, ("a", "b"), False).verdict
+            slow = reference.check_reproductive(sp, sol, ("a", "b")).verdict
             assert fast == slow
             fast = check_general(sp, sol, ("a", "b")).verdict
-            slow = _check_general_slow(sp, sol, ("a", "b"), False).verdict
+            slow = reference.check_general(sp, sol, ("a", "b")).verdict
             assert fast == slow
+
+    # quantified problems, with candidates whose quantifier binds a basis
+    # atom above a parameter
+    captured = 0
+    for _ in range(15):
+        sp = random_solvable_sp(
+            rng, rng.choice((1, 2)), 2, depth=3, parameters=True, quantifiers=True
+        )
+        rep = solve_succ_elim(sp).components
+        candidates = [rep, [_bind_above_parameters(g, sp.parameters, "a") for g in rep]]
+        mutated = enumerate_solutions(sp, ("a", "b"))
+        if mutated:
+            candidates.append(mutated[0].components)
+        for sol in candidates:
+            _assert_agree(sp, sol, ("a", "b"))
+        captured += not check_parametric(sp, candidates[1], ("a", "b")).verdict
+    assert captured >= 5  # the capture candidates do get refused
+
+    # problems whose quantifiers bind a basis atom above an unknown
+    found = refused = 0
+    while found < 15:
+        f = random_formula(rng, ("p1", "a", "b"), 4, quant_pool=("a", "b"), quant_prob=0.3)
+        sp = SolutionProblem(f, ("p1",), ("t1",))
+        if not exists_solution(sp):
+            continue
+        found += 1
+        rep = solve_succ_elim(sp).components
+        candidates = [rep, [Atom("t1")], [_bind_above_parameters(rep[0], ("t1",), "b")]]
+        for sol in candidates:
+            _assert_agree(sp, sol, ("a", "b"))
+        report = check_parametric(sp, [Atom("t1")], ("a", "b"))
+        refused += any(f.reason == "NotSubstitutible" for f in report.failures)
+    assert refused >= 3  # some instances do land under a binder in F
+
+
+def test_capture_is_not_substitutible():
+    # exists a . (t & a) is equivalent to t, but literal substitution of a
+    # basis function mentioning a for t is refused
+    sp = SolutionProblem(parse("p | ~p"), ["p"], parameters=["t"])
+    sol = [parse("exists a . (t & a)")]
+    refused = {
+        text: str(NotSubstitutible(1, 0, f"replacing t by {text}")) for text in ("~a", "a")
+    }
+    for check in (check_parametric, check_reproductive, check_general):
+        report = check(sp, sol, ["a"])
+        assert report == getattr(reference, check.__name__)(sp, sol, ["a"])
+    report = check_parametric(sp, sol, ["a"])
+    assert [(f.subject, f.reason) for f in report.failures] == [
+        (f"instantiation T = ({text})", reason) for text, reason in refused.items()
+    ]
+    report = check_reproductive(sp, sol, ["a"])
+    assert [(f.subject, f.reason) for f in report.failures[2:]] == [
+        (f"solution H = ({text})", reason) for text, reason in refused.items()
+    ]
+    report = check_general(sp, sol, ["a"])
+    assert [f.subject for f in report.failures[2:]] == ["solution H = (~a)", "solution H = (a)"]
+
+    # capture in F: an instance mentioning a lands under exists a
+    sp = SolutionProblem(parse("(p | ~p) & exists a . (p | a)"), ["p"], parameters=["t"])
+    report = check_parametric(sp, [Atom("t")], ["a"])
+    assert report == reference.check_parametric(sp, [Atom("t")], ["a"])
+    assert [(f.subject, f.reason) for f in report.failures] == [
+        ("instantiation T = (~a)", "NotSubstitutible"),
+        ("instantiation T = (a)", "NotSubstitutible"),
+    ]
+
+
+def test_basis_must_not_meet_unknowns_or_parameters():
+    sp = SolutionProblem(EXAMPLE, ["p1", "p2"], parameters=["t1", "t2"])
+    rep = solve_succ_elim(sp).components
+    for check in (check_parametric, check_reproductive, check_general):
+        for basis in (["a", "p1"], ["a", "t1"]):
+            with pytest.raises(ValueError):
+                check(sp, rep, basis)
+        # the basis is sorted and deduplicated
+        assert check(sp, rep, ["b", "a", "a"]).verdict
+    for enumerate_ in (enumerate_solutions, any_enumerated_solution):
+        with pytest.raises(ValueError):
+            enumerate_(sp, ["a", "p1"])
