@@ -46,41 +46,10 @@ class UnboundAtom(BoolsolveError):
 
 
 def evaluate(f: Formula, valuation: Valuation) -> bool:
-    """Truth value of ``f`` under a valuation covering its free atoms."""
-
-    def walk(g: Formula, env: dict[str, bool]) -> bool:
-        if isinstance(g, Top):
-            return True
-        if isinstance(g, Bot):
-            return False
-        if isinstance(g, Atom):
-            if g.name in env:
-                return env[g.name]
-            try:
-                return bool(valuation[g.name])
-            except KeyError:
-                raise UnboundAtom(g.name) from None
-        if isinstance(g, Not):
-            return not walk(g.operand, env)
-        if isinstance(g, And):
-            return walk(g.left, env) and walk(g.right, env)
-        if isinstance(g, Or):
-            return walk(g.left, env) or walk(g.right, env)
-        if isinstance(g, Implies):
-            return (not walk(g.left, env)) or walk(g.right, env)
-        if isinstance(g, Iff):
-            return walk(g.left, env) == walk(g.right, env)
-        if isinstance(g, Exists):
-            return walk(g.body, {**env, g.var: True}) or walk(
-                g.body, {**env, g.var: False}
-            )
-        if isinstance(g, Forall):
-            return walk(g.body, {**env, g.var: True}) and walk(
-                g.body, {**env, g.var: False}
-            )
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, {})
+    """Truth value of ``f`` under a valuation covering its free atoms;
+    a free atom the valuation misses raises ``UnboundAtom``."""
+    patterns = {name: int(bool(value)) for name, value in valuation.items()}
+    return formula_mask(f, (), patterns) == 1
 
 
 def atom_patterns(basis: AtomSet) -> dict[str, int]:

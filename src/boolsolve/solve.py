@@ -5,6 +5,12 @@ atoms; solving means finding replacement formulas that make the formula
 valid.  Reproductive solutions additionally carry parameter atoms and
 represent every particular solution: substituting any particular
 solution for the parameters reproduces it.
+
+Successive elimination stores its stages, the formulas with the later
+unknowns eliminated, once.  The second-order strategies, the unary
+solvers and restricted solving are views of those stored stages: they
+differ only in whether each unknown gets the lower bound of its
+solution interval or the reproductive pair of bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .formula import (
     Atom,
     AtomSet,
     BoolsolveError,
-    Exists,
     Formula,
     Implies,
     Not,
@@ -165,37 +170,16 @@ def exists_solution(sp: SolutionProblem) -> bool:
     return is_valid(exists(sp.unknowns, sp.formula))
 
 
-def _strip_exists_prefix(f: Formula, keep: str) -> tuple[list[str], Formula]:
-    names: list[str] = []
-    while isinstance(f, Exists) and f.var != keep:
-        names.append(f.var)
-        f = f.body
-    return names, f
-
-
-def _interval_bounds(f: Formula, p: str) -> tuple[Formula, Formula]:
-    """(lower, upper) cofactor bounds of the unknown ``p`` after
-    eliminating any leading existential prefix of ``f``, each in its
-    irredundant two-level form."""
-    prefix, body = _strip_exists_prefix(f, p)
-    core = clean_variant(eliminate_all(prefix, body))
-    lower = irredundant_two_level(Not(substitute(core, [p], [BOT])))
-    upper = irredundant_two_level(substitute(core, [p], [TOP]))
-    return lower, upper
-
-
 def solve1_interval(f: Formula, p: str) -> Formula:
     """Deterministic particular solution of a unary problem: the lower
     bound of the solution interval.
 
-    Any leading existential prefix (unprocessed unknowns) is eliminated
-    first.  Every solution G satisfies lower |= G |= upper; the lower
-    bound itself is returned.
+    Every solution G satisfies lower |= G |= upper; the lower bound
+    itself is returned.  A leading existential prefix (unprocessed
+    unknowns) is evaluated exactly with the rest of the formula.
     """
-    lower, upper = _interval_bounds(f, p)
-    if not is_valid(Or(upper, Not(lower))):
-        raise NoSolution(f"no value for {p} makes the formula valid")
-    return lower
+    sp = SolutionProblem(f, [p])
+    return solve_on_second_order(sp, Strategy.INTERVAL).components[0]
 
 
 def solve1_reproductive(f: Formula, p: str, t: str) -> Formula:
@@ -205,12 +189,7 @@ def solve1_reproductive(f: Formula, p: str, t: str) -> Formula:
     Substituting any particular solution H for ``t`` yields a formula
     equivalent to H, so the result represents the whole solution set.
     """
-    if t == p or t in free_atoms(f):
-        raise ValueError(f"parameter {t} must be fresh")
-    lower, upper = _interval_bounds(f, p)
-    if not is_valid(Or(upper, Not(lower))):
-        raise NoSolution(f"no value for {p} makes the formula valid")
-    return simplify(Or(And(lower, Not(Atom(t))), And(upper, Atom(t))))
+    return solve_succ_elim(SolutionProblem(f, [p], [t])).components[0]
 
 
 def schroeder_interpolant(
@@ -247,36 +226,6 @@ def _prepared(sp: SolutionProblem) -> Formula:
     return clean_variant(sp.formula, avoid=avoid)
 
 
-def solve_on_second_order(sp: SolutionProblem, strategy: Strategy) -> Solution:
-    """Left-to-right reduction to unary problems.
-
-    Unknown i is solved in the formula with the already-computed
-    components substituted and the remaining unknowns existentially
-    quantified.  With the reproductive strategy each unary step uses its
-    parameter, and the composed result is itself reproductive.
-    """
-    if not exists_solution(sp):
-        raise NoSolution("the existential closure over the unknowns is not valid")
-    params = _require_parameters(sp) if strategy is Strategy.REPRODUCTIVE else None
-    work = _prepared(sp)
-    components: list[Formula] = []
-    for i, p in enumerate(sp.unknowns):
-        cur = substitute(work, sp.unknowns[:i], components)
-        unary = exists(sp.unknowns[i + 1 :], cur)
-        if strategy is Strategy.INTERVAL:
-            g = solve1_interval(unary, p)
-        else:
-            assert params is not None
-            g = solve1_reproductive(unary, p, params[i])
-        components.append(g)
-    kind = (
-        SolutionKind.REPRODUCTIVE
-        if strategy is Strategy.REPRODUCTIVE
-        else SolutionKind.PARTICULAR
-    )
-    return Solution(components, kind)
-
-
 def solve_succ_elim_stages(sp: SolutionProblem) -> tuple[Formula, ...]:
     """The stored intermediate formulas of successive elimination:
     element i is the input with unknowns i+1..n eliminated."""
@@ -288,6 +237,33 @@ def solve_succ_elim_stages(sp: SolutionProblem) -> tuple[Formula, ...]:
     return tuple(reversed(stages))
 
 
+def _solve_stages(sp: SolutionProblem, params: Sequence[str] | None) -> list[Formula]:
+    """Phase 2 of successive elimination, the one solver core.
+
+    Walks the unknowns first-to-last.  Unknown i gets the lower bound
+    ``~F_i[G.., p_i := false]`` of its solution interval, where F_i is
+    the stored stage with unknowns i+1..n eliminated and G.. are the
+    earlier components; with ``params`` it gets the reproductive
+    ``(lower & ~t_i) | (F_i[G.., p_i := true] & t_i)``.  Both bounds
+    are rewritten in the irredundant two-level form of their exact
+    functions, so components do not grow from stage to stage.  The
+    caller has checked that the problem is solvable.
+    """
+    stages = solve_succ_elim_stages(sp)
+    components: list[Formula] = []
+    for i in range(len(sp.unknowns)):
+        stage = stages[i + 1]  # formula with unknowns 1..i still present
+        ps = list(sp.unknowns[: i + 1])
+        lower = irredundant_two_level(Not(substitute(stage, ps, [*components, BOT])))
+        if params is None:
+            components.append(lower)
+            continue
+        upper = irredundant_two_level(substitute(stage, ps, [*components, TOP]))
+        t = Atom(params[i])
+        components.append(simplify(Or(And(lower, Not(t)), And(upper, t))))
+    return components
+
+
 def solve_succ_elim(sp: SolutionProblem) -> Solution:
     """The method of successive eliminations.
 
@@ -295,25 +271,30 @@ def solve_succ_elim(sp: SolutionProblem) -> Solution:
     intermediate formula.  Phase 2 walks first-to-last and emits for
     unknown i the reproductive unary solution
     ``(~F_i[G.. false] & ~t_i) | (F_i[G.. true] & t_i)`` built from the
-    stored formula F_i with the earlier components substituted.  Both
-    bounds are rewritten in the irredundant two-level form of their
-    exact functions, so components do not grow from stage to stage.
+    stored formula F_i with the earlier components substituted.
     """
     params = _require_parameters(sp)
     if not exists_solution(sp):
         raise NoSolution("the existential closure over the unknowns is not valid")
-    stages = solve_succ_elim_stages(sp)
-    components: list[Formula] = []
-    for i, p in enumerate(sp.unknowns):
-        stage = stages[i + 1]  # formula with unknowns 1..i still present
-        ps = list(sp.unknowns[: i + 1])
-        lower = irredundant_two_level(
-            Not(substitute(stage, ps, [*components, BOT]))
-        )
-        upper = irredundant_two_level(substitute(stage, ps, [*components, TOP]))
-        t = Atom(params[i])
-        components.append(simplify(Or(And(lower, Not(t)), And(upper, t))))
-    return Solution(components, SolutionKind.REPRODUCTIVE)
+    return Solution(_solve_stages(sp, params), SolutionKind.REPRODUCTIVE)
+
+
+def solve_on_second_order(sp: SolutionProblem, strategy: Strategy) -> Solution:
+    """Left-to-right reduction to unary problems.
+
+    Unknown i is solved in the formula with the already-computed
+    components substituted and the remaining unknowns existentially
+    quantified, which is the stored stage of successive elimination.
+    The interval strategy takes the lower bound of each unary solution
+    interval.  The reproductive strategy uses each unknown's parameter,
+    and its composed result, itself reproductive, is exactly
+    ``solve_succ_elim``'s.
+    """
+    if strategy is Strategy.REPRODUCTIVE:
+        return solve_succ_elim(sp)
+    if not exists_solution(sp):
+        raise NoSolution("the existential closure over the unknowns is not valid")
+    return Solution(_solve_stages(sp, None), SolutionKind.PARTICULAR)
 
 
 def _witness_for(fn: WitnessFn, p: str, f: Formula) -> Formula:
@@ -501,7 +482,8 @@ def solve_restricted(sp: SolutionProblem) -> Solution:
     The restriction is encoded directly: G solves the problem with
     components free of the forbidden atoms iff G solves the universally
     quantified problem, so the forbidden atoms are eliminated
-    universally and the result is solved as usual.  Components are
+    universally and the result is solved from its stored stages,
+    reproductively when parameters are given.  Components are
     verified to be free of the forbidden atoms afterwards.
     """
     if sp.forbidden is None:
@@ -515,18 +497,15 @@ def solve_restricted(sp: SolutionProblem) -> Solution:
             "no solution avoids the forbidden atoms "
             f"({', '.join(sp.forbidden)})"
         )
-    if sp.parameters is not None:
-        sol = solve_succ_elim(inner)
-    else:
-        sol = solve_on_second_order(inner, Strategy.INTERVAL)
+    kind = SolutionKind.PARTICULAR if sp.parameters is None else SolutionKind.REPRODUCTIVE
     components = []
-    for c in sol.components:
+    for c in _solve_stages(inner, sp.parameters):
         touched = set(free_atoms(c)) & set(sp.forbidden)
         if touched:
             keep = tuple(sorted(set(free_atoms(c)) - set(sp.forbidden)))
             c = project_vocabulary(c, keep)  # NotIndependent propagates loudly
         components.append(c)
-    return Solution(components, sol.kind)
+    return Solution(components, kind)
 
 
 def _fresh_names(bases: Sequence[str], used: set[str]) -> list[str]:
@@ -597,7 +576,7 @@ def solve_restricted_two_stage(
             raise ValueError(f"forbidden set {i} clashes with an unknown or parameter")
     if not exists_solution(sp):
         raise NoSolution("the existential closure over the unknowns is not valid")
-    reproductive = solve_succ_elim(sp)
+    reproductive = Solution(_solve_stages(sp, params), SolutionKind.REPRODUCTIVE)
 
     used = set(all_names(sp.formula)) | set(sp.unknowns) | set(params)
     for c in reproductive.components:

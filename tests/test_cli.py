@@ -265,17 +265,22 @@ def _nodes(f):
     return 1
 
 
-def test_chain_output_stays_polynomial(tmp_path, capsys):
-    # The paper's running example grown to n unknowns.  Syntactic
-    # substitution of whole components grows the output about tenfold
-    # per unknown; printing each component from its exact function keeps
-    # it quadratic in n.
-    n = 8
+def _chain_file(tmp_path, n):
+    # The paper's running example grown to n unknowns.
     unknowns = [f"p{i}" for i in range(1, n + 1)]
     links = zip(["a", *unknowns], [*unknowns, "b"])
     formula = "(a -> b) -> (" + " & ".join(f"({x} -> {y})" for x, y in links) + ")"
-    path = tmp_path / "chain.sp"
+    path = tmp_path / f"chain{n}.sp"
     path.write_text(f"unknowns: {' '.join(unknowns)}\nformula: {formula}\n")
+    return path, unknowns, formula
+
+
+def test_chain_output_stays_polynomial(tmp_path, capsys):
+    # Syntactic substitution of whole components grows the output about
+    # tenfold per unknown; printing each component from its exact
+    # function keeps it quadratic in n.
+    n = 8
+    path, unknowns, formula = _chain_file(tmp_path, n)
     f = parse(formula)
     total = 0
     for extra in ([], ["--method", "second-order"],
@@ -304,3 +309,36 @@ def test_clause_bounds_stay_clauses(tmp_path, capsys):
         component = parse(text)
         assert is_valid(substitute(f, ["p"], [component]))
         assert _nodes(component) <= 8 * m
+
+
+CHAIN_SECOND_ORDER_GOLDEN = {
+    (2, False): "p1 := a & b\np2 := a & b\n",
+    (2, True): (
+        "p1 := a & b & ~t_1 | (a | b) & t_1\n"
+        "p2 := (a | t_1) & b & ~t_2 | (a | b) & t_2\n"
+    ),
+    (3, False): "p1 := a & b\np2 := a & b\np3 := a & b\n",
+    (3, True): (
+        "p1 := a & b & ~t_1 | (a | b) & t_1\n"
+        "p2 := (a | t_1) & b & ~t_2 | (a | b) & t_2\n"
+        "p3 := (a | t_1 | t_2) & b & ~t_3 | (a | b) & t_3\n"
+    ),
+    (4, False): "p1 := a & b\np2 := a & b\np3 := a & b\np4 := a & b\n",
+    (4, True): (
+        "p1 := a & b & ~t_1 | (a | b) & t_1\n"
+        "p2 := (a | t_1) & b & ~t_2 | (a | b) & t_2\n"
+        "p3 := (a | t_1 | t_2) & b & ~t_3 | (a | b) & t_3\n"
+        "p4 := (a | t_1 | t_2 | t_3) & b & ~t_4 | (a | b) & t_4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("n, reproductive", sorted(CHAIN_SECOND_ORDER_GOLDEN))
+def test_second_order_chain_golden(tmp_path, capsys, n, reproductive):
+    # Exact output of both second-order strategies on the chain problem.
+    path, _, _ = _chain_file(tmp_path, n)
+    extra = ["--reproductive"] if reproductive else []
+    assert run(["solve", "--method", "second-order", *extra, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == CHAIN_SECOND_ORDER_GOLDEN[n, reproductive]
+    assert captured.err == ""

@@ -38,6 +38,8 @@ def test_evaluate():
     assert evaluate(parse("forall p . p | a"), {"a": False}) is False
     with pytest.raises(UnboundAtom):
         evaluate(parse("a & b"), {"a": True})
+    with pytest.raises(UnboundAtom):
+        evaluate(parse("a | b"), {"a": True})
 
 
 def test_is_valid():

@@ -396,6 +396,27 @@ def test_reproductive_composition_random():
         assert check_reproductive(sp, sol.components, ("a", "b")).verdict
 
 
+def test_second_order_strategies_are_views_of_succ_elim():
+    # The second-order reduction reads the stages of successive
+    # elimination: its reproductive strategy prints exactly what
+    # succ-elim prints, and its interval strategy is succ-elim with
+    # every parameter set to false.
+    rng = random.Random(101)
+    for k in range(100):
+        sp = random_solvable_sp(
+            rng, 1 + k % 2, 2, depth=4, parameters=True, quantifiers=k % 4 >= 2
+        )
+        succ = solve_succ_elim(sp).components
+        rep = solve_on_second_order(sp, Strategy.REPRODUCTIVE).components
+        assert [str(c) for c in rep] == [str(c) for c in succ]
+        interval = solve_on_second_order(
+            SolutionProblem(sp.formula, sp.unknowns), Strategy.INTERVAL
+        ).components
+        falses = [BOT] * len(sp.unknowns)
+        for lower, c in zip(interval, succ):
+            assert equivalent(lower, substitute(c, sp.parameters, falses))
+
+
 def test_solution_entailed_by_definition():
     # G solves F[p] exactly when the definition p <-> G entails F
     from boolsolve import Iff
