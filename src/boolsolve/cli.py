@@ -22,7 +22,6 @@ from typing import Sequence
 from .elimination import (
     NotIndependent,
     depends_on,
-    forall_eliminate,
     project_vocabulary,
     weakest_precondition,
 )
@@ -143,6 +142,18 @@ def _restriction_violation(pf: ProblemFile, components: Sequence[Formula]) -> st
     return None
 
 
+def _problem(
+    pf: ProblemFile,
+    parameters: Sequence[str] | None = None,
+    forbidden: Sequence[str] | None = None,
+) -> SolutionProblem:
+    """The file's problem; one the solvers reject is an input error."""
+    try:
+        return SolutionProblem(pf.formula, pf.unknowns, parameters, forbidden)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
+
+
 def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
     for name, component in zip(unknowns, sol.components):
         print(f"{name} := {component}")
@@ -152,13 +163,8 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     pf = _load(args.file)
     if pf.per_forbid:
         raise ProblemFileError("per-component restrictions: use 'solve' instead")
-    formula = pf.formula
-    if pf.forbid:
-        # Restricted solvability is solvability of the universally
-        # quantified problem.
-        for b in reversed(sorted(set(pf.forbid))):
-            formula = forall_eliminate(b, formula)
-    sp = SolutionProblem(formula, pf.unknowns)
+    # With forbid: this is solvability of the restricted problem.
+    sp = _problem(pf, forbidden=pf.forbid)
     if exists_solution(sp):
         print("solvable")
         return 0
@@ -177,7 +183,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.reproductive and args.method == "witnesses":
         print("error: the witnesses method yields particular solutions", file=sys.stderr)
         return 2
-    sp = SolutionProblem(pf.formula, pf.unknowns, parameters, pf.forbid)
+    sp = _problem(pf, parameters, pf.forbid)
     if pf.per_forbid:
         per_unknown = [pf.per_forbid.get(p, ()) for p in pf.unknowns]
         sol = solve_restricted_two_stage(sp, per_unknown)
@@ -214,7 +220,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return 2
     components = [parse(text) for text in texts]
-    sp = SolutionProblem(pf.formula, pf.unknowns, pf.parameters)
+    sp = _problem(pf, pf.parameters)
     report = check_particular(sp, components)
     if not report.verdict:
         failure = report.failures[0]
@@ -244,7 +250,7 @@ def _cmd_precondition(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pf = _load(args.file)
     basis = _idents(args.basis, "--basis")
-    sp = SolutionProblem(pf.formula, pf.unknowns)
+    sp = _problem(pf)
     solutions = [
         sol
         for sol in enumerate_solutions(sp, basis)

@@ -4,6 +4,8 @@ Validity is decided by expansion over the free atoms; quantifiers expand
 to both instantiations of the bound atom.  Internally a formula is
 evaluated to a bitmask holding its value under every valuation of an
 atom basis at once, which keeps exhaustive checks cheap at desk scale.
+A basis spans at most ``MAX_MASK_ATOMS`` atoms; ``atom_patterns``
+refuses a wider one with ``BudgetExceeded``.
 
 Truth-table encoding (fixed so golden outputs are portable): the basis
 is sorted ascending, atom ``i`` of the basis contributes bit ``i`` of a
@@ -14,7 +16,7 @@ The text form prints index 0 leftmost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .formula import (
     BOT,
@@ -45,6 +47,13 @@ class UnboundAtom(BoolsolveError):
     pass
 
 
+MAX_MASK_ATOMS = 26  # widest basis a bitmask may span: 2^26 bits, 8 MB
+
+
+class BudgetExceeded(BoolsolveError):
+    """A truth table would span more than ``MAX_MASK_ATOMS`` atoms."""
+
+
 def evaluate(f: Formula, valuation: Valuation) -> bool:
     """Truth value of ``f`` under a valuation covering its free atoms;
     a free atom the valuation misses raises ``UnboundAtom``."""
@@ -57,8 +66,15 @@ def atom_patterns(basis: AtomSet) -> dict[str, int]:
 
     Atom ``i`` is true exactly at indices with bit ``i`` set.  Each mask
     starts as one block of 2^i ones above 2^i zeros and doubles in
-    length until it covers all 2^|basis| indices.
+    length until it covers all 2^|basis| indices.  A basis wider than
+    ``MAX_MASK_ATOMS`` raises ``BudgetExceeded`` before any mask is
+    built; every bitmask of the package starts here.
     """
+    if len(basis) > MAX_MASK_ATOMS:
+        raise BudgetExceeded(
+            f"{len(basis)} atoms exceed the truth-table cap of {MAX_MASK_ATOMS} "
+            f"atoms ({1 << (MAX_MASK_ATOMS - 23)} MB per mask)"
+        )
     masks: dict[str, int] = {}
     size = 1 << len(basis)
     for i, name in enumerate(basis):
@@ -106,6 +122,33 @@ def formula_mask(f: Formula, basis: AtomSet, patterns: dict[str, int] | None = N
         raise TypeError(f"not a formula: {g!r}")
 
     return walk(f, {})
+
+
+def top_cofactors(mask: int, width: int) -> tuple[int, int]:
+    """Cofactors, false then true, of a mask over ``width`` positions at
+    its last position; each is a mask over the first ``width - 1``."""
+    half = 1 << (width - 1)
+    return mask & ((1 << half) - 1), mask >> half
+
+
+def cofactors(mask: int, position: int, pattern: int) -> tuple[int, int]:
+    """Cofactors, false then true, of ``mask`` at ``position``, whose
+    atom mask is ``pattern``; each keeps the width and no longer depends
+    on that position.  Their OR is the existential and their AND the
+    universal quantification of the position."""
+    shift = 1 << position
+    one = mask & pattern
+    zero = mask ^ one
+    return zero | zero << shift, one | one >> shift
+
+
+def widen(mask: int, width: int, new_width: int) -> int:
+    """A mask over ``width`` positions as one over ``new_width`` that does
+    not depend on the added positions."""
+    while width < new_width:
+        mask |= mask << (1 << width)
+        width += 1
+    return mask
 
 
 def is_valid(f: Formula) -> bool:
@@ -210,38 +253,52 @@ def formula_from_table(t: TruthTable) -> Formula:
 
 
 class _OverBudget(Exception):
-    """A cover in ``irredundant_two_level`` outgrew its literal budget."""
+    """A cover in ``irredundant_two_level_mask`` outgrew its literal budget."""
 
 
 def irredundant_two_level(f: Formula) -> Formula:
-    """Irredundant two-level form of ``f``'s exact function.
-
-    The Minato-Morreale recursion (Minato, IEICE Trans. Fundamentals
-    1993) runs on ``f``'s bitmask over its free atoms, splitting on the
-    atoms in sorted order, so equivalent inputs give the same output.
-    It covers both ``f``, which gives a sum of products, and ``~f``,
-    whose cubes negated by De Morgan give a product of sums.  The form
-    with fewer literals is returned, the sum of products on a tie, so a
-    function built from clauses stays a product of clauses instead of
-    growing into exponentially many cubes.  Each cover is built under a
-    literal budget that grows fourfold until one fits, so the larger
-    form costs at most a few times the smaller.  The result is
-    quantifier-free, mentions only atoms the function depends on, and
-    no cube (clause) or literal of it can be dropped.
-    """
+    """Irredundant two-level form of ``f``'s exact function, read off
+    its bitmask over its free atoms by ``irredundant_two_level_mask``."""
     basis = free_atoms(f)
     patterns = atom_patterns(basis)
-    full = (1 << (1 << len(basis))) - 1
-    mask = formula_mask(f, basis, patterns)
+    return irredundant_two_level_mask(
+        formula_mask(f, basis, patterns), basis, list(patterns.values())
+    )
+
+
+def irredundant_two_level_mask(
+    mask: int, names: Sequence[str], patterns: Sequence[int]
+) -> Formula:
+    """Irredundant two-level form of the function with bitmask ``mask``,
+    where position i of a valuation's index is the atom ``names[i]``.
+
+    The Minato-Morreale recursion (Minato, IEICE Trans. Fundamentals
+    1993) splits on the positions in the sorted order of their names,
+    so equivalent functions give the same output whatever the layout
+    of their masks.  It covers both the function, which gives a sum of
+    products, and its negation, whose cubes negated by De Morgan give
+    a product of sums.  The form with fewer literals is returned, the
+    sum of products on a tie, so a function built from clauses stays a
+    product of clauses instead of growing into exponentially many
+    cubes.  Each cover is built under a literal budget that grows
+    fourfold until one fits, so the larger form costs at most a few
+    times the smaller.  The result mentions only atoms the function
+    depends on, and no cube (clause) or literal of it can be dropped.
+    ``names`` must be distinct, and ``patterns`` holds the positions'
+    atom masks (``atom_patterns``, possibly over a wider basis).
+    """
+    width = len(names)
+    order = sorted(range(width), key=names.__getitem__)
+    full = (1 << (1 << width)) - 1
     Cube = tuple[tuple[str, bool], ...]
     spent = budget = 0
 
     def cover(lower: int, upper: int, i: int, lits: int) -> tuple[list[Cube], int]:
         # Cubes, as (atom, value) literals, of an irredundant cover c
         # with lower <= c <= upper, and c.  Neither bound depends on the
-        # atoms before position i, and lits literals are already fixed
+        # positions before order[i], and lits literals are already fixed
         # above this call.  A call with lower != 0 yields a cube or has
-        # a child with lower != 0, so there are O(|basis| * cubes) calls.
+        # a child with lower != 0, so there are O(width * cubes) calls.
         nonlocal spent
         if lower == 0:
             return [], 0
@@ -251,21 +308,21 @@ def irredundant_two_level(f: Formula) -> Formula:
                 raise _OverBudget
             return [()], full
         while True:
-            pos = patterns[basis[i]]
-            shift = 1 << i
-            neg = full ^ pos
-            l0 = lower & neg
+            at = order[i]
+            pos = patterns[at]
+            shift = 1 << at
+            lp = lower & pos
+            l0 = lower ^ lp
             l0 |= l0 << shift
-            l1 = lower & pos
-            l1 |= l1 >> shift
-            u0 = upper & neg
+            l1 = lp | lp >> shift
+            up = upper & pos
+            u0 = upper ^ up
             u0 |= u0 << shift
-            u1 = upper & pos
-            u1 |= u1 >> shift
+            u1 = up | up >> shift
             if l0 != l1 or u0 != u1:
                 break
             i += 1
-        name = basis[i]
+        name = names[at]
         cubes0, c0 = cover(l0 & (full ^ u1), u0, i + 1, lits + 1)
         cubes1, c1 = cover(l1 & (full ^ u0), u1, i + 1, lits + 1)
         rest = (l0 & (full ^ c0)) | (l1 & (full ^ c1))
@@ -275,7 +332,7 @@ def irredundant_two_level(f: Formula) -> Formula:
             + [((name, True), *c) for c in cubes1]
             + cubes_r
         )
-        return cubes, (c0 & neg) | (c1 & pos) | cr
+        return cubes, (c0 ^ (c0 & pos)) | (c1 & pos) | cr
 
     def within(target: int, limit: int) -> list[Cube] | None:
         # The cubes of target's cover, or None if it has over limit literals.

@@ -6,11 +6,17 @@ valid.  Reproductive solutions additionally carry parameter atoms and
 represent every particular solution: substituting any particular
 solution for the parameters reproduces it.
 
-Successive elimination stores its stages, the formulas with the later
-unknowns eliminated, once.  The second-order strategies, the unary
-solvers and restricted solving are views of those stored stages: they
-differ only in whether each unknown gets the lower bound of its
-solution interval or the reproductive pair of bounds.
+Successive elimination is the one solver core, and it runs on truth
+tables.  The formula's bitmask spans its base atoms and the unknowns;
+each stage, the formula with the later unknowns eliminated, is a mask
+formed from the next by OR of two cofactors, and the problem is
+solvable exactly when stage 0 is valid.  Phase 2 substitutes the
+earlier components into each stage by cofactor selection and prints
+both bounds of each solution interval from their masks.  The
+second-order strategies, the unary solvers and restricted solving are
+views of the core: they differ only in whether each unknown gets the
+lower bound of its solution interval or the reproductive pair of
+bounds, and in which atoms are first quantified universally.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .formula import (
     all_names,
     clean_variant,
     conj,
-    exists,
     free_atoms,
     fresh_name,
     is_substitutible,
@@ -49,18 +54,22 @@ from .elimination import (
     elim_witness,
     elim_witness_dnf,
     eliminate_all,
-    forall_eliminate,
     project_vocabulary,
-    shannon_eliminate,
 )
 from .semantics import (
     TruthTable,
+    atom_patterns,
+    cofactors,
     entails,
     falsifying_valuation,
     formula_from_table,
+    formula_mask,
     irredundant_two_level,
+    irredundant_two_level_mask,
     is_valid,
     simplify,
+    top_cofactors,
+    widen,
 )
 
 
@@ -152,6 +161,8 @@ class SolutionProblem:
                 raise ValueError(f"parameters must be fresh, clashing: {sorted(clash)}")
         if self.forbidden is not None and set(self.forbidden) & set(self.unknowns):
             raise ValueError("forbidden atoms must not be unknowns")
+        if self.forbidden is not None and set(self.forbidden) & set(self.parameters or ()):
+            raise ValueError("forbidden atoms must not be parameters")
 
 
 @dataclass(frozen=True)
@@ -166,8 +177,10 @@ class Solution:
 
 def exists_solution(sp: SolutionProblem) -> bool:
     """Solvability test: validity of the formula under an existential
-    prefix over the unknowns."""
-    return is_valid(exists(sp.unknowns, sp.formula))
+    prefix over the unknowns, which is stage 0 of successive
+    elimination.  With forbidden atoms it tests the restricted problem,
+    whose formula is universally quantified over them."""
+    return _stage_masks(sp, sp.forbidden or ()) is not None
 
 
 def solve1_interval(f: Formula, p: str) -> Formula:
@@ -226,41 +239,85 @@ def _prepared(sp: SolutionProblem) -> Formula:
     return clean_variant(sp.formula, avoid=avoid)
 
 
-def solve_succ_elim_stages(sp: SolutionProblem) -> tuple[Formula, ...]:
-    """The stored intermediate formulas of successive elimination:
-    element i is the input with unknowns i+1..n eliminated."""
-    work = _prepared(sp)
-    stages = [work]
-    for p in reversed(sp.unknowns):
-        work = shannon_eliminate(p, work)
-        stages.append(work)
-    return tuple(reversed(stages))
+_Stages = tuple[tuple[str, ...], list[int], list[int]]
 
 
-def _solve_stages(sp: SolutionProblem, params: Sequence[str] | None) -> list[Formula]:
-    """Phase 2 of successive elimination, the one solver core.
+def _stage_masks(sp: SolutionProblem, forbidden: Sequence[str] = ()) -> _Stages | None:
+    """Phase 1 of successive elimination, on truth tables.
 
-    Walks the unknowns first-to-last.  Unknown i gets the lower bound
-    ``~F_i[G.., p_i := false]`` of its solution interval, where F_i is
-    the stored stage with unknowns i+1..n eliminated and G.. are the
-    earlier components; with ``params`` it gets the reproductive
-    ``(lower & ~t_i) | (F_i[G.., p_i := true] & t_i)``.  Both bounds
-    are rewritten in the irredundant two-level form of their exact
-    functions, so components do not grow from stage to stage.  The
-    caller has checked that the problem is solvable.
+    The formula's mask spans its k sorted base atoms, then the unknowns
+    in their listed order, so unknown i (from 1) sits at position
+    k + i - 1.  The ``forbidden`` atoms are quantified universally
+    first, by AND of their cofactors.  Stage i, the formula with
+    unknowns i+1..n eliminated, is then a mask over the first k + i
+    positions: eliminating the last position ORs the two halves of the
+    mask.  Returns the base atoms, stages 0..n and the positions' atom
+    masks, or None when stage 0 is not valid: then no solution exists.
     """
-    stages = solve_succ_elim_stages(sp)
+    base = tuple(sorted(set(free_atoms(sp.formula)) - set(sp.unknowns)))
+    basis = base + sp.unknowns
+    patterns = atom_patterns(basis)
+    mask = formula_mask(sp.formula, basis, patterns)
+    for b in forbidden:
+        if b in base:  # an atom absent from the formula is quantified vacuously
+            zero, one = cofactors(mask, base.index(b), patterns[b])
+            mask = zero & one
+    stages = [mask]
+    for width in range(len(basis), len(base), -1):
+        zero, one = top_cofactors(stages[-1], width)
+        stages.append(zero | one)
+    stages.reverse()
+    if stages[0] != (1 << (1 << len(base))) - 1:
+        return None
+    return base, stages, list(patterns.values())
+
+
+def _solve_stages(
+    sp: SolutionProblem, params: Sequence[str] | None, forbidden: Sequence[str] = ()
+) -> list[Formula] | None:
+    """Successive elimination on truth tables, the one solver core.
+
+    Phase 2 walks the unknowns first-to-last over the stages of
+    ``_stage_masks``.  Into stage i it substitutes the earlier
+    components G.. by cofactor selection, ``(S|p=1 & G) | (S|p=0 & ~G)``;
+    its cofactors at p_i then give the solution interval
+    [L_i, U_i] = [~S[p_i := false], S[p_i := true]].  Unknown i gets L_i,
+    or with ``params`` the reproductive ``(L_i & ~t_i) | (U_i & t_i)``,
+    each bound printed as the irredundant two-level form of its mask.
+    Once p_j is replaced, its position means t_j: the masks keep k + n
+    positions however many parameters the components mention, and the
+    printed cover splits positions in the sorted order of their names,
+    base atoms and parameters alike.  Returns None when the problem
+    (universally quantified over ``forbidden``) has no solution.
+    """
+    found = _stage_masks(sp, forbidden)
+    if found is None:
+        return None
+    base, stages, patterns = found
+    k = len(base)
+    # Without parameters no component depends on a replaced position, so
+    # the unknown's own name stands in for it.
+    names = [*base, *(sp.unknowns if params is None else params)]
     components: list[Formula] = []
+    masks: list[int] = []  # masks[j]: G_j over k + j + 1 positions
     for i in range(len(sp.unknowns)):
-        stage = stages[i + 1]  # formula with unknowns 1..i still present
-        ps = list(sp.unknowns[: i + 1])
-        lower = irredundant_two_level(Not(substitute(stage, ps, [*components, BOT])))
+        width = k + i + 1
+        stage = stages[i + 1]
+        for j, g in enumerate(masks):
+            zero, one = cofactors(stage, k + j, patterns[k + j])
+            stage = zero ^ ((zero ^ one) & widen(g, k + j + 1, width))
+        zero, upper = top_cofactors(stage, width)
+        lower = zero ^ ((1 << (1 << (width - 1))) - 1)
+        shown = names[: width - 1]
+        lower_f = irredundant_two_level_mask(lower, shown, patterns)
         if params is None:
-            components.append(lower)
+            components.append(lower_f)
+            masks.append(widen(lower, width - 1, width))
             continue
-        upper = irredundant_two_level(substitute(stage, ps, [*components, TOP]))
+        upper_f = irredundant_two_level_mask(upper, shown, patterns)
         t = Atom(params[i])
-        components.append(simplify(Or(And(lower, Not(t)), And(upper, t))))
+        components.append(simplify(Or(And(lower_f, Not(t)), And(upper_f, t))))
+        masks.append(lower | upper << (1 << (width - 1)))
     return components
 
 
@@ -268,15 +325,16 @@ def solve_succ_elim(sp: SolutionProblem) -> Solution:
     """The method of successive eliminations.
 
     Phase 1 eliminates the unknowns last-to-first, storing each
-    intermediate formula.  Phase 2 walks first-to-last and emits for
+    intermediate stage.  Phase 2 walks first-to-last and emits for
     unknown i the reproductive unary solution
     ``(~F_i[G.. false] & ~t_i) | (F_i[G.. true] & t_i)`` built from the
-    stored formula F_i with the earlier components substituted.
+    stored stage F_i with the earlier components substituted.
     """
     params = _require_parameters(sp)
-    if not exists_solution(sp):
+    components = _solve_stages(sp, params)
+    if components is None:
         raise NoSolution("the existential closure over the unknowns is not valid")
-    return Solution(_solve_stages(sp, params), SolutionKind.REPRODUCTIVE)
+    return Solution(components, SolutionKind.REPRODUCTIVE)
 
 
 def solve_on_second_order(sp: SolutionProblem, strategy: Strategy) -> Solution:
@@ -292,9 +350,10 @@ def solve_on_second_order(sp: SolutionProblem, strategy: Strategy) -> Solution:
     """
     if strategy is Strategy.REPRODUCTIVE:
         return solve_succ_elim(sp)
-    if not exists_solution(sp):
+    components = _solve_stages(sp, None)
+    if components is None:
         raise NoSolution("the existential closure over the unknowns is not valid")
-    return Solution(_solve_stages(sp, None), SolutionKind.PARTICULAR)
+    return Solution(components, SolutionKind.PARTICULAR)
 
 
 def _witness_for(fn: WitnessFn, p: str, f: Formula) -> Formula:
@@ -318,7 +377,7 @@ def solve_by_witnesses(
     into all later ones, so the final components contain no unknowns.
     Every component is kept in its irredundant two-level form.
     """
-    if not exists_solution(sp):
+    if _stage_masks(sp) is None:
         raise NoSolution("the existential closure over the unknowns is not valid")
     work = _prepared(sp)
     tail: list[Formula] = []  # components for the unknowns after position i
@@ -481,30 +540,20 @@ def solve_restricted(sp: SolutionProblem) -> Solution:
 
     The restriction is encoded directly: G solves the problem with
     components free of the forbidden atoms iff G solves the universally
-    quantified problem, so the forbidden atoms are eliminated
-    universally and the result is solved from its stored stages,
-    reproductively when parameters are given.  Components are
-    verified to be free of the forbidden atoms afterwards.
+    quantified problem, so the core quantifies the forbidden atoms
+    universally in the formula's mask and solves the result,
+    reproductively when parameters are given.  No stage then depends on
+    a forbidden atom, and neither does any component.
     """
     if sp.forbidden is None:
         raise ValueError("a forbidden atom set is required")
-    work = sp.formula
-    for b in reversed(sp.forbidden):
-        work = forall_eliminate(b, work)
-    inner = SolutionProblem(work, sp.unknowns, sp.parameters)
-    if not exists_solution(inner):
+    components = _solve_stages(sp, sp.parameters, sp.forbidden)
+    if components is None:
         raise NoSolution(
             "no solution avoids the forbidden atoms "
             f"({', '.join(sp.forbidden)})"
         )
     kind = SolutionKind.PARTICULAR if sp.parameters is None else SolutionKind.REPRODUCTIVE
-    components = []
-    for c in _solve_stages(inner, sp.parameters):
-        touched = set(free_atoms(c)) & set(sp.forbidden)
-        if touched:
-            keep = tuple(sorted(set(free_atoms(c)) - set(sp.forbidden)))
-            c = project_vocabulary(c, keep)  # NotIndependent propagates loudly
-        components.append(c)
     return Solution(components, kind)
 
 
@@ -574,9 +623,10 @@ def solve_restricted_two_stage(
     for i, forbidden in enumerate(per_unknown_forbidden):
         if set(forbidden) & (set(sp.unknowns) | set(params)):
             raise ValueError(f"forbidden set {i} clashes with an unknown or parameter")
-    if not exists_solution(sp):
+    components = _solve_stages(sp, params)
+    if components is None:
         raise NoSolution("the existential closure over the unknowns is not valid")
-    reproductive = Solution(_solve_stages(sp, params), SolutionKind.REPRODUCTIVE)
+    reproductive = Solution(components, SolutionKind.REPRODUCTIVE)
 
     used = set(all_names(sp.formula)) | set(sp.unknowns) | set(params)
     for c in reproductive.components:

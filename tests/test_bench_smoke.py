@@ -1,6 +1,6 @@
 """The benchmark runs end to end and its checks hold: the self-test
-rejects every planted wrong output, and a short verify run answers
-correctly with no failed operation."""
+rejects every planted wrong output, and short verify and chain runs
+answer correctly with no failed operation."""
 
 import json
 import os
@@ -23,10 +23,18 @@ def test_selftest_rejects_planted_outputs():
     assert "ACCEPTED" not in proc.stdout
 
 
-def test_verify_workload_is_correct():
-    proc = _run("--workload", "verify", "--seed", "1", "--seconds", "0")
+def _assert_correct(workload: str) -> None:
+    proc = _run("--workload", workload, "--seed", "1", "--seconds", "0")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
     assert report["attempted"] > 0
+
+
+def test_verify_workload_is_correct():
+    _assert_correct("verify")
+
+
+def test_chain_workload_is_correct():
+    _assert_correct("chain")

@@ -279,19 +279,46 @@ def test_chain_output_stays_polynomial(tmp_path, capsys):
     # Syntactic substitution of whole components grows the output about
     # tenfold per unknown; printing each component from its exact
     # function keeps it quadratic in n.
-    n = 8
-    path, unknowns, formula = _chain_file(tmp_path, n)
-    f = parse(formula)
-    total = 0
-    for extra in ([], ["--method", "second-order"],
-                  ["--method", "second-order", "--reproductive"]):
-        assert run(["solve", *extra, str(path)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert [line.split(" := ")[0] for line in lines] == unknowns
-        components = [parse(line.split(" := ", 1)[1]) for line in lines]
-        assert is_valid(substitute(f, unknowns, components))
-        total += sum(_nodes(c) for c in components)
-    assert total <= 16 * n * n
+    for n in (8, 16):
+        path, unknowns, formula = _chain_file(tmp_path, n)
+        f = parse(formula)
+        total = 0
+        for extra in ([], ["--method", "second-order"],
+                      ["--method", "second-order", "--reproductive"]):
+            assert run(["solve", *extra, str(path)]) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert [line.split(" := ")[0] for line in lines] == unknowns
+            components = [parse(line.split(" := ", 1)[1]) for line in lines]
+            assert is_valid(substitute(f, unknowns, components))
+            total += sum(_nodes(c) for c in components)
+        assert total <= 16 * n * n
+
+
+def test_width_cap_exit_code(tmp_path, capsys):
+    # The chain over 28 unknowns spans 30 atoms, past the truth-table
+    # cap: every solving command refuses it before building a mask.
+    path, _, _ = _chain_file(tmp_path, 28)
+    for command in (["exists"], ["solve"], ["solve", "--method", "second-order"]):
+        assert run([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 30 atoms exceed the truth-table cap of 26 atoms (8 MB per mask)\n"
+        )
+
+
+def test_problem_validation_exit_code(tmp_path, capsys):
+    # A problem the solvers reject is an input error, not a traceback.
+    for text, message in (
+        ("unknowns: p p\nformula: p\n", "unknowns must be distinct"),
+        ("unknowns: p\nforbid: p\nformula: p | a\n", "forbidden atoms must not be unknowns"),
+        ("unknowns: p\nparameters: t\nforbid: t\nformula: p | a\n",
+         "forbidden atoms must not be parameters"),
+    ):
+        path = tmp_path / "bad.sp"
+        path.write_text(text)
+        assert run(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_clause_bounds_stay_clauses(tmp_path, capsys):

@@ -6,6 +6,7 @@ from boolsolve import (
     And,
     Atom,
     BOT,
+    BudgetExceeded,
     Not,
     Or,
     TOP,
@@ -28,7 +29,15 @@ from boolsolve import (
     substitute,
     truth_table,
 )
-from boolsolve.semantics import atom_patterns
+from boolsolve.semantics import (
+    MAX_MASK_ATOMS,
+    atom_patterns,
+    cofactors,
+    formula_mask,
+    irredundant_two_level_mask,
+    top_cofactors,
+    widen,
+)
 from genutil import QUANT_POOL, random_formula
 
 
@@ -128,6 +137,45 @@ def test_irredundant_two_level_random():
         for x in free_atoms(g):
             assert not equivalent(substitute(f, [x], [TOP]), substitute(f, [x], [BOT]))
         assert _irredundant(g, Or, And, BOT) or _irredundant(g, And, Or, TOP)
+
+
+def test_mask_cofactors_and_widen():
+    rng = random.Random(47)
+    basis = ("a", "b", "c", "d")
+    patterns = atom_patterns(basis)
+    for _ in range(100):
+        f = random_formula(rng, basis, depth=4)
+        mask = formula_mask(f, basis, patterns)
+        for i, x in enumerate(basis):
+            zero, one = cofactors(mask, i, patterns[x])
+            assert zero == formula_mask(substitute(f, [x], [BOT]), basis, patterns)
+            assert one == formula_mask(substitute(f, [x], [TOP]), basis, patterns)
+        zero, one = top_cofactors(mask, 4)
+        assert zero == formula_mask(substitute(f, ["d"], [BOT]), basis[:3])
+        assert one == formula_mask(substitute(f, ["d"], [TOP]), basis[:3])
+        assert widen(zero, 3, 4) == formula_mask(substitute(f, ["d"], [BOT]), basis)
+
+
+def test_irredundant_two_level_mask_any_layout():
+    # The mask entry splits positions in the sorted order of their
+    # names, so any layout of the mask prints what the formula entry does.
+    rng = random.Random(53)
+    for _ in range(200):
+        f = random_formula(rng, ("a", "b", "c", "d"), depth=5)
+        layout = rng.sample(["a", "b", "c", "d", "e"], 5)
+        expected = irredundant_two_level(f)
+        patterns = atom_patterns(layout)
+        mask = formula_mask(f, layout, patterns)
+        shown = irredundant_two_level_mask(mask, layout, list(patterns.values()))
+        assert shown == expected
+
+
+def test_width_cap():
+    wide = tuple(f"x{i}" for i in range(MAX_MASK_ATOMS + 1))
+    with pytest.raises(BudgetExceeded, match="exceed the truth-table cap"):
+        atom_patterns(wide)
+    with pytest.raises(BudgetExceeded):
+        is_valid(conj(Atom(x) for x in wide))
 
 
 def test_formula_from_table():

@@ -40,10 +40,12 @@ from boolsolve import (
     solve_restricted,
     solve_restricted_two_stage,
     solve_succ_elim,
-    solve_succ_elim_stages,
     substitute,
 )
+from boolsolve.semantics import formula_mask
+from boolsolve.solve import _stage_masks
 from genutil import random_formula, random_solvable_sp
+import solve_reference
 
 EXAMPLE_SOLVABLE = parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
 EXAMPLE_UNSOLVABLE = parse("(p1 -> p2) & (a -> p2) & (p2 -> b)")
@@ -185,12 +187,18 @@ def test_solve_succ_elim():
 
 def test_solve_succ_elim_stages():
     sp = SolutionProblem(EXAMPLE_SOLVABLE, ["p1", "p2"], parameters=["t1", "t2"])
-    stages = solve_succ_elim_stages(sp)
+    stages = solve_reference.solve_succ_elim_stages(sp)
     assert len(stages) == 3
     assert stages[2] == EXAMPLE_SOLVABLE  # already clean
     assert equivalent(stages[1], Exists("p2", EXAMPLE_SOLVABLE))
     assert equivalent(stages[0], Exists("p1", Exists("p2", EXAMPLE_SOLVABLE)))
     assert not set(free_atoms(stages[0])) & {"p1", "p2"}
+    # The core keeps the same stages as truth tables over the base atoms
+    # and the unknowns not yet eliminated.
+    base, masks, _ = _stage_masks(sp)
+    assert base == ("a", "b")
+    for i, (stage, mask) in enumerate(zip(stages, masks)):
+        assert formula_mask(stage, base + sp.unknowns[:i]) == mask
 
 
 def test_solve_by_witnesses():
@@ -465,3 +473,46 @@ def test_weakest_precondition_is_weakest():
             guarded = SolutionProblem(Implies(candidate, f), ["p1", "p2"])
             if exists_solution(guarded):
                 assert entails(candidate, wp)
+
+
+def _printed(run):
+    """Printed components of a solver call, or None for no solution."""
+    try:
+        return [str(c) for c in run()]
+    except NoSolution:
+        return None
+
+
+def test_core_matches_formula_reference():
+    # The truth-table core prints exactly what the formula-stage core
+    # prints, for each solve method and for restricted solving.  Binders
+    # reuse the names of an unknown, a base atom and a parameter;
+    # unknowns come in any order; parameters sort before, between and
+    # after the base atoms b, d, f.
+    rng = random.Random(131)
+    solved = 0
+    for i in range(300):
+        base = ["b", "d", "f"][: rng.choice([1, 2, 3])]
+        unknowns = rng.sample(["x", "c", "m"], rng.choice([1, 2, 2, 3]))
+        params = rng.sample(["a", "e", "g", "z"], len(unknowns))
+        pool = ("q", unknowns[0], base[0], params[0])
+        f = random_formula(rng, tuple(base + unknowns), rng.choice([3, 4, 5]), pool, 0.2)
+        plain = SolutionProblem(f, unknowns)
+        with_params = SolutionProblem(f, unknowns, params)
+        reproductive = _printed(lambda: solve_reference.solve_stages(with_params, params))
+        interval = _printed(lambda: solve_reference.solve_stages(plain, None))
+        assert _printed(lambda: solve_succ_elim(with_params).components) == reproductive
+        assert _printed(
+            lambda: solve_on_second_order(with_params, Strategy.REPRODUCTIVE).components
+        ) == reproductive
+        assert _printed(
+            lambda: solve_on_second_order(plain, Strategy.INTERVAL).components
+        ) == interval
+        restricted = SolutionProblem(
+            f, unknowns, params if i % 2 else None, forbidden=[base[-1]]
+        )
+        assert _printed(lambda: solve_restricted(restricted).components) == _printed(
+            lambda: solve_reference.solve_restricted(restricted)
+        )
+        solved += reproductive is not None
+    assert 100 <= solved <= 280  # both outcomes are exercised
