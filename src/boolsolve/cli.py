@@ -8,7 +8,8 @@ Problem files are line-oriented ``key: value`` with ``#`` comments:
     forbid(p1): b            # optional, per-component restriction
     formula: (a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))
 
-Exit codes: 0 success/true, 1 no solution/false, 2 usage or input error.
+Exit codes: 0 success/true, 1 no solution/false, 2 usage or input error,
+or a restricted search that stopped undecided at its budget.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .solve import (
     solve_by_witnesses,
     solve_on_second_order,
     solve_restricted,
-    solve_restricted_two_stage,
     solve_succ_elim,
 )
 from .syntax import parse
@@ -104,9 +104,15 @@ def parse_problem_file(text: str) -> ProblemFile:
         _idents(seen["parameters"], "parameters") if "parameters" in seen else None
     )
     forbid = _idents(seen["forbid"], "forbid") if "forbid" in seen else None
-    for unknown in per_forbid:
+    for unknown, atoms in per_forbid.items():
         if unknown not in unknowns:
             raise ProblemFileError(f"forbid({unknown}): {unknown} is not an unknown")
+        clash = set(atoms) & (set(unknowns) | set(parameters or ()))
+        if clash:
+            raise ProblemFileError(
+                f"forbid({unknown}): {', '.join(sorted(clash))} "
+                "must not be an unknown or a parameter"
+            )
     formula = parse(seen["formula"])
     return ProblemFile(unknowns, parameters, forbid, per_forbid, formula)
 
@@ -121,8 +127,6 @@ def _load(path: str) -> ProblemFile:
 
 def _fresh_parameters(pf: ProblemFile) -> tuple[str, ...]:
     used = set(all_names(pf.formula)) | set(pf.unknowns) | set(pf.forbid or ())
-    for atoms in pf.per_forbid.values():
-        used |= set(atoms)
     out = []
     for _ in pf.unknowns:
         name = fresh_name("t", used)
@@ -154,6 +158,14 @@ def _problem(
         raise ProblemFileError(str(exc)) from None
 
 
+def _per_unknown(pf: ProblemFile) -> list[tuple[str, ...]] | None:
+    """Each unknown's ``forbid(p):`` atoms, or None when the file has no
+    such line; the solvers add the atoms of ``forbid:`` to every set."""
+    if not pf.per_forbid:
+        return None
+    return [pf.per_forbid.get(p, ()) for p in pf.unknowns]
+
+
 def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
     for name, component in zip(unknowns, sol.components):
         print(f"{name} := {component}")
@@ -161,11 +173,9 @@ def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
 
 def _cmd_exists(args: argparse.Namespace) -> int:
     pf = _load(args.file)
-    if pf.per_forbid:
-        raise ProblemFileError("per-component restrictions: use 'solve' instead")
-    # With forbid: this is solvability of the restricted problem.
+    # With forbid: or forbid(p): this is solvability of the restricted problem.
     sp = _problem(pf, forbidden=pf.forbid)
-    if exists_solution(sp):
+    if exists_solution(sp, _per_unknown(pf)):
         print("solvable")
         return 0
     print("not solvable")
@@ -174,9 +184,9 @@ def _cmd_exists(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     pf = _load(args.file)
-    needs_params = (
-        args.method == "succ-elim" or args.reproductive or bool(pf.per_forbid)
-    )
+    per_unknown = _per_unknown(pf)
+    # Per-component restrictions give a particular solution.
+    needs_params = (args.method == "succ-elim" or args.reproductive) and not per_unknown
     parameters = pf.parameters
     if parameters is None and needs_params:
         parameters = _fresh_parameters(pf)
@@ -184,13 +194,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("error: the witnesses method yields particular solutions", file=sys.stderr)
         return 2
     sp = _problem(pf, parameters, pf.forbid)
-    if pf.per_forbid:
-        per_unknown = [pf.per_forbid.get(p, ()) for p in pf.unknowns]
-        sol = solve_restricted_two_stage(sp, per_unknown)
-        _print_solution(pf.unknowns, sol)
-        return 0
-    if pf.forbid:
-        sol = solve_restricted(sp)
+    if pf.forbid or per_unknown:
+        sol = solve_restricted(sp, per_unknown)
         _print_solution(pf.unknowns, sol)
         return 0
     wants_particular = not (args.method == "succ-elim" or args.reproductive)

@@ -17,6 +17,8 @@ second-order strategies, the unary solvers and restricted solving are
 views of the core: they differ only in whether each unknown gets the
 lower bound of its solution interval or the reproductive pair of
 bounds, and in which atoms are first quantified universally.
+Per-component vocabulary restrictions search the same intervals,
+narrowed to the components each unknown may depend on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .formula import (
     BOT,
@@ -34,35 +36,26 @@ from .formula import (
     AtomSet,
     BoolsolveError,
     Formula,
-    Implies,
     Not,
     Or,
     Polarity,
-    all_names,
     clean_variant,
-    conj,
     free_atoms,
-    fresh_name,
     is_substitutible,
     polarity_of,
     substitute,
 )
 from .elimination import (
-    NotIndependent,
     ackermann_rewrite,
-    depends_on,
     elim_witness,
     elim_witness_dnf,
     eliminate_all,
-    project_vocabulary,
 )
 from .semantics import (
-    TruthTable,
     atom_patterns,
     cofactors,
     entails,
     falsifying_valuation,
-    formula_from_table,
     formula_mask,
     irredundant_two_level,
     irredundant_two_level_mask,
@@ -93,8 +86,8 @@ class InternalCheckFailed(BoolsolveError):
     pass
 
 
-class ProjectionFailed(BoolsolveError):
-    pass
+class Undecided(BoolsolveError):
+    """A restricted search ran out of budget before it found an answer."""
 
 
 class SolutionKind(Enum):
@@ -175,11 +168,17 @@ class Solution:
         object.__setattr__(self, "kind", kind)
 
 
-def exists_solution(sp: SolutionProblem) -> bool:
+def exists_solution(
+    sp: SolutionProblem, per_unknown: Sequence[Sequence[str]] | None = None
+) -> bool:
     """Solvability test: validity of the formula under an existential
     prefix over the unknowns, which is stage 0 of successive
     elimination.  With forbidden atoms it tests the restricted problem,
-    whose formula is universally quantified over them."""
+    whose formula is universally quantified over them.  With
+    ``per_unknown`` it runs the search of ``solve_restricted``, which
+    may raise ``Undecided``."""
+    if per_unknown is not None:
+        return _restricted_masks(sp, per_unknown) is not None
     return _stage_masks(sp, sp.forbidden or ()) is not None
 
 
@@ -272,18 +271,35 @@ def _stage_masks(sp: SolutionProblem, forbidden: Sequence[str] = ()) -> _Stages 
     return base, stages, list(patterns.values())
 
 
+def _interval(
+    stages: list[int], patterns: list[int], k: int, masks: Sequence[int]
+) -> tuple[int, int]:
+    """Solution interval [L_i, U_i] of unknown i = len(masks) + 1, as
+    masks over its stage's first k + i - 1 positions.  The earlier
+    components (``masks[j]`` is G_{j+1} over k + j + 1 positions) are
+    substituted into stage i by cofactor selection,
+    ``(S|p=1 & G) | (S|p=0 & ~G)``; then L_i = ~S[p_i := false] and
+    U_i = S[p_i := true]."""
+    width = k + len(masks) + 1
+    stage = stages[len(masks) + 1]
+    for j, g in enumerate(masks):
+        zero, one = cofactors(stage, k + j, patterns[k + j])
+        stage = zero ^ ((zero ^ one) & widen(g, k + j + 1, width))
+    zero, upper = top_cofactors(stage, width)
+    return zero ^ ((1 << (1 << (width - 1))) - 1), upper
+
+
 def _solve_stages(
     sp: SolutionProblem, params: Sequence[str] | None, forbidden: Sequence[str] = ()
 ) -> list[Formula] | None:
     """Successive elimination on truth tables, the one solver core.
 
     Phase 2 walks the unknowns first-to-last over the stages of
-    ``_stage_masks``.  Into stage i it substitutes the earlier
-    components G.. by cofactor selection, ``(S|p=1 & G) | (S|p=0 & ~G)``;
-    its cofactors at p_i then give the solution interval
-    [L_i, U_i] = [~S[p_i := false], S[p_i := true]].  Unknown i gets L_i,
-    or with ``params`` the reproductive ``(L_i & ~t_i) | (U_i & t_i)``,
-    each bound printed as the irredundant two-level form of its mask.
+    ``_stage_masks``, and takes from ``_interval`` the solution interval
+    [L_i, U_i] of each stage with the earlier components substituted.
+    Unknown i gets L_i, or with ``params`` the reproductive
+    ``(L_i & ~t_i) | (U_i & t_i)``, each bound printed as the
+    irredundant two-level form of its mask.
     Once p_j is replaced, its position means t_j: the masks keep k + n
     positions however many parameters the components mention, and the
     printed cover splits positions in the sorted order of their names,
@@ -302,12 +318,7 @@ def _solve_stages(
     masks: list[int] = []  # masks[j]: G_j over k + j + 1 positions
     for i in range(len(sp.unknowns)):
         width = k + i + 1
-        stage = stages[i + 1]
-        for j, g in enumerate(masks):
-            zero, one = cofactors(stage, k + j, patterns[k + j])
-            stage = zero ^ ((zero ^ one) & widen(g, k + j + 1, width))
-        zero, upper = top_cofactors(stage, width)
-        lower = zero ^ ((1 << (1 << (width - 1))) - 1)
+        lower, upper = _interval(stages, patterns, k, masks)
         shown = names[: width - 1]
         lower_f = irredundant_two_level_mask(lower, shown, patterns)
         if params is None:
@@ -493,23 +504,29 @@ def reorder_unknowns(sp: SolutionProblem, order: Sequence[str]) -> SolutionProbl
     return SolutionProblem(sp.formula, tuple(order), params, sp.forbidden)
 
 
+def _constructive_cases(unary: Formula, p: str) -> Iterator[Formula]:
+    """The constants, then a definiens of ``p`` in ``unary`` if any."""
+    yield TOP
+    yield BOT
+    g = definiens(unary, p)
+    if g is not None:
+        yield g
+
+
 def _constructive_attempt(sp: SolutionProblem) -> Solution | None:
-    """Solve each unknown in order by a constructive case: constant by
-    single polarity, else a definiens of the unknown in the unary
-    formula.  Returns None as soon as neither case applies."""
+    """Solve each unknown in order by a constructive case: the constant
+    true or false when it solves the unary formula, else a definiens of
+    the unknown in it.  Returns None as soon as no case applies."""
     work = _prepared(sp)
     components: list[Formula] = []
     for i, p in enumerate(sp.unknowns):
         cur = substitute(work, sp.unknowns[:i], components)
         unary = eliminate_all(sp.unknowns[i + 1 :], cur)
-        pol = polarity_of(unary, p)
-        if pol in (Polarity.POSITIVE_ONLY, Polarity.ABSENT):
-            g: Formula | None = TOP
-        elif pol is Polarity.NEGATIVE_ONLY:
-            g = BOT
-        else:
-            g = definiens(unary, p)
-        if g is None or not is_valid(substitute(unary, [p], [g])):
+        g = next(
+            (g for g in _constructive_cases(unary, p) if is_valid(substitute(unary, [p], [g]))),
+            None,
+        )
+        if g is None:
             return None
         components.append(g)
     if not is_valid(substitute(work, sp.unknowns, components)):
@@ -535,155 +552,127 @@ def constructive_shortcut(sp: SolutionProblem, reorder: bool = False) -> Solutio
     return None
 
 
-def solve_restricted(sp: SolutionProblem) -> Solution:
-    """Solve with a global set of atoms forbidden in every component.
 
-    The restriction is encoded directly: G solves the problem with
-    components free of the forbidden atoms iff G solves the universally
-    quantified problem, so the core quantifies the forbidden atoms
-    universally in the formula's mask and solves the result,
-    reproductively when parameters are given.  No stage then depends on
-    a forbidden atom, and neither does any component.
+
+_SEARCH_BUDGET = 1 << 16  # candidate components a restricted search may try
+
+
+def _restricted_masks(
+    sp: SolutionProblem, per_unknown: Sequence[Sequence[str]]
+) -> tuple[tuple[str, ...], list[int], list[int]] | None:
+    """Exact search for components under per-unknown vocabulary
+    restrictions: unknown i may not depend on B_i, the atoms of
+    ``sp.forbidden`` and ``per_unknown[i]``.
+
+    The atoms in every B_i are quantified universally in the formula's
+    mask, as in ``solve_restricted`` without per-unknown sets.  The
+    stages are built with the unknowns ordered by decreasing |B_i|, so
+    the unknowns with the fewest candidates are chosen first (a stable
+    order: equal restrictions keep the listed order).  Unknown i then
+    sees the solution interval [L_i, U_i] of its stage with the chosen
+    earlier components substituted.  A component free of B_i exists iff
+    ``exists B_i . L_i |= forall B_i . U_i``, and that narrowed interval
+    is exactly the set of such components.  The search tries each
+    interval's members lower bound first and backtracks when a later
+    interval is empty.  The problem is a DQBF in general, so after
+    ``_SEARCH_BUDGET`` candidates it raises ``Undecided``.  Returns the
+    base atoms, the positions' atom masks and each component's mask over
+    the base atoms, in the listed order of the unknowns, or None when no
+    components meet the restrictions.
     """
-    if sp.forbidden is None:
-        raise ValueError("a forbidden atom set is required")
-    components = _solve_stages(sp, sp.parameters, sp.forbidden)
-    if components is None:
-        raise NoSolution(
-            "no solution avoids the forbidden atoms "
-            f"({', '.join(sp.forbidden)})"
-        )
-    kind = SolutionKind.PARTICULAR if sp.parameters is None else SolutionKind.REPRODUCTIVE
-    return Solution(components, kind)
-
-
-def _fresh_names(bases: Sequence[str], used: set[str]) -> list[str]:
-    out = []
-    for base in bases:
-        name = fresh_name(base, used)
-        used.add(name)
-        out.append(name)
-    return out
-
-
-_STAGE2_SEARCH_LIMIT = 1024  # candidate tuples; beyond this, fall back
-
-
-def _stage2_search(
-    stage2: SolutionProblem,
-    reproductive: Solution,
-    params: tuple[str, ...],
-    per_unknown_forbidden: Sequence[Sequence[str]],
-    basis: tuple[str, ...],
-) -> tuple[Formula, ...] | None:
-    """First basis-function tuple (enumeration order) solving the
-    stage-2 problem whose instantiation is projectable per component."""
-    candidates = [
-        formula_from_table(TruthTable.from_int(t, basis))
-        for t in range(1 << (1 << len(basis)))
-    ]
-    indexes = [0] * len(params)
-    while True:
-        ts = tuple(candidates[i] for i in indexes)
-        if is_valid(substitute(stage2.formula, params, ts)):
-            inst = [
-                simplify(substitute(g, params, ts)) for g in reproductive.components
-            ]
-            if not any(
-                depends_on(forbidden, c)
-                for c, forbidden in zip(inst, per_unknown_forbidden)
-            ):
-                return ts
-        for pos in range(len(indexes) - 1, -1, -1):
-            indexes[pos] += 1
-            if indexes[pos] < len(candidates):
-                break
-            indexes[pos] = 0
-        else:
-            return None
-
-
-def solve_restricted_two_stage(
-    sp: SolutionProblem, per_unknown_forbidden: Sequence[Sequence[str]]
-) -> Solution:
-    """Solve with per-component vocabulary restrictions.
-
-    Stage 1 computes a reproductive solution R of the problem.  Stage 2
-    builds the combined problem ``AND_i (R_i with its forbidden atoms
-    renamed fresh -> R_i)`` over the parameters and solves it for a
-    tuple T making each R_i[T] independent of its forbidden atoms; the
-    instantiation R[T] is then projected onto each component's allowed
-    vocabulary.  Small instances are solved by deterministic enumeration
-    over the basis-function space; larger ones fall back to excluding
-    the restricted atoms from the stage-2 components altogether.
-    """
-    params = _require_parameters(sp)
-    if len(per_unknown_forbidden) != len(sp.unknowns):
+    if len(per_unknown) != len(sp.unknowns):
         raise ValueError("one forbidden set per unknown is required")
-    for i, forbidden in enumerate(per_unknown_forbidden):
-        if set(forbidden) & (set(sp.unknowns) | set(params)):
-            raise ValueError(f"forbidden set {i} clashes with an unknown or parameter")
-    components = _solve_stages(sp, params)
-    if components is None:
-        raise NoSolution("the existential closure over the unknowns is not valid")
-    reproductive = Solution(components, SolutionKind.REPRODUCTIVE)
+    banned = [set(sp.forbidden or ()) | set(atoms) for atoms in per_unknown]
+    reserved = set(sp.unknowns) | set(sp.parameters or ())
+    if any(atoms & reserved for atoms in banned):
+        raise ValueError("forbidden atoms must not be unknowns or parameters")
+    order = sorted(range(len(banned)), key=lambda i: -len(banned[i]))
+    banned = [banned[i] for i in order]
+    searched = SolutionProblem(sp.formula, [sp.unknowns[i] for i in order])
+    found = _stage_masks(searched, sorted(set.intersection(*banned)) if banned else ())
+    if found is None:
+        return None
+    base, stages, patterns = found
+    k = len(base)
+    full = (1 << (1 << k)) - 1
+    chosen: list[int] = []  # chosen[j]: G_{j+1} over the k base positions
+    masks: list[int] = []  # the same, widened as _interval takes them
+    budget = _SEARCH_BUDGET
 
-    used = set(all_names(sp.formula)) | set(sp.unknowns) | set(params)
-    for c in reproductive.components:
-        used |= set(all_names(c))
-    conjuncts: list[Formula] = []
-    stage2_forbidden: set[str] = set()
-    for r, forbidden in zip(reproductive.components, per_unknown_forbidden):
-        forbidden_t = tuple(sorted(set(forbidden)))
-        stage2_forbidden |= set(forbidden_t)
-        if not forbidden_t:
-            continue
-        copies = _fresh_names(forbidden_t, used)
-        stage2_forbidden |= set(copies)
-        renamed = substitute(r, forbidden_t, [Atom(c) for c in copies])
-        conjuncts.append(Implies(renamed, r))
-    stage2 = SolutionProblem(conj(conjuncts), params)
+    def extend() -> bool:
+        nonlocal budget
+        i = len(chosen)
+        if i == len(banned):
+            return True
+        # No stage depends on an earlier unknown's position once its
+        # component is substituted, so the bounds live on the base atoms.
+        lower, upper = (bound & full for bound in _interval(stages, patterns, k, masks))
+        positions = [at for at, b in enumerate(base) if b in banned[i]]
+        canonical = full  # valuations with every position of B_i false
+        for at in positions:
+            zero, one = cofactors(lower, at, patterns[at])
+            lower = zero | one
+            zero, one = cofactors(upper, at, patterns[at])
+            upper = zero & one
+            canonical &= full ^ patterns[at]
+        if lower & (full ^ upper):
+            return False
+        free = upper & (full ^ lower) & canonical
+        subset = 0
+        while True:
+            budget -= 1
+            if budget < 0:
+                raise Undecided(
+                    f"restricted search undecided after {_SEARCH_BUDGET} candidate components"
+                )
+            g = subset
+            for at in positions:
+                g |= g << (1 << at)
+            chosen.append(lower | g)
+            masks.append(widen(lower | g, k, k + i + 1))
+            if extend():
+                return True
+            chosen.pop()
+            masks.pop()
+            subset = (subset - free) & free  # the next subset of free
+            if subset == 0:
+                return False
 
-    search_basis = tuple(
-        sorted(
-            (set(free_atoms(sp.formula)) | {a for g in reproductive.components for a in free_atoms(g)})
-            - set(sp.unknowns)
-            - set(params)
-        )
-    )
-    tuple_count = (1 << (1 << len(search_basis))) ** len(params)
-    ts: tuple[Formula, ...] | None
-    if tuple_count <= _STAGE2_SEARCH_LIMIT:
-        ts = _stage2_search(
-            stage2, reproductive, params, per_unknown_forbidden, search_basis
-        )
-        if ts is None:
+    if not extend():
+        return None
+    return base, patterns, [chosen[order.index(i)] for i in range(len(order))]
+
+
+def solve_restricted(
+    sp: SolutionProblem, per_unknown: Sequence[Sequence[str]] | None = None
+) -> Solution:
+    """Solve with vocabulary restrictions on the components.
+
+    Without ``per_unknown`` every component avoids ``sp.forbidden``.
+    Then G solves the problem with components free of the forbidden
+    atoms iff G solves the universally quantified problem, so the core
+    quantifies the forbidden atoms universally in the formula's mask and
+    solves the result, reproductively when parameters are given.  No
+    stage then depends on a forbidden atom, and neither does any
+    component.  With ``per_unknown``, component i avoids
+    ``sp.forbidden`` and ``per_unknown[i]``; the exact search of
+    ``_restricted_masks`` then finds a particular solution, and raises
+    ``Undecided`` when it runs out of budget first.
+    """
+    if per_unknown is None:
+        if sp.forbidden is None:
+            raise ValueError("a forbidden atom set is required")
+        components = _solve_stages(sp, sp.parameters, sp.forbidden)
+        if components is None:
             raise NoSolution(
-                "no solution meets the per-component vocabulary restrictions"
+                "no solution avoids the forbidden atoms "
+                f"({', '.join(sp.forbidden)})"
             )
-    else:
-        fallback = SolutionProblem(
-            stage2.formula, params, forbidden=tuple(sorted(stage2_forbidden))
-        )
-        try:
-            ts = solve_restricted(fallback).components
-        except NoSolution:
-            raise NoSolution(
-                "no solution meets the per-component vocabulary restrictions"
-            ) from None
-    instantiated = instantiate(sp, reproductive, ts)
-    components = []
-    for i, (c, forbidden) in enumerate(
-        zip(instantiated.components, per_unknown_forbidden)
-    ):
-        touched = set(free_atoms(c)) & set(forbidden)
-        if touched:
-            keep = tuple(sorted(set(free_atoms(c)) - set(forbidden)))
-            try:
-                c = project_vocabulary(c, keep)
-            except NotIndependent as exc:
-                raise ProjectionFailed(
-                    f"component {i} still depends on {sorted(touched)}"
-                ) from exc
-        components.append(simplify(c))
+        kind = SolutionKind.PARTICULAR if sp.parameters is None else SolutionKind.REPRODUCTIVE
+        return Solution(components, kind)
+    found = _restricted_masks(sp, per_unknown)
+    if found is None:
+        raise NoSolution("no solution meets the vocabulary restrictions")
+    base, patterns, chosen = found
+    components = [irredundant_two_level_mask(g, base, patterns) for g in chosen]
     return Solution(components, SolutionKind.PARTICULAR)

@@ -4,10 +4,15 @@ The package runs successive elimination on truth tables.  This module
 keeps the formula version it replaced: every stage is a formula built
 by Shannon elimination, and phase 2 substitutes the earlier components
 into it syntactically.  The differential tests require the package to
-print exactly what this core prints.
+print exactly what this core prints.  It also holds an exhaustive
+search for per-unknown vocabulary restrictions that shares nothing with
+the package's solution intervals.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from typing import Sequence
 
 from boolsolve import (
     BOT,
@@ -80,3 +85,46 @@ def solve_restricted(sp: SolutionProblem) -> list[Formula]:
             c = project_vocabulary(c, keep)
         components.append(c)
     return components
+
+
+def restricted_brute_force(table: int, k: int, banned: Sequence[int]) -> list[int] | None:
+    """Component tables meeting per-unknown vocabulary restrictions, by
+    exhaustive search over their values.
+
+    ``table`` is the formula's mask over k base positions followed by
+    one position per unknown; ``banned[i]`` masks the base positions
+    unknown i may not depend on, so component i takes one value on each
+    class of base valuations that differ only there.  The search fixes
+    those values valuation by valuation, trying every choice of the
+    unknowns' values at each, and keeps a choice only if the formula
+    holds there and every later valuation still has a choice.  Returns
+    the first tuple of component tables over the base positions, or None
+    when no tuple makes the formula valid.
+    """
+    n = len(banned)
+    fixed: list[dict[int, int]] = [{} for _ in range(n)]  # class -> value
+
+    def choices(v: int) -> list[tuple[int, ...]]:
+        return [
+            xs
+            for xs in product((0, 1), repeat=n)
+            if all(fixed[i].get(v & ~banned[i], x) == x for i, x in enumerate(xs))
+            and table >> (v | sum(x << (k + i) for i, x in enumerate(xs))) & 1
+        ]
+
+    def search(v: int) -> bool:
+        if v == 1 << k:
+            return True
+        for xs in choices(v):
+            added = [i for i in range(n) if v & ~banned[i] not in fixed[i]]
+            for i in added:
+                fixed[i][v & ~banned[i]] = xs[i]
+            if all(choices(w) for w in range(v + 1, 1 << k)) and search(v + 1):
+                return True
+            for i in added:
+                del fixed[i][v & ~banned[i]]
+        return False
+
+    if not search(0):
+        return None
+    return [sum(fixed[i][v & ~banned[i]] << v for v in range(1 << k)) for i in range(n)]

@@ -47,7 +47,6 @@ from boolsolve import (
     solve_by_witnesses,
     solve_on_second_order,
     solve_restricted,
-    solve_restricted_two_stage,
     solve_succ_elim,
     substitute,
     truth_table,
@@ -408,7 +407,7 @@ def test_criterion_9_restricted_solving():
     # definitional-equivalence demo
     f = parse("(a & (b <-> p)) <-> (b & (a <-> q))")
     demo_sp = SolutionProblem(f, ["p", "q"], parameters=["t1", "t2"])
-    demo = solve_restricted_two_stage(demo_sp, [["b"], ["a"]])
+    demo = solve_restricted(demo_sp, [["b"], ["a"]])
     total = done + 1
     if not (
         equivalent(demo.components[0], parse("a"))

@@ -1,5 +1,5 @@
 """The benchmark runs end to end and its checks hold: the self-test
-rejects every planted wrong output, and short verify and chain runs
+rejects every planted wrong output, and short verify, chain and random runs
 answer correctly with no failed operation."""
 
 import json
@@ -38,3 +38,7 @@ def test_verify_workload_is_correct():
 
 def test_chain_workload_is_correct():
     _assert_correct("chain")
+
+
+def test_random_workload_is_correct():
+    _assert_correct("random")

@@ -1,5 +1,6 @@
 import pytest
 
+import boolsolve.solve
 from boolsolve import (
     Not,
     SolutionProblem,
@@ -177,6 +178,65 @@ def test_solve_per_component_file(tmp_path, capsys):
     values = dict(line.split(" := ", 1) for line in lines)
     assert equivalent(parse(values["p"]), parse("a"))
     assert equivalent(parse(values["q"]), parse("b"))
+
+
+def test_per_component_restrictions_are_exact(tmp_path, capsys):
+    # A tautology over a third atom must not change the answer.
+    path = tmp_path / "defeq.sp"
+    for extra in ("", " & (c | ~c)"):
+        path.write_text(
+            "unknowns: p1 p2\nforbid(p1): b\nforbid(p2): a\n"
+            f"formula: (p2 <-> ((b & (p1 <-> a)) <-> b)){extra}\n"
+        )
+        assert run(["solve", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        components = "; ".join(line.split(" := ", 1)[1] for line in lines)
+        assert run(["check", "--with", components, str(path)]) == 0
+        assert capsys.readouterr().out == "valid solution\n"
+        assert run(["exists", str(path)]) == 0
+        assert capsys.readouterr().out == "solvable\n"
+
+
+def test_per_component_restrictions_keep_forbid(tmp_path, capsys):
+    # forbid: still applies to p when forbid(p): names other atoms.
+    path = tmp_path / "both.sp"
+    path.write_text(
+        "unknowns: p\nforbid: b\nforbid(p): c\nformula: (b -> p) & (p -> a | b)\n"
+    )
+    assert run(["solve", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("no solution: ")
+    assert run(["exists", str(path)]) == 1
+    assert capsys.readouterr().out == "not solvable\n"
+
+
+def test_per_component_restriction_validation(tmp_path, capsys):
+    path = tmp_path / "bad.sp"
+    for text, atom in (
+        ("unknowns: p q\nforbid(p): q\nformula: p <-> q\n", "q"),
+        ("unknowns: p\nparameters: t\nforbid(p): t\nformula: p | a\n", "t"),
+    ):
+        path.write_text(text)
+        for command in ("solve", "exists"):
+            assert run([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: forbid(p): {atom} must not be an unknown or a parameter\n"
+            )
+
+
+def test_restricted_search_undecided_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "defeq.sp"
+    path.write_text(
+        "unknowns: p q\nforbid(p): b\nforbid(q): a\n"
+        "formula: (a & (b <-> p)) <-> (b & (a <-> q))\n"
+    )
+    monkeypatch.setattr(boolsolve.solve, "_SEARCH_BUDGET", 1)
+    for command in ("solve", "exists"):
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: restricted search undecided after 1 ")
 
 
 def test_solve_reorder_flag(tmp_path, capsys):

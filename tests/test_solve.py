@@ -18,15 +18,18 @@ from boolsolve import (
     SolutionProblem,
     Strategy,
     TOP,
+    TruthTable,
     WitnessFn,
     check_particular,
     check_reproductive,
     constructive_shortcut,
     definiens,
+    depends_on,
     entails,
     enumerate_solutions,
     equivalent,
     exists_solution,
+    formula_from_table,
     free_atoms,
     instantiate,
     parse,
@@ -38,7 +41,6 @@ from boolsolve import (
     solve_by_witnesses,
     solve_on_second_order,
     solve_restricted,
-    solve_restricted_two_stage,
     solve_succ_elim,
     substitute,
 )
@@ -275,9 +277,18 @@ def test_polarity_shortcut():
     assert polarity_shortcut(SolutionProblem(parse("p & a"), ["p"])) is None
 
 
+def test_constructive_shortcut_constants_by_validity():
+    # p occurs with both polarities, yet true solves each problem
+    for text in ("p <-> p", "(a & p) | (a & ~p) | ~a"):
+        sol = constructive_shortcut(SolutionProblem(parse(text), ["p"]))
+        assert sol is not None and sol.components == (TOP,)
+
+
 def test_constructive_shortcut_reorder():
-    # solvable, but the constructive cases only fire for one ordering
-    f = parse("(p2 -> p2) | ~b <-> ~p1")
+    # solvable, but the constructive cases only fire for one ordering:
+    # after p1 := true, p2's interval [b & ~a, a | b] holds no constant
+    # and p2 is not definable
+    f = parse("(p2 <-> (b & p1)) | a")
     sp = SolutionProblem(f, ["p1", "p2"])
     assert exists_solution(sp)
     assert constructive_shortcut(sp) is None
@@ -346,7 +357,7 @@ def test_solve_restricted_reproductive():
 def test_two_stage_demo():
     f = parse("(a & (b <-> p)) <-> (b & (a <-> q))")
     sp = SolutionProblem(f, ["p", "q"], parameters=["t1", "t2"])
-    sol = solve_restricted_two_stage(sp, [["b"], ["a"]])
+    sol = solve_restricted(sp, [["b"], ["a"]])
     assert equivalent(sol.components[0], parse("a"))
     assert equivalent(sol.components[1], parse("b"))
     assert set(free_atoms(sol.components[0])) <= {"a"}
@@ -356,7 +367,7 @@ def test_two_stage_demo():
 
 def test_two_stage_unconstrained_matches_instantiation():
     sp = SolutionProblem(EXAMPLE_SOLVABLE, ["p1", "p2"], parameters=["t1", "t2"])
-    sol = solve_restricted_two_stage(sp, [[], []])
+    sol = solve_restricted(sp, [[], []])
     rep = solve_succ_elim(sp)
     inst = instantiate(sp, rep, [BOT, BOT])
     assert [str(c) for c in sol.components] == [str(c) for c in inst.components]
@@ -365,7 +376,72 @@ def test_two_stage_unconstrained_matches_instantiation():
 def test_two_stage_unsolvable_restriction():
     sp = SolutionProblem(parse("p <-> b"), ["p"], parameters=["t"])
     with pytest.raises(NoSolution):
-        solve_restricted_two_stage(sp, [["b"]])
+        solve_restricted(sp, [["b"]])
+
+
+def _restricted_agrees(f, base, unknowns, forbidden, per_unknown) -> bool:
+    """solve_restricted and exists_solution against the brute-force
+    reference on one problem; True when it has a solution."""
+    sp = SolutionProblem(f, unknowns, forbidden=forbidden)
+    banned = [sorted(set(forbidden or ()) | set(atoms)) for atoms in per_unknown]
+    expected = solve_reference.restricted_brute_force(
+        formula_mask(f, (*base, *unknowns)),
+        len(base),
+        [sum(1 << base.index(b) for b in atoms) for atoms in banned],
+    )
+    if expected is None:
+        with pytest.raises(NoSolution):
+            solve_restricted(sp, per_unknown)
+        assert not exists_solution(sp, per_unknown)
+        return False
+    components = solve_restricted(sp, per_unknown).components
+    assert check_particular(SolutionProblem(f, unknowns), components).verdict
+    for c, atoms in zip(components, banned):
+        assert not depends_on(atoms, c), (str(f), per_unknown, str(c))
+    assert exists_solution(sp, per_unknown)
+    return True
+
+
+def test_restricted_search_matches_brute_force():
+    # Every 63rd function over p1 p2 a b, each of the 16 pairs of
+    # per-unknown restrictions on 64 of them, then random problems over
+    # three base atoms with 2-3 unknowns and a global forbid: on some.
+    # The random problems are solvable, but not by constants.
+    subsets = [(), ("a",), ("b",), ("a", "b")]
+    solved = 0
+    for i in range(1024):
+        f = formula_from_table(TruthTable.from_int(i * 63, ("a", "b", "p1", "p2")))
+        per_unknown = [subsets[i % 4], subsets[i // 4 % 4]]
+        solved += _restricted_agrees(f, ("a", "b"), ("p1", "p2"), None, per_unknown)
+    assert 100 < solved < 900
+
+    rng = random.Random(7)
+    base = ("a", "b", "c")
+    solved = done = 0
+    while done < 300:
+        unknowns = ("p1", "p2", "p3")[: rng.choice((2, 3))]
+        f = random_formula(rng, base + unknowns, rng.choice((3, 4, 5)))
+        if not exists_solution(SolutionProblem(f, unknowns)) or exists_solution(
+            SolutionProblem(f, unknowns, forbidden=base)
+        ):
+            continue
+        done += 1
+        forbidden = rng.choice((None, None, ("c",)))
+        per_unknown = [rng.sample(base, rng.randint(0, 2)) for _ in unknowns]
+        solved += _restricted_agrees(f, base, unknowns, forbidden, per_unknown)
+    assert 100 < solved < 250
+
+
+def test_restricted_search_combines_forbid():
+    # forbid: applies to every component alongside forbid(p):
+    f = parse("(b -> p) & (p -> a | b)")
+    sp = SolutionProblem(f, ["p"], forbidden=["b"])
+    with pytest.raises(NoSolution):
+        solve_restricted(sp, [["c"]])
+    assert not exists_solution(sp, [["c"]])
+    assert solve_restricted(SolutionProblem(f, ["p"]), [["c"]]).components == (parse("b"),)
+    with pytest.raises(ValueError):
+        solve_restricted(SolutionProblem(f, ["p", "q"]), [["q"], []])
 
 
 def test_interval_law_random():
