@@ -35,7 +35,6 @@ from .solve import (
     Solution,
     SolutionProblem,
     Strategy,
-    WitnessFn,
     constructive_shortcut,
     exists_solution,
     solve_by_witnesses,
@@ -104,14 +103,17 @@ def parse_problem_file(text: str) -> ProblemFile:
         _idents(seen["parameters"], "parameters") if "parameters" in seen else None
     )
     forbid = _idents(seen["forbid"], "forbid") if "forbid" in seen else None
+    restrictions = {"forbid": forbid or ()}
     for unknown, atoms in per_forbid.items():
         if unknown not in unknowns:
             raise ProblemFileError(f"forbid({unknown}): {unknown} is not an unknown")
-        clash = set(atoms) & (set(unknowns) | set(parameters or ()))
+        restrictions[f"forbid({unknown})"] = atoms
+    reserved = set(unknowns) | set(parameters or ())
+    for key, atoms in restrictions.items():
+        clash = sorted(set(atoms) & reserved)
         if clash:
             raise ProblemFileError(
-                f"forbid({unknown}): {', '.join(sorted(clash))} "
-                "must not be an unknown or a parameter"
+                f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
             )
     formula = parse(seen["formula"])
     return ProblemFile(unknowns, parameters, forbid, per_forbid, formula)
@@ -185,14 +187,17 @@ def _cmd_exists(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     pf = _load(args.file)
     per_unknown = _per_unknown(pf)
+    if args.reproductive and args.method == "witnesses":
+        print("error: the witnesses method yields particular solutions", file=sys.stderr)
+        return 2
+    if args.reproductive and per_unknown:
+        print("error: per-component restrictions yield particular solutions", file=sys.stderr)
+        return 2
     # Per-component restrictions give a particular solution.
     needs_params = (args.method == "succ-elim" or args.reproductive) and not per_unknown
     parameters = pf.parameters
     if parameters is None and needs_params:
         parameters = _fresh_parameters(pf)
-    if args.reproductive and args.method == "witnesses":
-        print("error: the witnesses method yields particular solutions", file=sys.stderr)
-        return 2
     sp = _problem(pf, parameters, pf.forbid)
     if pf.forbid or per_unknown:
         sol = solve_restricted(sp, per_unknown)
@@ -210,7 +215,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         strategy = Strategy.REPRODUCTIVE if args.reproductive else Strategy.INTERVAL
         sol = solve_on_second_order(sp, strategy)
     else:
-        sol = solve_by_witnesses(sp, WitnessFn.F_TRUE)
+        sol = solve_by_witnesses(sp)
     _print_solution(pf.unknowns, sol)
     return 0
 

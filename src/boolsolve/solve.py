@@ -12,13 +12,14 @@ each stage, the formula with the later unknowns eliminated, is a mask
 formed from the next by OR of two cofactors, and the problem is
 solvable exactly when stage 0 is valid.  Phase 2 substitutes the
 earlier components into each stage by cofactor selection and prints
-both bounds of each solution interval from their masks.  The
-second-order strategies, the unary solvers and restricted solving are
-views of the core: they differ only in whether each unknown gets the
-lower bound of its solution interval or the reproductive pair of
-bounds, and in which atoms are first quantified universally.
-Per-component vocabulary restrictions search the same intervals,
-narrowed to the components each unknown may depend on.
+the bounds of each solution interval from their masks.  The
+second-order strategies, the unary solvers, elimination witnesses and
+restricted solving are views of the core: they differ only in whether
+each unknown gets the lower bound of its solution interval, the upper
+bound or the reproductive pair of bounds.  Forbidden atoms are
+quantified universally first, whichever view runs.  Per-component
+vocabulary restrictions search the same intervals, narrowed to the
+components each unknown may depend on.
 """
 
 from __future__ import annotations
@@ -45,19 +46,13 @@ from .formula import (
     polarity_of,
     substitute,
 )
-from .elimination import (
-    ackermann_rewrite,
-    elim_witness,
-    elim_witness_dnf,
-    eliminate_all,
-)
+from .elimination import eliminate_all
 from .semantics import (
     atom_patterns,
     cofactors,
     entails,
     falsifying_valuation,
     formula_mask,
-    irredundant_two_level,
     irredundant_two_level_mask,
     is_valid,
     simplify,
@@ -98,12 +93,6 @@ class SolutionKind(Enum):
 class Strategy(Enum):
     INTERVAL = "interval"
     REPRODUCTIVE = "reproductive"
-
-
-class WitnessFn(Enum):
-    F_TRUE = "f-true"
-    DNF_EHW = "dnf-ehw"
-    ACKERMANN_THEN_F_TRUE = "ackermann-then-f-true"
 
 
 class SchroederVariant(Enum):
@@ -289,26 +278,39 @@ def _interval(
     return zero ^ ((1 << (1 << (width - 1))) - 1), upper
 
 
-def _solve_stages(
-    sp: SolutionProblem, params: Sequence[str] | None, forbidden: Sequence[str] = ()
-) -> list[Formula] | None:
+class _Bound(Enum):
+    """What each unknown gets from its solution interval [L_i, U_i]."""
+
+    LOWER = "lower"  # the interval strategy
+    UPPER = "upper"  # the elimination witness
+    PAIR = "pair"  # the reproductive (L_i & ~t_i) | (U_i & t_i)
+
+
+def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution:
     """Successive elimination on truth tables, the one solver core.
 
     Phase 2 walks the unknowns first-to-last over the stages of
-    ``_stage_masks``, and takes from ``_interval`` the solution interval
+    ``_stage_masks``, with the atoms of ``sp.forbidden`` quantified
+    universally, and takes from ``_interval`` the solution interval
     [L_i, U_i] of each stage with the earlier components substituted.
-    Unknown i gets L_i, or with ``params`` the reproductive
-    ``(L_i & ~t_i) | (U_i & t_i)``, each bound printed as the
-    irredundant two-level form of its mask.
+    Unknown i gets L_i, U_i or, over the parameters t_i, the
+    reproductive ``(L_i & ~t_i) | (U_i & t_i)``, as ``bound`` says, each
+    bound printed as the irredundant two-level form of its mask.
     Once p_j is replaced, its position means t_j: the masks keep k + n
     positions however many parameters the components mention, and the
     printed cover splits positions in the sorted order of their names,
-    base atoms and parameters alike.  Returns None when the problem
-    (universally quantified over ``forbidden``) has no solution.
+    base atoms and parameters alike.  No stage depends on a forbidden
+    atom, and neither does any component.  Raises ``NoSolution`` when
+    the problem, universally quantified over ``sp.forbidden``, has none.
     """
-    found = _stage_masks(sp, forbidden)
+    params = _require_parameters(sp) if bound is _Bound.PAIR else None
+    found = _stage_masks(sp, sp.forbidden or ())
     if found is None:
-        return None
+        if sp.forbidden is not None:
+            raise NoSolution(
+                f"no solution avoids the forbidden atoms ({', '.join(sp.forbidden)})"
+            )
+        raise NoSolution("the existential closure over the unknowns is not valid")
     base, stages, patterns = found
     k = len(base)
     # Without parameters no component depends on a replaced position, so
@@ -320,16 +322,18 @@ def _solve_stages(
         width = k + i + 1
         lower, upper = _interval(stages, patterns, k, masks)
         shown = names[: width - 1]
-        lower_f = irredundant_two_level_mask(lower, shown, patterns)
         if params is None:
-            components.append(lower_f)
-            masks.append(widen(lower, width - 1, width))
+            g = lower if bound is _Bound.LOWER else upper
+            components.append(irredundant_two_level_mask(g, shown, patterns))
+            masks.append(widen(g, width - 1, width))
             continue
+        lower_f = irredundant_two_level_mask(lower, shown, patterns)
         upper_f = irredundant_two_level_mask(upper, shown, patterns)
         t = Atom(params[i])
         components.append(simplify(Or(And(lower_f, Not(t)), And(upper_f, t))))
         masks.append(lower | upper << (1 << (width - 1)))
-    return components
+    kind = SolutionKind.PARTICULAR if params is None else SolutionKind.REPRODUCTIVE
+    return Solution(components, kind)
 
 
 def solve_succ_elim(sp: SolutionProblem) -> Solution:
@@ -341,11 +345,7 @@ def solve_succ_elim(sp: SolutionProblem) -> Solution:
     ``(~F_i[G.. false] & ~t_i) | (F_i[G.. true] & t_i)`` built from the
     stored stage F_i with the earlier components substituted.
     """
-    params = _require_parameters(sp)
-    components = _solve_stages(sp, params)
-    if components is None:
-        raise NoSolution("the existential closure over the unknowns is not valid")
-    return Solution(components, SolutionKind.REPRODUCTIVE)
+    return _solve_stages(sp, _Bound.PAIR)
 
 
 def solve_on_second_order(sp: SolutionProblem, strategy: Strategy) -> Solution:
@@ -359,46 +359,22 @@ def solve_on_second_order(sp: SolutionProblem, strategy: Strategy) -> Solution:
     and its composed result, itself reproductive, is exactly
     ``solve_succ_elim``'s.
     """
-    if strategy is Strategy.REPRODUCTIVE:
-        return solve_succ_elim(sp)
-    components = _solve_stages(sp, None)
-    if components is None:
-        raise NoSolution("the existential closure over the unknowns is not valid")
-    return Solution(components, SolutionKind.PARTICULAR)
+    return _solve_stages(
+        sp, _Bound.PAIR if strategy is Strategy.REPRODUCTIVE else _Bound.LOWER
+    )
 
 
-def _witness_for(fn: WitnessFn, p: str, f: Formula) -> Formula:
-    if fn is WitnessFn.F_TRUE:
-        return elim_witness(p, f).witness
-    if fn is WitnessFn.DNF_EHW:
-        return elim_witness_dnf(p, f).witness
-    result = ackermann_rewrite(p, f)
-    if result is not None:
-        return result.witness
-    return elim_witness(p, f).witness
+def solve_by_witnesses(sp: SolutionProblem) -> Solution:
+    """Elimination witnesses, composed: the upper bound of each interval.
 
-
-def solve_by_witnesses(
-    sp: SolutionProblem, witness_fn: WitnessFn = WitnessFn.F_TRUE
-) -> Solution:
-    """Right-to-left elimination-witness computation with back-substitution.
-
-    Unknown i receives a witness computed in the formula with the later
-    components already substituted; each new component is then folded
-    into all later ones, so the final components contain no unknowns.
-    Every component is kept in its irredundant two-level form.
+    The elimination witness of ``exists p . F`` is ``F[p := true]``, and
+    ``F[p := F[p := true]]`` is equivalent to ``exists p . F``.  Solving
+    right to left, each unknown takes the witness in the formula with
+    the later components substituted, and folding each new component
+    into the later ones leaves unknown i exactly
+    ``U_i = F_i[G.., p_i := true]`` of the stored stage F_i.
     """
-    if _stage_masks(sp) is None:
-        raise NoSolution("the existential closure over the unknowns is not valid")
-    work = _prepared(sp)
-    tail: list[Formula] = []  # components for the unknowns after position i
-    for i in range(len(sp.unknowns) - 1, -1, -1):
-        cur = substitute(work, sp.unknowns[i + 1 :], tail)
-        g = irredundant_two_level(_witness_for(witness_fn, sp.unknowns[i], cur))
-        tail = [g] + [
-            irredundant_two_level(substitute(h, [sp.unknowns[i]], [g])) for h in tail
-        ]
-    return Solution(tail, SolutionKind.PARTICULAR)
+    return _solve_stages(sp, _Bound.UPPER)
 
 
 def _check_is_particular(sp: SolutionProblem, components: Sequence[Formula]) -> None:
@@ -662,14 +638,7 @@ def solve_restricted(
     if per_unknown is None:
         if sp.forbidden is None:
             raise ValueError("a forbidden atom set is required")
-        components = _solve_stages(sp, sp.parameters, sp.forbidden)
-        if components is None:
-            raise NoSolution(
-                "no solution avoids the forbidden atoms "
-                f"({', '.join(sp.forbidden)})"
-            )
-        kind = SolutionKind.PARTICULAR if sp.parameters is None else SolutionKind.REPRODUCTIVE
-        return Solution(components, kind)
+        return _solve_stages(sp, _Bound.LOWER if sp.parameters is None else _Bound.PAIR)
     found = _restricted_masks(sp, per_unknown)
     if found is None:
         raise NoSolution("no solution meets the vocabulary restrictions")

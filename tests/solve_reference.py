@@ -3,16 +3,17 @@
 The package runs successive elimination on truth tables.  This module
 keeps the formula version it replaced: every stage is a formula built
 by Shannon elimination, and phase 2 substitutes the earlier components
-into it syntactically.  The differential tests require the package to
-print exactly what this core prints.  It also holds an exhaustive
-search for per-unknown vocabulary restrictions that shares nothing with
-the package's solution intervals.
+into it syntactically, and the right-to-left witness solver on
+formulas.  The differential tests require the package to print exactly
+what these print.  It also holds an exhaustive search for per-unknown
+vocabulary restrictions that shares nothing with the package's solution
+intervals.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from boolsolve import (
     BOT,
@@ -24,6 +25,7 @@ from boolsolve import (
     Not,
     Or,
     SolutionProblem,
+    WitnessResult,
     clean_variant,
     exists,
     forall_eliminate,
@@ -68,6 +70,30 @@ def solve_stages(sp: SolutionProblem, params) -> list[Formula]:
         t = Atom(params[i])
         components.append(simplify(Or(And(lower, Not(t)), And(upper, t))))
     return components
+
+
+def solve_by_witnesses(
+    sp: SolutionProblem, witness: Callable[[str, Formula], WitnessResult]
+) -> list[Formula]:
+    """Right-to-left elimination witnesses with back-substitution.
+
+    Unknown i receives the witness that ``witness(p_i, F)`` constructs
+    for the formula F with the later components already substituted;
+    each new component is then folded into all later ones, so the final
+    components contain no unknowns.  Every component is kept in its
+    irredundant two-level form.
+    """
+    if not is_valid(exists(sp.unknowns, sp.formula)):
+        raise NoSolution("the existential closure over the unknowns is not valid")
+    work = clean_variant(sp.formula, avoid=set(sp.unknowns) | set(sp.parameters or ()))
+    tail: list[Formula] = []  # components for the unknowns after position i
+    for i in range(len(sp.unknowns) - 1, -1, -1):
+        cur = substitute(work, sp.unknowns[i + 1 :], tail)
+        g = irredundant_two_level(witness(sp.unknowns[i], cur).witness)
+        tail = [g] + [
+            irredundant_two_level(substitute(h, [sp.unknowns[i]], [g])) for h in tail
+        ]
+    return tail
 
 
 def solve_restricted(sp: SolutionProblem) -> list[Formula]:

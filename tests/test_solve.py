@@ -19,12 +19,13 @@ from boolsolve import (
     Strategy,
     TOP,
     TruthTable,
-    WitnessFn,
     check_particular,
     check_reproductive,
     constructive_shortcut,
     definiens,
     depends_on,
+    elim_witness,
+    elim_witness_dnf,
     entails,
     enumerate_solutions,
     equivalent,
@@ -205,24 +206,48 @@ def test_solve_succ_elim_stages():
 
 def test_solve_by_witnesses():
     sp = SolutionProblem(EXAMPLE_SOLVABLE, ["p1", "p2"])
-    for fn in WitnessFn:
-        sol = solve_by_witnesses(sp, fn)
-        assert check_particular(sp, sol.components).verdict
-        assert not set().union(*(free_atoms(c) for c in sol.components)) & {
-            "p1",
-            "p2",
-        }
+    sol = solve_by_witnesses(sp)
+    assert sol.kind is SolutionKind.PARTICULAR
+    assert check_particular(sp, sol.components).verdict
+    assert not set().union(*(free_atoms(c) for c in sol.components)) & {"p1", "p2"}
+    # Any witness construction, composed right to left, solves it too.
+    for witness in (elim_witness, elim_witness_dnf):
+        components = solve_reference.solve_by_witnesses(sp, witness)
+        assert check_particular(sp, components).verdict
 
     unary = SolutionProblem(parse("p <-> a"), ["p"])
-    sol = solve_by_witnesses(unary, WitnessFn.F_TRUE)
+    sol = solve_by_witnesses(unary)
     assert equivalent(sol.components[0], parse("a"))
 
     trivial = SolutionProblem(TOP, ["p1", "p2"])
-    sol = solve_by_witnesses(trivial, WitnessFn.F_TRUE)
+    sol = solve_by_witnesses(trivial)
     assert all(c == TOP for c in sol.components)
 
     with pytest.raises(NoSolution):
         solve_by_witnesses(SolutionProblem(EXAMPLE_UNSOLVABLE, ["p1", "p2"]))
+
+
+def test_core_views_honour_forbidden():
+    # Each view of the core solves the problem universally quantified
+    # over the forbidden atoms, as exists_solution decides it.
+    sp = SolutionProblem(parse("p <-> b"), ["p"], forbidden=["b"])
+    with_params = SolutionProblem(parse("p <-> b"), ["p"], ["t"], forbidden=["b"])
+    assert not exists_solution(sp)
+    for solve in (
+        lambda: solve_on_second_order(sp, Strategy.INTERVAL),
+        lambda: solve_on_second_order(with_params, Strategy.REPRODUCTIVE),
+        lambda: solve_succ_elim(with_params),
+        lambda: solve_by_witnesses(sp),
+        lambda: solve_restricted(sp),
+    ):
+        with pytest.raises(NoSolution, match=r"no solution avoids the forbidden atoms \(b\)"):
+            solve()
+
+    sp = SolutionProblem(parse("b -> p"), ["p"], forbidden=["b"])
+    interval = solve_on_second_order(sp, Strategy.INTERVAL)
+    assert [str(c) for c in interval.components] == ["true"]
+    assert [str(c) for c in solve_by_witnesses(sp).components] == ["true"]
+    assert solve_restricted(sp) == interval
 
 
 def test_rigorous_solution():
@@ -561,7 +586,8 @@ def _printed(run):
 
 def test_core_matches_formula_reference():
     # The truth-table core prints exactly what the formula-stage core
-    # prints, for each solve method and for restricted solving.  Binders
+    # prints, for each solve method and for restricted solving, and the
+    # witnesses method what the right-to-left formula loop prints.  Binders
     # reuse the names of an unknown, a base atom and a parameter;
     # unknowns come in any order; parameters sort before, between and
     # after the base atoms b, d, f.
@@ -584,6 +610,9 @@ def test_core_matches_formula_reference():
         assert _printed(
             lambda: solve_on_second_order(plain, Strategy.INTERVAL).components
         ) == interval
+        assert _printed(lambda: solve_by_witnesses(plain).components) == _printed(
+            lambda: solve_reference.solve_by_witnesses(plain, elim_witness)
+        )
         restricted = SolutionProblem(
             f, unknowns, params if i % 2 else None, forbidden=[base[-1]]
         )
