@@ -115,8 +115,9 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ProblemFileError(
                 f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
             )
-    formula = parse(seen["formula"])
-    return ProblemFile(unknowns, parameters, forbid, per_forbid, formula)
+    pf = ProblemFile(unknowns, parameters, forbid, per_forbid, parse(seen["formula"]))
+    _problem(pf, parameters, forbid)  # the solvers' own checks, whatever the command
+    return pf
 
 
 def _load(path: str) -> ProblemFile:

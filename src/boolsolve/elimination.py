@@ -3,8 +3,9 @@
 An elimination witness of ``p`` in ``exists p . F`` is a formula G with
 ``exists p . F`` equivalent to ``F[p := G]``: the quantifier is removed
 by substitution.  The module also provides vocabulary projection
-(uniform interpolation) and weakest preconditions built on top of plain
-Shannon-expansion elimination.
+(uniform interpolation) built on top of plain Shannon-expansion
+elimination, and weakest preconditions and dependence tests read off
+truth tables.
 """
 
 from __future__ import annotations
@@ -34,13 +35,15 @@ from .formula import (
     substitute,
 )
 from .semantics import (
+    atom_patterns,
+    cofactors,
     decode_valuation,
     equivalent,
-    formula_from_table,
+    existential_stages,
     formula_mask,
+    irredundant_two_level_mask,
     minterm,
     simplify,
-    truth_table,
 )
 
 DNF_MINTERM_CUTOFF = 12
@@ -105,9 +108,17 @@ def eliminate_all(ps: Sequence[str], f: Formula) -> Formula:
 
 
 def depends_on(ps: Sequence[str], f: Formula) -> bool:
-    """Whether ``f`` semantically depends on any of the atoms ``ps``."""
-    dropped = tuple(sorted(set(free_atoms(f)) & set(ps)))
-    return bool(dropped) and not equivalent(eliminate_all(dropped, f), f)
+    """Whether ``f`` semantically depends on any of the atoms ``ps``:
+    whether the two cofactors of its mask differ at one of them."""
+    basis = free_atoms(f)
+    patterns = atom_patterns(basis)
+    mask = formula_mask(f, basis, patterns)
+    for i, name in enumerate(basis):
+        if name in ps:
+            zero, one = cofactors(mask, i, patterns[name])
+            if zero != one:
+                return True
+    return False
 
 
 def elim_witness(p: str, f: Formula) -> WitnessResult:
@@ -251,9 +262,22 @@ def elim_witness_dnf(p: str, f: Formula, minterm_cutoff: int = DNF_MINTERM_CUTOF
 
 def weakest_precondition(ps: Sequence[str], f: Formula) -> Formula:
     """Canonical form of ``exists ps . f``: the weakest antecedent under
-    which the problem with unknowns ``ps`` becomes solvable."""
-    eliminated = eliminate_all(ps, f)
-    return formula_from_table(truth_table(eliminated, free_atoms(eliminated)))
+    which the problem with unknowns ``ps`` becomes solvable.
+
+    The mask of ``f`` spans its sorted base atoms, then the atoms of
+    ``ps`` it mentions; those last positions are eliminated by OR of
+    the two halves of the mask, as stage 0 of successive elimination is
+    built.  The result is the irredundant two-level form of stage 0, so
+    it mentions only atoms it depends on, and equivalent inputs print
+    the same text.
+    """
+    atoms = free_atoms(f)
+    base = tuple(a for a in atoms if a not in ps)
+    basis = base + tuple(dict.fromkeys(p for p in ps if p in atoms))
+    patterns = atom_patterns(basis)
+    mask = formula_mask(f, basis, patterns)
+    stage0 = existential_stages(mask, len(basis), len(base))[0]
+    return irredundant_two_level_mask(stage0, base, list(patterns.values()))
 
 
 def project_vocabulary(f: Formula, keep: Sequence[str]) -> Formula:

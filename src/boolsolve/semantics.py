@@ -131,6 +131,20 @@ def top_cofactors(mask: int, width: int) -> tuple[int, int]:
     return mask & ((1 << half) - 1), mask >> half
 
 
+def existential_stages(mask: int, width: int, keep: int) -> list[int]:
+    """Stages 0..width - keep of existential quantification of a mask
+    over ``width`` positions: stage i is ``mask`` with every position
+    from ``keep + i`` on quantified, as a mask over the first
+    ``keep + i`` positions.  Each stage is the OR of the two halves of
+    the next, and the last is ``mask`` itself."""
+    stages = [mask]
+    for w in range(width, keep, -1):
+        zero, one = top_cofactors(stages[-1], w)
+        stages.append(zero | one)
+    stages.reverse()
+    return stages
+
+
 def cofactors(mask: int, position: int, pattern: int) -> tuple[int, int]:
     """Cofactors, false then true, of ``mask`` at ``position``, whose
     atom mask is ``pattern``; each keeps the width and no longer depends

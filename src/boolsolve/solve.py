@@ -51,6 +51,7 @@ from .semantics import (
     atom_patterns,
     cofactors,
     entails,
+    existential_stages,
     falsifying_valuation,
     formula_mask,
     irredundant_two_level_mask,
@@ -250,11 +251,7 @@ def _stage_masks(sp: SolutionProblem, forbidden: Sequence[str] = ()) -> _Stages 
         if b in base:  # an atom absent from the formula is quantified vacuously
             zero, one = cofactors(mask, base.index(b), patterns[b])
             mask = zero & one
-    stages = [mask]
-    for width in range(len(basis), len(base), -1):
-        zero, one = top_cofactors(stages[-1], width)
-        stages.append(zero | one)
-    stages.reverse()
+    stages = existential_stages(mask, len(basis), len(base))
     if stages[0] != (1 << (1 << len(base))) - 1:
         return None
     return base, stages, list(patterns.values())

@@ -1,6 +1,6 @@
 """The benchmark runs end to end and its checks hold: the self-test
-rejects every planted wrong output, and short verify, chain and random runs
-answer correctly with no failed operation."""
+rejects every planted wrong output, and short verify, chain, random and
+decide runs answer correctly with no failed operation."""
 
 import json
 import os
@@ -42,3 +42,7 @@ def test_chain_workload_is_correct():
 
 def test_random_workload_is_correct():
     _assert_correct("random")
+
+
+def test_decide_workload_is_correct():
+    _assert_correct("decide")

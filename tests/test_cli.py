@@ -108,14 +108,12 @@ def test_check_rejects_non_solution(example_path, capsys):
 def test_eliminate_command(capsys):
     code = run(["eliminate", "--vars", "p1 p2", "(p1->p2)&(a->p2)&(p2->b)"])
     assert code == 0
-    out = capsys.readouterr().out.strip()
-    assert equivalent(parse(out), parse("a -> b"))
+    assert capsys.readouterr().out == "~a | b\n"
 
 
 def test_precondition_command(unsolvable_path, capsys):
     assert run(["precondition", unsolvable_path]) == 0
-    out = capsys.readouterr().out.strip()
-    assert equivalent(parse(out), parse("a -> b"))
+    assert capsys.readouterr().out == "~a | b\n"
 
 
 def test_enumerate_command(example_path, capsys):
@@ -385,9 +383,11 @@ def test_chain_output_stays_polynomial(tmp_path, capsys):
 
 def test_width_cap_exit_code(tmp_path, capsys):
     # The chain over 28 unknowns spans 30 atoms, past the truth-table
-    # cap: every solving command refuses it before building a mask.
+    # cap: every solving command, and precondition, whose mask spans the
+    # unknowns too, refuses it before building a mask.
     path, _, _ = _chain_file(tmp_path, 28)
-    for command in (["exists"], ["solve"], ["solve", "--method", "second-order"]):
+    for command in (["exists"], ["solve"], ["solve", "--method", "second-order"],
+                    ["precondition"]):
         assert run([*command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -398,8 +398,11 @@ def test_width_cap_exit_code(tmp_path, capsys):
 
 def test_problem_validation_exit_code(tmp_path, capsys):
     # A problem the solvers reject is an input error, not a traceback.
+    # The file is checked once when it is read, so no command answers it.
     for text, message in (
         ("unknowns: p p\nformula: p\n", "unknowns must be distinct"),
+        ("unknowns: p\nparameters: t t\nformula: p | a\n",
+         "parameters must be distinct"),
         ("unknowns: p\nforbid: p\nformula: p | a\n",
          "forbid: p must not be an unknown or a parameter"),
         ("unknowns: p\nparameters: t\nforbid: t\nformula: p | a\n",
@@ -407,8 +410,12 @@ def test_problem_validation_exit_code(tmp_path, capsys):
     ):
         path = tmp_path / "bad.sp"
         path.write_text(text)
-        assert run(["solve", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        for command in (["solve"], ["exists"], ["check", "--with", "a"],
+                        ["precondition"], ["enumerate", "--basis", "a"]):
+            assert run([*command, str(path)]) == 2, (text, command)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
 
 def test_clause_bounds_stay_clauses(tmp_path, capsys):

@@ -2,20 +2,27 @@ import random
 
 import pytest
 
+import elimination_reference as reference
 from boolsolve import (
     BOT,
+    And,
+    Atom,
     DisjunctWitnesses,
     Exists,
     InvalidDisjunctWitness,
+    Not,
     NotIndependent,
+    Or,
     TOP,
     ackermann_rewrite,
+    depends_on,
     ehw_combine,
     elim_witness,
     elim_witness_dnf,
     eliminate_all,
     equivalent,
     evaluate,
+    exists,
     forall_eliminate,
     formula_from_table,
     free_atoms,
@@ -172,10 +179,64 @@ def test_forall_eliminate():
 
 def test_weakest_precondition():
     wp = weakest_precondition(["p1", "p2"], parse("(p1 -> p2) & (a -> p2) & (p2 -> b)"))
-    assert wp == formula_from_table(truth_table(parse("a -> b"), ("a", "b")))
+    assert wp == parse("~a | b")
     assert weakest_precondition(["p"], parse("p | ~p")) == TOP
-    wp = weakest_precondition(["p"], parse("a"))
-    assert wp == formula_from_table(truth_table(parse("a"), ("a",)))
+    assert weakest_precondition(["p"], parse("a")) == parse("a")
+    # only atoms the precondition depends on are printed
+    assert weakest_precondition(["p"], parse("a & (b | ~b) & (p | ~p)")) == parse("a")
+    assert weakest_precondition(["p"], parse("(p -> a) & (p | b)")) == parse("a | b")
+    # a repeated unknown spans one position of the mask, not one per copy
+    assert weakest_precondition(["p"] * 30, parse("p & a")) == parse("a")
+
+
+# Binders named like an eliminated atom (p1) or a base atom (a) as well
+# as fresh ones; the ps lists repeat atoms and name absent ones.
+_BINDERS = ("q1", "p1", "a")
+_PS = (["p1", "p2"], ["p2", "p1", "p2"], ["p1", "c"], ["c"], [], ["a", "p1"])
+
+
+def test_weakest_precondition_matches_formula_elimination():
+    rng = random.Random(97)
+    for i in range(400):
+        pool = _BINDERS if i % 2 else ()
+        f = random_formula(rng, ("p1", "p2", "a", "b"), depth=5, quant_pool=pool)
+        ps = _PS[i % len(_PS)]
+        wp = weakest_precondition(ps, f)
+        assert equivalent(wp, reference.weakest_precondition(ps, f)), (str(f), ps)
+        assert equivalent(wp, exists(list(dict.fromkeys(ps)), f)), (str(f), ps)
+        assert not set(free_atoms(wp)) & set(ps), (str(f), ps, str(wp))
+        for atom in free_atoms(wp):
+            assert reference.depends_on([atom], wp), (str(f), ps, str(wp))
+
+
+def test_weakest_precondition_is_canonical():
+    chain = parse("(p1 -> p2) & (a -> p2) & (p2 -> b)")
+    shuffled = parse("~(p2 & ~b) & (p2 | ~a) & (p1 -> p2 & (c | ~c))")
+    assert str(weakest_precondition(["p1", "p2"], chain)) == "~a | b"
+    assert str(weakest_precondition(["p2", "p1"], shuffled)) == "~a | b"
+    rng = random.Random(101)
+    for i in range(200):
+        pool = _BINDERS if i % 2 else ()
+        f = random_formula(rng, ("p1", "p2", "a", "b"), depth=5, quant_pool=pool)
+        basis = tuple(sorted(set(free_atoms(f)) | {"b", "p2"}))
+        full_dnf = formula_from_table(truth_table(f, basis))
+        padded = And(Or(Atom("a"), Not(Atom("a"))), Not(Not(f)))
+        expected = str(weakest_precondition(["p1", "p2"], f))
+        for g in (full_dnf, padded):
+            assert str(weakest_precondition(["p2", "p1"], g)) == expected, str(f)
+
+
+def test_depends_on_matches_formula_elimination():
+    rng = random.Random(103)
+    seen = set()
+    for i in range(400):
+        pool = _BINDERS if i % 2 else ()
+        f = random_formula(rng, ("p1", "p2", "a", "b"), depth=5, quant_pool=pool)
+        ps = _PS[i % len(_PS)]
+        got = depends_on(ps, f)
+        assert got == reference.depends_on(ps, f), (str(f), ps)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_project_vocabulary():
