@@ -15,13 +15,25 @@ test is syntactic and made once per call with ``free_binders``: a
 canonical basis formula mentions every basis atom unless it is
 constant, so a tuple of basis functions is refused exactly when literal
 substitution would raise ``NotSubstitutible``.
+
+The quantifiers over tuples of basis functions are decided per basis
+valuation.  A row of F[H] sees the tuple H only through its values at
+the row's basis valuation, so the tuples are the independent choices of
+one value tuple per basis valuation.  Enumeration picks an allowed
+value tuple at each basis valuation; the all-instantiations clause
+tests F at every row for every parameter value tuple; reachability
+looks for parameter values per basis valuation.  An unknown or
+parameter that capture restricts to the constant functions takes one
+value at every basis valuation, so its constant is chosen first.  The
+loop over all tuples of basis functions runs only once the
+all-instantiations clause is known to fail, to list its failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .formula import (
     AtomSet,
@@ -51,6 +63,11 @@ _NO_ATOMS: frozenset[str] = frozenset()
 
 class TooLarge(BoolsolveError):
     pass
+
+
+class BasisError(BoolsolveError, ValueError):
+    """A basis that meets the unknowns or, for the parameterised checks,
+    the parameters."""
 
 
 class FunctionSpace:
@@ -109,14 +126,19 @@ class CheckReport:
             raise ValueError("verdict must match emptiness of failures")
 
 
+_MENTIONS_UNKNOWN = CheckReport(
+    False, (CheckFailure("components", "components mention an unknown"),)
+)
+
+
 def _guard(basis: Sequence[str], unknowns: Sequence[str], allow_large: bool) -> None:
     if allow_large:
         return
     if len(set(basis)) > MAX_BASIS or len(unknowns) > MAX_UNKNOWNS:
         raise TooLarge(
             f"basis of {len(set(basis))} atoms with {len(unknowns)} unknowns "
-            f"exceeds the cost guard ({MAX_BASIS} atoms, {MAX_UNKNOWNS} unknowns); "
-            "pass allow_large=True to override"
+            f"exceeds the oracle's cost guard of {MAX_BASIS} basis atoms and "
+            f"{MAX_UNKNOWNS} unknowns (the Python API lifts it with allow_large=True)"
         )
 
 
@@ -127,15 +149,47 @@ def _basis(
     not meet the unknowns, nor, with ``parameters``, the parameters."""
     basis_t = tuple(sorted(set(basis)))
     if set(basis_t) & set(sp.unknowns):
-        raise ValueError("basis atoms must not be unknowns")
+        raise BasisError("basis atoms must not be unknowns")
     if parameters and set(basis_t) & set(sp.parameters or ()):
-        raise ValueError("basis atoms must not be parameters")
+        raise BasisError("basis atoms must not be parameters")
     _guard(basis_t, sp.unknowns, allow_large)
     return basis_t
 
 
+def _or_table(masks: Sequence[int]) -> list[int]:
+    """For every index w below 2^len(masks), the OR of ``masks[k]`` over
+    the bits k set in w: a valuation of some names, by position, mapped
+    to its row over a wider list of names."""
+    out = [0]
+    for mask in masks:
+        out += [r | mask for r in out]
+    return out
+
+
+def _bits(items: Iterable[int]) -> int:
+    """The set of small ints ``items`` as a bitmask."""
+    out = 0
+    for i in items:
+        out |= 1 << i
+    return out
+
+
+def _values_at(tables: Sequence[int], beta: int) -> int:
+    """The value tuple of ``tables`` at basis valuation ``beta``: bit j
+    is the value of table j."""
+    out = 0
+    for j, table in enumerate(tables):
+        out |= ((table >> beta) & 1) << j
+    return out
+
+
 class _Composer:
-    """Row bookkeeping for evaluating F[p := candidate functions] on tables."""
+    """Row bookkeeping for evaluating F[p := candidate functions] on tables.
+
+    An eval row is a valuation of ``eval_names``; it sees the candidate
+    functions only through their value tuple (bit j for unknown j) at
+    its basis valuation ``beta[w]``.
+    """
 
     def __init__(self, sp: SolutionProblem, basis: AtomSet, extra: Sequence[str] = ()):
         binders = free_binders(sp.formula)
@@ -145,47 +199,73 @@ class _Composer:
         eval_names = (set(binders) - set(sp.unknowns)) | set(basis)
         eval_names |= set(extra)
         self.eval_names: AtomSet = tuple(sorted(eval_names))
-        self.all_names: AtomSet = tuple(sorted(eval_names | set(sp.unknowns)))
-        self.formula_mask = formula_mask(sp.formula, self.all_names)
-        positions = {a: i for i, a in enumerate(self.all_names)}
-        self.unknown_positions = [positions[p] for p in sp.unknowns]
-        eval_positions = [positions[a] for a in self.eval_names]
-        basis_in_eval = [self.eval_names.index(b) for b in basis]
-        self.rows: list[tuple[int, int]] = []  # (scattered base row, basis index)
-        for w in range(1 << len(self.eval_names)):
-            row = 0
-            for k, pos in enumerate(eval_positions):
-                if (w >> k) & 1:
-                    row |= 1 << pos
-            basis_idx = 0
-            for k, src in enumerate(basis_in_eval):
-                if (w >> src) & 1:
-                    basis_idx |= 1 << k
-            self.rows.append((row, basis_idx))
-
-    def failing_valuation(self, tables: Sequence[int]) -> int | None:
-        """Index (over eval_names) of a valuation falsifying
-        F[candidates], or None when all pass."""
-        fmask = self.formula_mask
-        upos = self.unknown_positions
-        for w, (row, basis_idx) in enumerate(self.rows):
-            for j, pos in enumerate(upos):
-                if (tables[j] >> basis_idx) & 1:
-                    row |= 1 << pos
-            if not (fmask >> row) & 1:
-                return w
-        return None
+        all_names = tuple(sorted(eval_names | set(sp.unknowns)))
+        fmask = formula_mask(sp.formula, all_names)
+        bit = {a: 1 << i for i, a in enumerate(all_names)}
+        unknown_rows = _or_table([bit[p] for p in sp.unknowns])
+        self.beta = _or_table(
+            [1 << basis.index(a) if a in basis else 0 for a in self.eval_names]
+        )
+        # per eval row, the value tuples that make F true there
+        self.true_values: list[int] = []
+        for row in _or_table([bit[a] for a in self.eval_names]):
+            self.true_values.append(
+                _bits(v for v, u in enumerate(unknown_rows) if (fmask >> (row | u)) & 1)
+            )
+        # per basis valuation, the value tuples that make F true at every
+        # eval row over it
+        self.allowed = [(1 << len(unknown_rows)) - 1] * (1 << len(basis))
+        for b, true in zip(self.beta, self.true_values):
+            self.allowed[b] &= true
 
 
 def _solution_tables(space: FunctionSpace, composer: _Composer) -> Iterator[tuple[int, ...]]:
     """Tuples of basis tables that substitute into F without capture and
-    make it valid."""
-    captured = [i for i, c in enumerate(composer.capturing) if c & set(space.basis)]
-    for tables in product(space.tables, repeat=len(composer.capturing)):
-        if any(space.free_atoms(tables[i]) for i in captured):
-            continue
-        if composer.failing_valuation(tables) is None:
-            yield tables
+    make it valid, lazily and in the order of
+    ``product(space.tables, repeat=len(unknowns))``.
+
+    F[H] is valid exactly when H's value tuple is allowed at every basis
+    valuation.  So table j takes, at each basis valuation, the values
+    that some allowed tuple agreeing with the earlier tables there has,
+    the highest basis valuation (the table's top bit) varying slowest.
+    A captured unknown takes the constant tables only.
+    """
+    allowed = composer.allowed
+    if not all(allowed):
+        return
+    n = len(composer.capturing)
+    constant_only = [bool(c & set(space.basis)) for c in composer.capturing]
+    every = (1 << (1 << n)) - 1
+    # sides[j][x]: the value tuples in which unknown j has value x
+    sides = []
+    for j in range(n):
+        ones = _bits(v for v in range(1 << n) if (v >> j) & 1)
+        sides.append((every ^ ones, ones))
+    betas = range(len(allowed) - 1, -1, -1)
+    full = space.tables[-1]
+
+    def extend(j: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
+        # rest[b]: the tuples allowed at b that agree with tables 0..j-1
+        if j == n:
+            yield ()
+            return
+        zero, one = sides[j]
+        if constant_only[j]:
+            tables: Iterable[int] = [
+                t for t, side in ((0, zero), (full, one)) if all(r & side for r in rest)
+            ]
+        else:
+            options = [
+                [x << b for x, side in ((0, zero), (1, one)) if rest[b] & side]
+                for b in betas
+            ]
+            tables = map(sum, product(*options))
+        for t in tables:
+            narrowed = [r & sides[j][(t >> b) & 1] for b, r in enumerate(rest)]
+            for tail in extend(j + 1, narrowed):
+                yield (t,) + tail
+
+    yield from extend(0, allowed)
 
 
 def enumerate_solutions(
@@ -212,8 +292,14 @@ def any_enumerated_solution(
     return next(_solution_tables(space, _Composer(sp, basis_t)), None) is not None
 
 
+def _mentions_unknown(sp: SolutionProblem, sol: Sequence[Formula]) -> bool:
+    unknowns = set(sp.unknowns)
+    return any(set(free_atoms(g)) & unknowns for g in sol)
+
+
 def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport:
-    """Substitutibility plus validity of the substituted formula."""
+    """Components free of the unknowns, substitutibility, and validity
+    of the substituted formula."""
 
     def failed(reason: str, valuation: dict[str, bool] | None = None) -> CheckReport:
         label = "(" + ", ".join(str(g) for g in sol) + ")"
@@ -221,6 +307,8 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
 
     if len(sol) != len(sp.unknowns):
         return failed("component count differs from unknown count")
+    if _mentions_unknown(sp, sol):
+        return _MENTIONS_UNKNOWN
     if not is_substitutible(sol, sp.unknowns, sp.formula):
         return failed("NotSubstitutible")
     counterexample = falsifying_valuation(substitute(sp.formula, sp.unknowns, sol))
@@ -231,7 +319,8 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
 
 class _ReproductiveChecker:
     """Shared table machinery for the parametric, reproductive and
-    general checks."""
+    general checks.  Parameter value tuples are ints like the unknowns'
+    ones, bit j for parameter j."""
 
     def __init__(self, sp: SolutionProblem, sol: Sequence[Formula], basis: AtomSet):
         self.params = sp.parameters
@@ -247,20 +336,23 @@ class _ReproductiveChecker:
             extra |= set(binders) - set(self.params)
         self.composer = _Composer(sp, basis, extra=tuple(extra))
         self.space = FunctionSpace(basis)
+        self._texts: dict[int, str] = {}  # tuple_label's formula texts
         eval_names = self.composer.eval_names
         comp_names = tuple(sorted(set(eval_names) | set(self.params)))
         patterns = atom_patterns(comp_names)
-        self.comp_masks = [formula_mask(g, comp_names, patterns) for g in sol]
-        positions = {a: i for i, a in enumerate(comp_names)}
-        self.param_positions = [positions[t] for t in self.params]
-        eval_positions = [positions[a] for a in eval_names]
-        self.comp_rows: list[int] = []
-        for w in range(1 << len(eval_names)):
-            row = 0
-            for k, pos in enumerate(eval_positions):
-                if (w >> k) & 1:
-                    row |= 1 << pos
-            self.comp_rows.append(row)
+        comp_masks = [formula_mask(g, comp_names, patterns) for g in sol]
+        bit = {a: 1 << i for i, a in enumerate(comp_names)}
+        param_rows = _or_table([bit[t] for t in self.params])
+        # values[w][a]: the components' value tuple at eval row w when the
+        # parameters take the value tuple a
+        self.values: list[list[int]] = []
+        for row in _or_table([bit[a] for a in eval_names]):
+            self.values.append(
+                [
+                    sum(((mask >> (row | pr)) & 1) << i for i, mask in enumerate(comp_masks))
+                    for pr in param_rows
+                ]
+            )
 
     def component_capture(self, t_tables: Sequence[int]) -> str | None:
         """Why literal substitution of the basis functions for the
@@ -289,47 +381,79 @@ class _ReproductiveChecker:
                 return True
         return False
 
-    def instantiated_tables(self, t_tables: Sequence[int]) -> list[int]:
-        """Tables over eval_names of each component with the parameters
-        replaced by the given basis functions."""
-        out = []
-        basis_rows = self.composer.rows
-        ppos = self.param_positions
-        for mask in self.comp_masks:
-            table = 0
-            for w, comp_row in enumerate(self.comp_rows):
-                basis_idx = basis_rows[w][1]
-                row = comp_row
-                for j, pos in enumerate(ppos):
-                    if (t_tables[j] >> basis_idx) & 1:
-                        row |= 1 << pos
-                if (mask >> row) & 1:
-                    table |= 1 << w
-            out.append(table)
-        return out
+    def instantiations_hold(self) -> bool:
+        """The all-instantiations clause without a loop over tuples: no
+        tuple of basis functions is refused for capture, and F holds at
+        every eval row for the components' values under every parameter
+        value tuple."""
+        if any(self.captured_params):
+            return False
+        # Instance capture depends only on which parameters take a
+        # non-constant function, and grows with that set: the tuple of
+        # non-constant functions (table 1) is refused when any tuple is.
+        if self.instance_captured((1 if self.space.basis else 0,) * len(self.params)):
+            return False
+        return all(
+            (true >> v) & 1
+            for true, vs in zip(self.composer.true_values, self.values)
+            for v in vs
+        )
 
-    def check_solution_tables(self, inst_tables: Sequence[int]) -> int | None:
-        """Falsifying eval_names valuation index of F[instantiation]."""
-        fmask = self.composer.formula_mask
-        upos = self.composer.unknown_positions
-        for w, (row, _) in enumerate(self.composer.rows):
-            for j, pos in enumerate(upos):
-                if (inst_tables[j] >> w) & 1:
-                    row |= 1 << pos
-            if not (fmask >> row) & 1:
+    def failing_row(self, t_tables: Sequence[int]) -> int | None:
+        """The first eval row where F is false for the components
+        instantiated with the parameter tables, or None."""
+        composer = self.composer
+        for w, (b, true, vs) in enumerate(
+            zip(composer.beta, composer.true_values, self.values)
+        ):
+            if not (true >> vs[_values_at(t_tables, b)]) & 1:
                 return w
         return None
 
-    def extend_basis_table(self, table: int) -> int:
-        """Broadcast a basis-function table to one over eval_names."""
-        out = 0
-        for w, (_, basis_idx) in enumerate(self.composer.rows):
-            if (table >> basis_idx) & 1:
-                out |= 1 << w
+    def mismatches(self) -> list[list[int]]:
+        """Per basis valuation b and value tuple v, the components (bit i
+        for component i) whose value with the parameters at v differs
+        from v at some eval row over b.  Substituting a tuple H for the
+        parameters reproduces component i exactly when no b has i in its
+        set at H's value tuple."""
+        out = [[0] * len(self.values[0]) for _ in self.composer.allowed]
+        for b, vs in zip(self.composer.beta, self.values):
+            for v, image in enumerate(vs):
+                out[b][v] |= image ^ v
+        return out
+
+    def reachable(self) -> list[list[int]]:
+        """Per constant choice of the captured parameters, per basis
+        valuation b, the value tuples that the components take at every
+        eval row over b for some parameter values.  The parameters that
+        no component captures take their values at each b independently."""
+        common: dict[int, list[int]] = {}  # -1 where the rows over b differ
+        for b, vs in zip(self.composer.beta, self.values):
+            if b not in common:
+                common[b] = list(vs)
+            else:
+                common[b] = [x if x == v else -1 for x, v in zip(common[b], vs)]
+        captured = list({1 << j for params in self.captured_params for j in params})
+        captured_mask = sum(captured)
+        out = []
+        for fixed in _or_table(captured):
+            out.append(
+                [
+                    _bits(
+                        v
+                        for a, v in enumerate(common[b])
+                        if v >= 0 and a & captured_mask == fixed
+                    )
+                    for b in range(len(self.composer.allowed))
+                ]
+            )
         return out
 
     def tuple_label(self, tables: Sequence[int]) -> str:
-        return "(" + ", ".join(str(self.space.formula(t)) for t in tables) + ")"
+        for t in tables:
+            if t not in self._texts:
+                self._texts[t] = str(self.space.formula(t))
+        return "(" + ", ".join(self._texts[t] for t in tables) + ")"
 
 
 def _checker(
@@ -344,46 +468,36 @@ def _checker(
     if sp.parameters is None:
         raise ValueError(f"{kind} check needs a problem with parameters")
     basis_t = _basis(sp, basis, allow_large, parameters=True)
-    unknowns = set(sp.unknowns)
-    if any(set(free_atoms(g)) & unknowns for g in sol):
-        return CheckReport(
-            False, (CheckFailure("components", "components mention an unknown"),)
-        )
+    if _mentions_unknown(sp, sol):
+        return _MENTIONS_UNKNOWN
     return _ReproductiveChecker(sp, sol, basis_t)
 
 
-def _instantiation_failures(
-    checker: _ReproductiveChecker,
-    images: set[tuple[int, ...]] | None = None,
-    limit: int = 5,
-) -> list[CheckFailure]:
+def _instantiation_failures(checker: _ReproductiveChecker, limit: int = 5) -> list[CheckFailure]:
     """Failures of the all-instantiations clause: every tuple of basis
     functions substituted for the parameters must solve the problem.
 
-    Checking stops at ``limit`` failures.  Given ``images``, every tuple
-    that substitutes into the components adds its instantiated tables
-    there, including the tuples after the stop.
+    The clause is decided per basis valuation; only when it fails are
+    the tuples tried one by one, in enumeration order, to list the
+    first ``limit`` failures.
     """
+    if checker.instantiations_hold():
+        return []
     failures: list[CheckFailure] = []
     for t_tables in product(checker.space.tables, repeat=len(checker.params)):
         reason = checker.component_capture(t_tables)
-        inst = None if reason else checker.instantiated_tables(t_tables)
-        if inst is not None and images is not None:
-            images.add(tuple(inst))
-        if len(failures) >= limit:
-            continue
         if reason is None and checker.instance_captured(t_tables):
             reason = "NotSubstitutible"
         valuation = None
         if reason is None:
-            bad = checker.check_solution_tables(inst)
+            bad = checker.failing_row(t_tables)
             if bad is None:
                 continue
             reason = "instantiated components do not solve the problem"
             valuation = decode_valuation(bad, checker.composer.eval_names)
         subject = f"instantiation T = {checker.tuple_label(t_tables)}"
         failures.append(CheckFailure(subject, reason, valuation))
-        if len(failures) >= limit and images is None:
+        if len(failures) >= limit:
             break
     return failures
 
@@ -420,18 +534,15 @@ def check_reproductive(
     if isinstance(checker, CheckReport):
         return checker
     failures = _instantiation_failures(checker)
+    mismatches = checker.mismatches()
     for h_tables in _solution_tables(checker.space, checker.composer):
         reason = checker.component_capture(h_tables)
         if reason is None:
-            reproduced = checker.instantiated_tables(h_tables)
-            reason = next(
-                (
-                    f"component {i + 1} is not reproduced"
-                    for i, h in enumerate(h_tables)
-                    if reproduced[i] != checker.extend_basis_table(h)
-                ),
-                None,
-            )
+            bad = 0
+            for b, mismatch in enumerate(mismatches):
+                bad |= mismatch[_values_at(h_tables, b)]
+            if bad:  # name the first component not reproduced, counting from 1
+                reason = f"component {(bad & -bad).bit_length()} is not reproduced"
         if reason is not None:
             subject = f"solution H = {checker.tuple_label(h_tables)}"
             failures.append(CheckFailure(subject, reason))
@@ -448,16 +559,22 @@ def check_general(
 
     Clause (a) as for the reproductive check; clause (b'): every
     enumerated particular solution equals some instantiation of the
-    candidate with basis functions.
+    candidate with basis functions.  Literal substitution refuses a
+    non-constant function for a captured parameter, so H is reachable
+    when, for some constants of the captured parameters, every basis
+    valuation has parameter values giving H's values there.
     """
     checker = _checker("general", sp, sol, basis, allow_large)
     if isinstance(checker, CheckReport):
         return checker
-    images: set[tuple[int, ...]] = set()
-    failures = _instantiation_failures(checker, images)
+    failures = _instantiation_failures(checker)
+    reachable = checker.reachable()
     for h_tables in _solution_tables(checker.space, checker.composer):
-        extended = tuple(checker.extend_basis_table(h) for h in h_tables)
-        if extended not in images:
+        h_values = [_values_at(h_tables, b) for b in range(len(checker.composer.allowed))]
+        if not any(
+            all((sets >> v) & 1 for sets, v in zip(per_basis, h_values))
+            for per_basis in reachable
+        ):
             failures.append(
                 CheckFailure(
                     f"solution H = {checker.tuple_label(h_tables)}",

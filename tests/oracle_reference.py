@@ -1,17 +1,25 @@
-"""Literal-substitution reference for the oracle's parameterised checks.
+"""References for the oracle's enumeration and parameterised checks.
 
-The oracle composes truth tables and tests capture syntactically.  These
-checks read the definitions literally instead: they substitute canonical
-basis formulas with ``substitute``, check each instance with
-``check_particular`` and compare formulas by their truth tables.  Their
-particular solutions are enumerated the same way, so no verdict here
-goes through the oracle's table path.  Slow, and meant for tests only.
+Two references, both slow and meant for tests only.
+
+The literal-substitution reference reads the definitions literally: it
+substitutes canonical basis formulas with ``substitute``, checks each
+instance with ``check_particular`` and compares formulas by their truth
+tables.  Its particular solutions are enumerated the same way, so no
+verdict there goes through the oracle's table path.
+
+The per-tuple reference (the ``tuple_`` functions) reads the
+quantifiers over tuples of basis functions literally, where the oracle
+decides them per basis valuation.  On the oracle's truth tables and
+capture tests, it loops over every tuple to enumerate the solutions, to
+check every instantiation and to collect the instantiations' images
+for reachability.  Its reports must equal the oracle's exactly.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from boolsolve import (
     BoolsolveError,
@@ -19,6 +27,8 @@ from boolsolve import (
     CheckReport,
     Formula,
     FunctionSpace,
+    Solution,
+    SolutionKind,
     SolutionProblem,
     check_particular,
     equivalent,
@@ -28,8 +38,10 @@ from boolsolve import (
     substitute,
     truth_table,
 )
+from boolsolve import oracle
+from boolsolve.semantics import decode_valuation, formula_mask
 
-_MENTIONS_UNKNOWN = CheckReport(
+MENTIONS_UNKNOWN = CheckReport(
     False, (CheckFailure("components", "components mention an unknown"),)
 )
 
@@ -78,7 +90,7 @@ def check_parametric(
     sp: SolutionProblem, sol: Sequence[Formula], basis: Sequence[str]
 ) -> CheckReport:
     if _mentions_unknown(sp, sol):
-        return _MENTIONS_UNKNOWN
+        return MENTIONS_UNKNOWN
     failures = instantiation_failures(sp, sol, FunctionSpace(basis))
     return CheckReport(not failures, tuple(failures))
 
@@ -87,7 +99,7 @@ def check_reproductive(
     sp: SolutionProblem, sol: Sequence[Formula], basis: Sequence[str]
 ) -> CheckReport:
     if _mentions_unknown(sp, sol):
-        return _MENTIONS_UNKNOWN
+        return MENTIONS_UNKNOWN
     space = FunctionSpace(basis)
     failures = instantiation_failures(sp, sol, space)
     params = sp.parameters or ()
@@ -109,7 +121,7 @@ def check_general(
     sp: SolutionProblem, sol: Sequence[Formula], basis: Sequence[str]
 ) -> CheckReport:
     if _mentions_unknown(sp, sol):
-        return _MENTIONS_UNKNOWN
+        return MENTIONS_UNKNOWN
     space = FunctionSpace(basis)
     failures = instantiation_failures(sp, sol, space)
     params = sp.parameters or ()
@@ -131,5 +143,195 @@ def check_general(
         if key(h) not in reachable:
             failures.append(
                 CheckFailure("solution H = " + _label(h), "not reachable by any parameter instantiation")
+            )
+    return CheckReport(not failures, tuple(failures))
+
+
+# -- per-tuple reference ------------------------------------------------------
+
+
+def _rows(eval_names: Sequence[str], names: Sequence[str], basis: Sequence[str]) -> list[tuple[int, int]]:
+    """Per valuation w of ``eval_names``: w as a row over ``names``, and
+    its basis valuation."""
+    out = []
+    for w in range(1 << len(eval_names)):
+        row = 0
+        for k, a in enumerate(eval_names):
+            if (w >> k) & 1:
+                row |= 1 << names.index(a)
+        basis_idx = 0
+        for k, b in enumerate(basis):
+            if (w >> eval_names.index(b)) & 1:
+                basis_idx |= 1 << k
+        out.append((row, basis_idx))
+    return out
+
+
+class _TupleLoops:
+    """Tables over the eval rows of the oracle's composer, and F checked
+    on one tuple of them at a time."""
+
+    def __init__(self, sp: SolutionProblem, space: FunctionSpace, composer) -> None:
+        self.space = space
+        self.composer = composer
+        self.eval_names = composer.eval_names
+        names = tuple(sorted(set(self.eval_names) | set(sp.unknowns)))
+        self.fmask = formula_mask(sp.formula, names)
+        self.unknown_positions = [names.index(p) for p in sp.unknowns]
+        self.rows = _rows(self.eval_names, names, space.basis)
+
+    def extend(self, table: int) -> int:
+        """Broadcast a basis-function table to one over the eval rows."""
+        return sum(1 << w for w, (_, b) in enumerate(self.rows) if (table >> b) & 1)
+
+    def failing_row(self, eval_tables: Sequence[int]) -> int | None:
+        """The first eval row falsifying F with the unknowns' values read
+        off ``eval_tables``, or None."""
+        for w, (row, _) in enumerate(self.rows):
+            for table, pos in zip(eval_tables, self.unknown_positions):
+                if (table >> w) & 1:
+                    row |= 1 << pos
+            if not (self.fmask >> row) & 1:
+                return w
+        return None
+
+    def solution_tables(self) -> Iterator[tuple[int, ...]]:
+        captured = [i for i, c in enumerate(self.composer.capturing) if c & set(self.space.basis)]
+        for tables in product(self.space.tables, repeat=len(self.composer.capturing)):
+            if any(self.space.free_atoms(tables[i]) for i in captured):
+                continue
+            if self.failing_row([self.extend(t) for t in tables]) is None:
+                yield tables
+
+
+class _TupleChecker(_TupleLoops):
+    """The oracle checker's capture tests and labels, with the components
+    instantiated one tuple of parameter tables at a time."""
+
+    def __init__(self, sp: SolutionProblem, sol: Sequence[Formula], checker) -> None:
+        super().__init__(sp, checker.space, checker.composer)
+        self.checker = checker
+        self.params = sp.parameters
+        comp_names = tuple(sorted(set(self.eval_names) | set(self.params)))
+        self.comp_masks = [formula_mask(g, comp_names) for g in sol]
+        self.param_positions = [comp_names.index(t) for t in self.params]
+        self.comp_rows = [row for row, _ in _rows(self.eval_names, comp_names, self.space.basis)]
+
+    def instantiated_tables(self, t_tables: Sequence[int]) -> list[int]:
+        out = []
+        for mask in self.comp_masks:
+            table = 0
+            for w, comp_row in enumerate(self.comp_rows):
+                row = comp_row
+                for t, pos in zip(t_tables, self.param_positions):
+                    if (t >> self.rows[w][1]) & 1:
+                        row |= 1 << pos
+                if (mask >> row) & 1:
+                    table |= 1 << w
+            out.append(table)
+        return out
+
+    def instantiation_failures(self, images: set | None = None, limit: int = 5) -> list[CheckFailure]:
+        """As the oracle lists them; given ``images``, every tuple that
+        substitutes into the components adds its instantiated tables
+        there, including the tuples after the stop."""
+        checker = self.checker
+        failures: list[CheckFailure] = []
+        for t_tables in product(self.space.tables, repeat=len(self.params)):
+            reason = checker.component_capture(t_tables)
+            inst = None if reason else self.instantiated_tables(t_tables)
+            if inst is not None and images is not None:
+                images.add(tuple(inst))
+            if len(failures) >= limit:
+                continue
+            if reason is None and checker.instance_captured(t_tables):
+                reason = "NotSubstitutible"
+            valuation = None
+            if reason is None:
+                bad = self.failing_row(inst)
+                if bad is None:
+                    continue
+                reason = "instantiated components do not solve the problem"
+                valuation = decode_valuation(bad, self.eval_names)
+            failures.append(CheckFailure(f"instantiation T = {checker.tuple_label(t_tables)}", reason, valuation))
+            if len(failures) >= limit and images is None:
+                break
+        return failures
+
+
+def tuple_enumerate_solutions(
+    sp: SolutionProblem, basis: Sequence[str], allow_large: bool = False
+) -> list[Solution]:
+    basis_t = oracle._basis(sp, basis, allow_large, parameters=False)
+    space = FunctionSpace(basis_t)
+    loops = _TupleLoops(sp, space, oracle._Composer(sp, basis_t))
+    return [
+        Solution([space.formula(t) for t in tables], SolutionKind.PARTICULAR)
+        for tables in loops.solution_tables()
+    ]
+
+
+def tuple_any_enumerated_solution(
+    sp: SolutionProblem, basis: Sequence[str], allow_large: bool = False
+) -> bool:
+    return bool(tuple_enumerate_solutions(sp, basis, allow_large))
+
+
+def _tuple_checker(kind, sp, sol, basis) -> _TupleChecker | CheckReport:
+    checker = oracle._checker(kind, sp, sol, basis, allow_large=True)
+    if isinstance(checker, CheckReport):
+        return checker
+    return _TupleChecker(sp, sol, checker)
+
+
+def tuple_check_parametric(
+    sp: SolutionProblem, sol: Sequence[Formula], basis: Sequence[str]
+) -> CheckReport:
+    loops = _tuple_checker("parametric", sp, sol, basis)
+    if isinstance(loops, CheckReport):
+        return loops
+    failures = loops.instantiation_failures()
+    return CheckReport(not failures, tuple(failures))
+
+
+def tuple_check_reproductive(
+    sp: SolutionProblem, sol: Sequence[Formula], basis: Sequence[str]
+) -> CheckReport:
+    loops = _tuple_checker("reproductive", sp, sol, basis)
+    if isinstance(loops, CheckReport):
+        return loops
+    failures = loops.instantiation_failures()
+    for h_tables in loops.solution_tables():
+        reason = loops.checker.component_capture(h_tables)
+        if reason is None:
+            reproduced = loops.instantiated_tables(h_tables)
+            reason = next(
+                (
+                    f"component {i + 1} is not reproduced"
+                    for i, h in enumerate(h_tables)
+                    if reproduced[i] != loops.extend(h)
+                ),
+                None,
+            )
+        if reason is not None:
+            failures.append(CheckFailure(f"solution H = {loops.checker.tuple_label(h_tables)}", reason))
+    return CheckReport(not failures, tuple(failures))
+
+
+def tuple_check_general(
+    sp: SolutionProblem, sol: Sequence[Formula], basis: Sequence[str]
+) -> CheckReport:
+    loops = _tuple_checker("general", sp, sol, basis)
+    if isinstance(loops, CheckReport):
+        return loops
+    images: set[tuple[int, ...]] = set()
+    failures = loops.instantiation_failures(images)
+    for h_tables in loops.solution_tables():
+        if tuple(loops.extend(h) for h in h_tables) not in images:
+            failures.append(
+                CheckFailure(
+                    f"solution H = {loops.checker.tuple_label(h_tables)}",
+                    "not reachable by any parameter instantiation",
+                )
             )
     return CheckReport(not failures, tuple(failures))

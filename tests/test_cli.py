@@ -480,3 +480,38 @@ def test_second_order_chain_golden(tmp_path, capsys, n, reproductive):
         captured = capsys.readouterr()
         assert captured.out == CHAIN_WITNESSES_GOLDEN[n]
         assert captured.err == ""
+
+
+def test_enumerate_basis_errors_exit_2(tmp_path, capsys):
+    # A basis naming an unknown, or one past the oracle's cost guard, is
+    # an input error, not a traceback.
+    path = tmp_path / "basis.sp"
+    path.write_text("unknowns: p\nparameters: t\nformula: p <-> a\n")
+    assert run(["enumerate", "--basis", "p", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: basis atoms must not be unknowns\n"
+    assert run(["enumerate", "--basis", "a b c d", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: basis of 4 atoms with 1 unknowns exceeds the oracle's cost guard of "
+        "3 basis atoms and 2 unknowns (the Python API lifts it with allow_large=True)\n"
+    )
+
+
+def test_enumerate_empty_basis(tmp_path, capsys):
+    path = tmp_path / "empty.sp"
+    path.write_text("unknowns: p\nformula: p | a\n")
+    assert run(["enumerate", "--basis", "", str(path)]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_check_refuses_components_mentioning_an_unknown(tmp_path, capsys):
+    path = tmp_path / "imp.sp"
+    path.write_text("unknowns: p q\nformula: p -> q\n")
+    for components in ("p; true", "q; q", "false; p | ~p"):
+        assert run(["check", "--with", components, str(path)]) == 1
+        assert capsys.readouterr().out == "not a solution: components mention an unknown\n"
+    assert run(["check", "--with", "false; true", str(path)]) == 0
+    assert capsys.readouterr().out == "valid solution\n"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,9 @@ from boolsolve import (
     BOT,
     Exists,
     FunctionSpace,
+    Not,
     NotSubstitutible,
+    Or,
     SolutionProblem,
     TOP,
     TooLarge,
@@ -21,11 +24,13 @@ from boolsolve import (
     enumerate_solutions,
     equivalent,
     exists_solution,
+    free_binders,
     parse,
     solve_succ_elim,
     substitute,
     truth_table,
 )
+from boolsolve import oracle
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 
 EXAMPLE = parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
@@ -77,6 +82,30 @@ def test_enumerate_golden():
     ]:
         assert key(*pair) not in tables
 
+    # the enumeration order: product order of the table integers
+    assert [tuple(truth_table(c, ("a", "b")).as_int() for c in s.components) for s in sols] == [
+        (0, 8), (0, 10), (0, 12), (0, 14), (2, 8), (2, 10), (2, 12), (2, 14),
+        (4, 12), (4, 14), (6, 12), (6, 14), (8, 8), (8, 10), (8, 12), (8, 14),
+        (10, 8), (10, 10), (10, 12), (10, 14), (12, 12), (12, 14), (14, 12), (14, 14),
+    ]
+
+
+def test_enumerate_empty_basis():
+    # over no basis atoms the candidates are the two constants
+    sols = enumerate_solutions(SolutionProblem(parse("p | a"), ["p"]), [])
+    assert [s.components for s in sols] == [(TOP,)]
+    sols = enumerate_solutions(SolutionProblem(parse("p1 | ~p2"), ["p1", "p2"]), [])
+    assert [s.components for s in sols] == [(BOT, BOT), (TOP, BOT), (TOP, TOP)]
+
+
+def test_any_enumerated_solution_stops_early():
+    # 2^32 tuples of functions of 4 atoms solve this tautology; the
+    # first one answers
+    sp = SolutionProblem(parse("p1 | ~p1 | p2"), ["p1", "p2"])
+    start = time.perf_counter()
+    assert any_enumerated_solution(sp, ["a", "b", "c", "d"], allow_large=True)
+    assert time.perf_counter() - start < 1.0
+
 
 def test_enumerate_unsolvable_empty():
     sols = enumerate_solutions(
@@ -125,9 +154,19 @@ def test_check_particular():
     bad = substitute(sp.formula, sp.unknowns, [parse("b"), parse("a")])
     assert evaluate(bad, report.failures[0].valuation) is False
 
-    report = check_particular(sp, [parse("p2"), parse("b")])
+    # a component that mentions an unknown is refused before substitution,
+    # as the parameterised checks refuse it
+    for sol in ([parse("p2"), parse("b")], [parse("a"), parse("p1 & b")]):
+        assert check_particular(sp, sol) == reference.MENTIONS_UNKNOWN
+    sp = SolutionProblem(parse("p -> q"), ["p", "q"])
+    assert check_particular(sp, [parse("p"), TOP]) == reference.MENTIONS_UNKNOWN
+
+    # a component that mentions an atom bound above its unknown
+    sp = SolutionProblem(parse("(p | ~p) & exists a . (p | a)"), ["p"])
+    report = check_particular(sp, [parse("a")])
     assert not report.verdict
     assert "NotSubstitutible" in report.failures[0].reason
+    assert check_particular(sp, [parse("b")]).verdict
 
 
 def test_check_reproductive_golden():
@@ -168,6 +207,21 @@ def test_check_general():
     assert check_general(sp1, [TOP], ["a"]).verdict
     report = check_general(sp1, [Atom("t")], ["a"])
     assert not report.verdict
+
+
+def test_tuple_loop_runs_only_after_a_failure(monkeypatch):
+    # a passing check is decided per basis valuation; the loop over
+    # tuples of basis functions only lists failures
+    def tuple_loop(self, t_tables):
+        raise AssertionError("per-tuple loop on a passing check")
+
+    sp = SolutionProblem(EXAMPLE, ["p1", "p2"], parameters=["t1", "t2"])
+    rep = solve_succ_elim(sp).components
+    monkeypatch.setattr(oracle._ReproductiveChecker, "failing_row", tuple_loop)
+    for check in (check_parametric, check_reproductive, check_general):
+        assert check(sp, rep, ["a", "b"]).verdict
+    with pytest.raises(AssertionError, match="per-tuple loop"):
+        check_parametric(sp, [parse("b"), parse("a")], ["a", "b"])
 
 
 def test_reproductive_implies_general():
@@ -321,3 +375,74 @@ def test_basis_must_not_meet_unknowns_or_parameters():
     for enumerate_ in (enumerate_solutions, any_enumerated_solution):
         with pytest.raises(ValueError):
             enumerate_(sp, ["a", "p1"])
+
+
+CHECKS = ("check_parametric", "check_reproductive", "check_general")
+
+
+def _matches_per_tuple(sp, candidates, basis):
+    """The oracle's reports on the candidates, after requiring that they
+    and the enumerations equal the per-tuple reference's exactly:
+    failures, their reasons, valuations and order included."""
+    enumerated = enumerate_solutions(sp, basis)
+    assert enumerated == reference.tuple_enumerate_solutions(sp, basis), (sp.formula, basis)
+    assert any_enumerated_solution(sp, basis) == bool(enumerated)
+    reports = []
+    for sol in candidates:
+        for name in CHECKS:
+            report = getattr(oracle, name)(sp, sol, basis)
+            expected = getattr(reference, "tuple_" + name)(sp, sol, basis)
+            assert report == expected, (name, str(sp.formula), [str(g) for g in sol], basis)
+            reports.append(report)
+    return reports
+
+
+def test_per_valuation_checks_match_per_tuple_reference():
+    # The checks decided per basis valuation against the loops over
+    # every tuple of basis functions: bases of 0 to 3 atoms (1 unknown at
+    # 3), problems with and without quantifiers, binders that capture an
+    # unknown, and candidates that are solver outputs, enumerated
+    # solutions, bare parameters, capture candidates and components
+    # mentioning an atom outside the basis.
+    rng = random.Random(113)
+    shapes = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
+    pools = ((), QUANT_POOL, ("a", "b"), ("a", "q1"))
+    verdicts, reasons = set(), set()
+    captured_unknowns = 0
+    for i in range(84):  # every shape with every pool, three times
+        width, n = shapes[i % len(shapes)]
+        basis = ("a", "b", "c")[:width]
+        unknowns, params = ("p1", "p2")[:n], ("t1", "t2")[:n]
+        pool = pools[i % len(pools)]
+        f = random_formula(rng, unknowns + ("a", "b"), 4, quant_pool=pool, quant_prob=0.3)
+        if pool == ("a", "b"):
+            # a valid conjunct that binds a above the last unknown
+            last = Atom(unknowns[-1])
+            f = And(f, Exists("a", Or(And(last, Atom("a")), Not(last))))
+        sp = SolutionProblem(f, unknowns, params)
+        binders = free_binders(f)
+        captured_unknowns += any(binders.get(p, frozenset()) & set(basis) for p in unknowns)
+        candidates = [[Atom(t) for t in params]]
+        if exists_solution(sp):
+            rep = solve_succ_elim(sp).components
+            candidates += [rep, [_bind_above_parameters(g, params, "a") for g in rep]]
+        sols = enumerate_solutions(sp, basis)
+        if sols:
+            candidates += [sols[0].components, sols[-1].components]
+        outside = ("a", "b", "c", "d")[width]
+        candidates.append(
+            [random_formula(rng, (outside, "a") + params, 3, quant_pool=("a",)) for _ in params]
+        )
+        for report in _matches_per_tuple(sp, candidates, basis):
+            verdicts.add(report.verdict)
+            reasons |= {failure.reason.split(" at ")[0] for failure in report.failures}
+    assert captured_unknowns >= 15
+    # passing checks and every kind of failure were compared
+    assert verdicts == {True, False}
+    assert {
+        "NotSubstitutible",
+        "condition (1) violated",
+        "instantiated components do not solve the problem",
+        "not reachable by any parameter instantiation",
+    } <= reasons
+    assert any(r.endswith("is not reproduced") for r in reasons)
