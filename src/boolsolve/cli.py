@@ -99,6 +99,8 @@ def parse_problem_file(text: str) -> ProblemFile:
     if "formula" not in seen:
         raise ProblemFileError("missing 'formula:' line")
     unknowns = _idents(seen["unknowns"], "unknowns")
+    if not unknowns:
+        raise ProblemFileError("'unknowns:' line names no unknown")
     parameters = (
         _idents(seen["parameters"], "parameters") if "parameters" in seen else None
     )

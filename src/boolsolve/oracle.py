@@ -21,12 +21,18 @@ valuation.  A row of F[H] sees the tuple H only through its values at
 the row's basis valuation, so the tuples are the independent choices of
 one value tuple per basis valuation.  Enumeration picks an allowed
 value tuple at each basis valuation; the all-instantiations clause
-tests F at every row for every parameter value tuple; reachability
-looks for parameter values per basis valuation.  An unknown or
+tests F at every row for every parameter value tuple.  A solution
+takes an allowed value tuple at every basis valuation, so every
+solution is reproduced when no allowed value tuple is mismatched at
+any basis valuation, and every solution is reachable when each basis
+valuation's allowed tuples are reachable there.  An unknown or
 parameter that capture restricts to the constant functions takes one
-value at every basis valuation, so its constant is chosen first.  The
-loop over all tuples of basis functions runs only once the
-all-instantiations clause is known to fail, to list its failures.
+value at every basis valuation, so its constant is chosen first; a
+parameter captured in a component refuses a non-constant solution
+component, which no single basis valuation shows, so clause (b) of
+the reproductive check then goes solution by solution.  The loops over
+tuples of basis functions and over the enumerated solutions otherwise
+run only once a clause is known to fail, to list its failures.
 """
 
 from __future__ import annotations
@@ -292,9 +298,10 @@ def any_enumerated_solution(
     return next(_solution_tables(space, _Composer(sp, basis_t)), None) is not None
 
 
-def _mentions_unknown(sp: SolutionProblem, sol: Sequence[Formula]) -> bool:
+def _mentions_unknown(sp: SolutionProblem, free: Iterable[Iterable[str]]) -> bool:
+    """True when some component's free atoms in ``free`` meet the unknowns."""
     unknowns = set(sp.unknowns)
-    return any(set(free_atoms(g)) & unknowns for g in sol)
+    return any(unknowns.intersection(atoms) for atoms in free)
 
 
 def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport:
@@ -307,7 +314,7 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
 
     if len(sol) != len(sp.unknowns):
         return failed("component count differs from unknown count")
-    if _mentions_unknown(sp, sol):
+    if _mentions_unknown(sp, map(free_atoms, sol)):
         return _MENTIONS_UNKNOWN
     if not is_substitutible(sol, sp.unknowns, sp.formula):
         return failed("NotSubstitutible")
@@ -320,11 +327,18 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
 class _ReproductiveChecker:
     """Shared table machinery for the parametric, reproductive and
     general checks.  Parameter value tuples are ints like the unknowns'
-    ones, bit j for parameter j."""
+    ones, bit j for parameter j.  ``comp_binders`` holds each
+    component's ``free_binders``."""
 
-    def __init__(self, sp: SolutionProblem, sol: Sequence[Formula], basis: AtomSet):
+    def __init__(
+        self,
+        sp: SolutionProblem,
+        sol: Sequence[Formula],
+        comp_binders: list[dict[str, frozenset[str]]],
+        basis: AtomSet,
+    ):
         self.params = sp.parameters
-        self.comp_binders = [free_binders(g) for g in sol]
+        self.comp_binders = comp_binders
         # per component, the parameters under a quantifier that binds a
         # basis atom: a non-constant basis function put there is captured
         self.captured_params = [
@@ -449,6 +463,14 @@ class _ReproductiveChecker:
             )
         return out
 
+    def every_solution(self, passing: Sequence[int]) -> bool:
+        """True when ``passing[b]`` holds every value tuple allowed at
+        each basis valuation b.  Every enumerated solution then takes a
+        passing tuple at every b, so a clause that asks no more of it
+        holds without enumerating; False leaves the clause to the loop
+        over the solutions."""
+        return all(not a & ~p for a, p in zip(self.composer.allowed, passing))
+
     def tuple_label(self, tables: Sequence[int]) -> str:
         for t in tables:
             if t not in self._texts:
@@ -468,9 +490,10 @@ def _checker(
     if sp.parameters is None:
         raise ValueError(f"{kind} check needs a problem with parameters")
     basis_t = _basis(sp, basis, allow_large, parameters=True)
-    if _mentions_unknown(sp, sol):
+    comp_binders = [free_binders(g) for g in sol]  # keyed by free_atoms(g)
+    if _mentions_unknown(sp, comp_binders):
         return _MENTIONS_UNKNOWN
-    return _ReproductiveChecker(sp, sol, basis_t)
+    return _ReproductiveChecker(sp, sol, comp_binders, basis_t)
 
 
 def _instantiation_failures(checker: _ReproductiveChecker, limit: int = 5) -> list[CheckFailure]:
@@ -528,13 +551,21 @@ def check_reproductive(
     Clause (a): every instantiation of the parameters with basis
     functions is a particular solution.  Clause (b): for every
     enumerated particular solution H, substituting H for the parameters
-    reproduces H up to equivalence.
+    reproduces H up to equivalence.  Clause (b) holds outright when no
+    parameter is captured in a component and no value tuple allowed at
+    a basis valuation is mismatched there; otherwise the solutions are
+    tried one by one to list the failures.
     """
     checker = _checker("reproductive", sp, sol, basis, allow_large)
     if isinstance(checker, CheckReport):
         return checker
     failures = _instantiation_failures(checker)
     mismatches = checker.mismatches()
+    matched = [_bits(v for v, bad in enumerate(per_v) if not bad) for per_v in mismatches]
+    # a captured parameter refuses a solution whose component there is
+    # not constant, which no single basis valuation shows
+    if not any(checker.captured_params) and checker.every_solution(matched):
+        return CheckReport(not failures, tuple(failures))
     for h_tables in _solution_tables(checker.space, checker.composer):
         reason = checker.component_capture(h_tables)
         if reason is None:
@@ -562,13 +593,18 @@ def check_general(
     candidate with basis functions.  Literal substitution refuses a
     non-constant function for a captured parameter, so H is reachable
     when, for some constants of the captured parameters, every basis
-    valuation has parameter values giving H's values there.
+    valuation has parameter values giving H's values there.  Clause (b')
+    holds outright when every value tuple allowed at a basis valuation
+    is reachable there with the captured parameters false; otherwise
+    the solutions are tried one by one to list the failures.
     """
     checker = _checker("general", sp, sol, basis, allow_large)
     if isinstance(checker, CheckReport):
         return checker
     failures = _instantiation_failures(checker)
     reachable = checker.reachable()
+    if checker.every_solution(reachable[0]):
+        return CheckReport(not failures, tuple(failures))
     for h_tables in _solution_tables(checker.space, checker.composer):
         h_values = [_values_at(h_tables, b) for b in range(len(checker.composer.allowed))]
         if not any(

@@ -64,26 +64,29 @@ def evaluate(f: Formula, valuation: Valuation) -> bool:
 def atom_patterns(basis: AtomSet) -> dict[str, int]:
     """Per-atom bitmasks over all valuations of ``basis``.
 
-    Atom ``i`` is true exactly at indices with bit ``i`` set.  Each mask
-    starts as one block of 2^i ones above 2^i zeros and doubles in
-    length until it covers all 2^|basis| indices.  A basis wider than
-    ``MAX_MASK_ATOMS`` raises ``BudgetExceeded`` before any mask is
-    built; every bitmask of the package starts here.
+    Atom ``i`` is true exactly at indices with bit ``i`` set.  The top
+    atom's mask is the upper half of the indices; each lower mask comes
+    from the one above it as ``p_i = p_{i+1} ^ (p_{i+1} >> 2^i)``, since
+    adding 2^i to an index flips its bit i+1 exactly when its bit i is
+    set.  The dict is keyed in basis order before the masks are filled
+    in, top atom first.  A basis wider than ``MAX_MASK_ATOMS`` raises
+    ``BudgetExceeded`` before any mask is built; every bitmask of the
+    package starts here.
     """
     if len(basis) > MAX_MASK_ATOMS:
         raise BudgetExceeded(
             f"{len(basis)} atoms exceed the truth-table cap of {MAX_MASK_ATOMS} "
             f"atoms ({1 << (MAX_MASK_ATOMS - 23)} MB per mask)"
         )
-    masks: dict[str, int] = {}
-    size = 1 << len(basis)
-    for i, name in enumerate(basis):
-        period = 2 << i
+    masks = dict.fromkeys(basis, 0)
+    i = len(basis) - 1
+    if i >= 0:
         m = ((1 << (1 << i)) - 1) << (1 << i)
-        while period < size:
-            m |= m << period
-            period <<= 1
-        masks[name] = m
+        masks[basis[i]] = m
+        while i:
+            i -= 1
+            m ^= m >> (1 << i)
+            masks[basis[i]] = m
     return masks
 
 

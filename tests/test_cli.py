@@ -235,6 +235,17 @@ def test_forbidden_parameter_refused_by_every_command(tmp_path, capsys):
         assert captured.err == "error: forbid: t must not be an unknown or a parameter\n"
 
 
+def test_empty_unknowns_refused_by_every_command(tmp_path, capsys):
+    path = tmp_path / "empty.sp"
+    path.write_text("unknowns:\nformula: a | ~a\n")
+    for command in (["solve"], ["exists"], ["enumerate", "--basis", "a"],
+                    ["precondition"], ["check", "--with", "a"]):
+        assert run([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'unknowns:' line names no unknown\n"
+
+
 def test_per_component_file_refuses_reproductive(tmp_path, capsys):
     path = tmp_path / "per.sp"
     path.write_text("unknowns: p q\nforbid(p): b\nformula: (a -> p) & (q <-> b)\n")

@@ -224,6 +224,37 @@ def test_tuple_loop_runs_only_after_a_failure(monkeypatch):
         check_parametric(sp, [parse("b"), parse("a")], ["a", "b"])
 
 
+def test_solution_loop_runs_only_after_a_failure(monkeypatch):
+    # clauses (b) and (b') of a passing check are decided per basis
+    # valuation; the loop over the enumerated solutions only lists failures
+    def solution_loop(space, composer):
+        raise AssertionError("solution loop on a passing check")
+
+    sp = SolutionProblem(EXAMPLE, ["p1", "p2"], parameters=["t1", "t2"])
+    rep = solve_succ_elim(sp).components
+    wide = SolutionProblem(
+        parse("(a -> p1) & (p2 -> b | c | d)"), ["p1", "p2"], parameters=["t1", "t2"]
+    )
+    wide_rep = solve_succ_elim(wide).components
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_solution_tables", solution_loop)
+        for check in (check_reproductive, check_general):
+            assert check(sp, rep, ["a", "b"]).verdict
+            # 2^22 solutions over four basis atoms, none enumerated
+            assert check(wide, wide_rep, ["a", "b", "c", "d"], allow_large=True).verdict
+    # the constant candidate (a, b) reproduces and reaches only itself:
+    # every other solution fails, in enumeration order
+    candidate = (parse("a"), parse("b"))
+    missed = []
+    for solution in enumerate_solutions(sp, ["a", "b"]):
+        if not all(equivalent(h, g) for h, g in zip(solution.components, candidate)):
+            missed.append("solution H = (" + ", ".join(map(str, solution.components)) + ")")
+    assert len(missed) == 23
+    for check in (check_reproductive, check_general):
+        report = check(sp, candidate, ["a", "b"])
+        assert [f.subject for f in report.failures] == missed
+
+
 def test_reproductive_implies_general():
     rng = random.Random(103)
     for _ in range(20):
@@ -397,13 +428,22 @@ def _matches_per_tuple(sp, candidates, basis):
     return reports
 
 
-def test_per_valuation_checks_match_per_tuple_reference():
+def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
     # The checks decided per basis valuation against the loops over
     # every tuple of basis functions: bases of 0 to 3 atoms (1 unknown at
     # 3), problems with and without quantifiers, binders that capture an
     # unknown, and candidates that are solver outputs, enumerated
     # solutions, bare parameters, capture candidates and components
     # mentioning an atom outside the basis.
+    decided = {True: 0, False: 0}  # clause (b) or (b') decided outright, or listed
+    every_solution = oracle._ReproductiveChecker.every_solution
+
+    def counted(self, passing):
+        outright = every_solution(self, passing)
+        decided[outright] += 1
+        return outright
+
+    monkeypatch.setattr(oracle._ReproductiveChecker, "every_solution", counted)
     rng = random.Random(113)
     shapes = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
     pools = ((), QUANT_POOL, ("a", "b"), ("a", "q1"))
@@ -437,6 +477,8 @@ def test_per_valuation_checks_match_per_tuple_reference():
             verdicts.add(report.verdict)
             reasons |= {failure.reason.split(" at ")[0] for failure in report.failures}
     assert captured_unknowns >= 15
+    # both ways of deciding clauses (b) and (b') were compared
+    assert decided[True] >= 100 and decided[False] >= 100
     # passing checks and every kind of failure were compared
     assert verdicts == {True, False}
     assert {

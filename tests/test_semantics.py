@@ -82,11 +82,14 @@ def test_truth_table_requires_basis_coverage():
 
 def test_atom_patterns_pointwise():
     for k in range(11):
-        basis = tuple(f"x{i:02d}" for i in range(k))
-        masks = atom_patterns(basis)
-        for i, name in enumerate(basis):
-            expected = sum(1 << idx for idx in range(1 << k) if (idx >> i) & 1)
-            assert masks[name] == expected
+        names = tuple(f"x{i:02d}" for i in range(k))
+        for basis in (names, names[::-1]):
+            masks = atom_patterns(basis)
+            # positional readers take the masks in basis order
+            assert list(masks) == list(basis)
+            for i, name in enumerate(basis):
+                expected = sum(1 << idx for idx in range(1 << k) if (idx >> i) & 1)
+                assert masks[name] == expected
 
 
 def _flatten(f, op):
