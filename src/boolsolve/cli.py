@@ -42,9 +42,9 @@ from .solve import (
     solve_restricted,
     solve_succ_elim,
 )
-from .syntax import parse
+from .syntax import IDENTIFIER, parse
 
-_IDENT = re.compile(r"[a-z][A-Za-z0-9_]*$")
+_IDENT = re.compile(IDENTIFIER)
 
 
 class ProblemFileError(BoolsolveError):
@@ -63,7 +63,7 @@ class ProblemFile:
 def _idents(value: str, context: str) -> tuple[str, ...]:
     names = value.split()
     for name in names:
-        if not _IDENT.match(name):
+        if not _IDENT.fullmatch(name):
             raise ProblemFileError(f"invalid identifier {name!r} in {context}")
     return tuple(names)
 
@@ -83,7 +83,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         match = re.match(r"forbid\(([^)]*)\)$", key)
         if match:
             unknown = match.group(1).strip()
-            if not _IDENT.match(unknown):
+            if not _IDENT.fullmatch(unknown):
                 raise ProblemFileError(f"line {lineno}: invalid unknown in {key!r}")
             if unknown in per_forbid:
                 raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")
@@ -294,7 +294,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's sub-parser, by name."""
     parser = argparse.ArgumentParser(
         prog="boolsolve",
         description="Solve Boolean equations over propositional formulas",
@@ -350,15 +351,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("formula")
     p_proj.set_defaults(func=_cmd_project)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def run(argv: list[str]) -> int:
+    # A named command goes straight to its own parser, which argparse
+    # would otherwise reach only after a second pass over argv.
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -32,7 +32,8 @@ parameter captured in a component refuses a non-constant solution
 component, which no single basis valuation shows, so clause (b) of
 the reproductive check then goes solution by solution.  The loops over
 tuples of basis functions and over the enumerated solutions otherwise
-run only once a clause is known to fail, to list its failures.
+run only once a clause is known to fail, to list its first five
+failures.
 """
 
 from __future__ import annotations
@@ -496,13 +497,17 @@ def _checker(
     return _ReproductiveChecker(sp, sol, comp_binders, basis_t)
 
 
-def _instantiation_failures(checker: _ReproductiveChecker, limit: int = 5) -> list[CheckFailure]:
+# A failing clause lists at most this many failures.
+LISTED_FAILURES = 5
+
+
+def _instantiation_failures(checker: _ReproductiveChecker) -> list[CheckFailure]:
     """Failures of the all-instantiations clause: every tuple of basis
     functions substituted for the parameters must solve the problem.
 
     The clause is decided per basis valuation; only when it fails are
     the tuples tried one by one, in enumeration order, to list the
-    first ``limit`` failures.
+    first ``LISTED_FAILURES`` failures.
     """
     if checker.instantiations_hold():
         return []
@@ -520,7 +525,7 @@ def _instantiation_failures(checker: _ReproductiveChecker, limit: int = 5) -> li
             valuation = decode_valuation(bad, checker.composer.eval_names)
         subject = f"instantiation T = {checker.tuple_label(t_tables)}"
         failures.append(CheckFailure(subject, reason, valuation))
-        if len(failures) >= limit:
+        if len(failures) == LISTED_FAILURES:
             break
     return failures
 
@@ -554,7 +559,7 @@ def check_reproductive(
     reproduces H up to equivalence.  Clause (b) holds outright when no
     parameter is captured in a component and no value tuple allowed at
     a basis valuation is mismatched there; otherwise the solutions are
-    tried one by one to list the failures.
+    tried one by one to list the first ``LISTED_FAILURES`` failures.
     """
     checker = _checker("reproductive", sp, sol, basis, allow_large)
     if isinstance(checker, CheckReport):
@@ -566,6 +571,7 @@ def check_reproductive(
     # not constant, which no single basis valuation shows
     if not any(checker.captured_params) and checker.every_solution(matched):
         return CheckReport(not failures, tuple(failures))
+    limit = len(failures) + LISTED_FAILURES
     for h_tables in _solution_tables(checker.space, checker.composer):
         reason = checker.component_capture(h_tables)
         if reason is None:
@@ -577,6 +583,8 @@ def check_reproductive(
         if reason is not None:
             subject = f"solution H = {checker.tuple_label(h_tables)}"
             failures.append(CheckFailure(subject, reason))
+            if len(failures) == limit:
+                break
     return CheckReport(not failures, tuple(failures))
 
 
@@ -596,7 +604,8 @@ def check_general(
     valuation has parameter values giving H's values there.  Clause (b')
     holds outright when every value tuple allowed at a basis valuation
     is reachable there with the captured parameters false; otherwise
-    the solutions are tried one by one to list the failures.
+    the solutions are tried one by one to list the first
+    ``LISTED_FAILURES`` failures.
     """
     checker = _checker("general", sp, sol, basis, allow_large)
     if isinstance(checker, CheckReport):
@@ -605,6 +614,7 @@ def check_general(
     reachable = checker.reachable()
     if checker.every_solution(reachable[0]):
         return CheckReport(not failures, tuple(failures))
+    limit = len(failures) + LISTED_FAILURES
     for h_tables in _solution_tables(checker.space, checker.composer):
         h_values = [_values_at(h_tables, b) for b in range(len(checker.composer.allowed))]
         if not any(
@@ -617,4 +627,6 @@ def check_general(
                     "not reachable by any parameter instantiation",
                 )
             )
+            if len(failures) == limit:
+                break
     return CheckReport(not failures, tuple(failures))

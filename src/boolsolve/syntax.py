@@ -8,7 +8,7 @@ right.  ``#`` starts a comment to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .formula import (
     BOT,
@@ -37,170 +37,135 @@ class ParseError(BoolsolveError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, true, false, exists, forall, (, ), ~, &, |, ->, <->, ., eof
-    text: str
-    line: int
-    col: int
+# Identifiers are ASCII; the problem-file reader checks names with the
+# same rule.
+IDENTIFIER = r"[a-z][A-Za-z0-9_]*"
+_SKIP = r"[ \t\r\n]+|#[^\n]*"
+_SYMBOLS = r"<->|->|[()~&|.]"
+# The longest prefix of a text made of whitespace, comments and tokens;
+# a text is lexically valid when that prefix is all of it.
+_VALID = re.compile(rf"(?:{_SKIP}|{_SYMBOLS}|{IDENTIFIER})*")
+# A match is a token, in group 1, or a run of whitespace or a comment.
+_TOKEN = re.compile(rf"{_SKIP}|({_SYMBOLS}|{IDENTIFIER})")
+_UPPER_WORD = re.compile(r"[A-Z][A-Za-z0-9_]*")
+
+# Operator stack entries: (precedence, constructor) for operators, plus
+# the bound name for quantifiers.  An incoming binary operator reduces
+# the entries whose precedence reaches its threshold; "->" is right
+# associative, so its threshold is one above its own precedence.  A
+# quantifier's entry is reduced only at its ")" or the end of input, so
+# its body extends as far right as possible.
+_OPEN = (-1,)
+_NOT = (5, Not)
+_BINARY = {
+    "<->": (1, 1, Iff),
+    "->": (2, 3, Implies),
+    "|": (3, 3, Or),
+    "&": (4, 4, And),
+}
+_QUANTIFIERS = {"exists": Exists, "forall": Forall}
+_CONSTANTS = {"true": TOP, "false": BOT}
+_NOT_ATOM = frozenset({"", "<->", "->", "(", ")", "~", "&", "|", "."}) | RESERVED
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c == "<":
-            if text.startswith("<->", i):
-                tokens.append(_Token("<->", "<->", line, start_col))
-                i += 3
-                col += 3
-                continue
-            raise ParseError(f"unexpected character {c!r}", line, col)
-        if c == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("->", "->", line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError(f"unexpected character {c!r}", line, col)
-        if c in "()~&|.":
-            tokens.append(_Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if not c.islower():
-                raise ParseError(
-                    f"invalid identifier {word!r}: identifiers start with a lowercase letter",
-                    line,
-                    col,
-                )
-            kind = word if word in RESERVED else "ident"
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _position(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _lexical_error(text: str, offset: int) -> ParseError:
+    word = _UPPER_WORD.match(text, offset)
+    if word:
+        message = (
+            f"invalid identifier {word.group()!r}: identifiers start with a lowercase letter"
+        )
+    else:
+        message = f"unexpected character {text[offset]!r}"
+    return ParseError(message, *_position(text, offset))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _syntax_error(text: str, tokens: list[str], index: int, message: str) -> ParseError:
+    """The error ``message`` at ``tokens[index]``; the end of input sits
+    after the last token and whitespace, or at a comment ending the text."""
+    if tokens[index]:
+        offset = [m.start() for m in _TOKEN.finditer(text) if m.lastindex][index]
+    else:
+        offset = text.find("#", text.rfind("\n") + 1)
+        if offset < 0:
+            offset = len(text)
+    return ParseError(message, *_position(text, offset))
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok.line, tok.col)
-        return self.advance()
 
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        f = self.implies()
-        while self.peek().kind == "<->":
-            self.advance()
-            f = Iff(f, self.implies())
-        return f
-
-    def implies(self) -> Formula:
-        f = self.disjunction()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(f, self.implies())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek().kind == "|":
-            self.advance()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind in ("exists", "forall"):
-            self.advance()
-            name = self.peek()
-            if name.kind in RESERVED:
-                raise ParseError(
-                    f"reserved word {name.text!r} used as atom", name.line, name.col
-                )
-            var = self.expect("ident")
-            self.expect(".")
-            body = self.formula()  # maximal scope
-            return (Exists if tok.kind == "exists" else Forall)(var.text, body)
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "true":
-            return TOP
-        if tok.kind == "false":
-            return BOT
-        if tok.kind == "ident":
-            return Atom(tok.text)
-        if tok.kind == "(":
-            f = self.formula()
-            self.expect(")")
-            return f
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"unexpected {shown!r}", tok.line, tok.col)
+def _shown(token: str) -> str:
+    return repr(token or "end of input")
 
 
 def parse(text: str) -> Formula:
     """Parse a formula, resolving precedence and quantifier scope."""
-    parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(
-            f"unexpected {trailing.text!r} after formula", trailing.line, trailing.col
-        )
-    return f
+    valid = _VALID.match(text).end()
+    if valid < len(text):
+        raise _lexical_error(text, valid)
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    tokens.append("")  # end of input
+    out: list[Formula] = []
+    ops: list[tuple] = []
+    i = 0
+    while True:
+        # An operand: prefix operators and quantifiers, then an atom, a
+        # constant or an opening parenthesis.
+        token = tokens[i]
+        i += 1
+        if token == "~":
+            ops.append(_NOT)
+            continue
+        if token == "(":
+            ops.append(_OPEN)
+            continue
+        if token in _QUANTIFIERS:
+            var = tokens[i]
+            if var in RESERVED:
+                raise _syntax_error(text, tokens, i, f"reserved word {var!r} used as atom")
+            if var in _NOT_ATOM:
+                raise _syntax_error(text, tokens, i, f"expected 'ident', found {_shown(var)}")
+            if tokens[i + 1] != ".":
+                found = _shown(tokens[i + 1])
+                raise _syntax_error(text, tokens, i + 1, f"expected '.', found {found}")
+            ops.append((0, _QUANTIFIERS[token], var))
+            i += 2
+            continue
+        if token in _CONSTANTS:
+            out.append(_CONSTANTS[token])
+        elif token not in _NOT_ATOM:
+            out.append(Atom(token))
+        else:
+            raise _syntax_error(text, tokens, i - 1, f"unexpected {_shown(token)}")
+        # Closing parentheses, then a binary operator or the end of input.
+        while True:
+            token = tokens[i]
+            i += 1
+            binary = _BINARY.get(token)
+            threshold = binary[1] if binary else 0
+            while ops and ops[-1][0] >= threshold:
+                entry = ops.pop()
+                if entry[0] == 5:
+                    out[-1] = Not(out[-1])
+                elif entry[0] == 0:
+                    out[-1] = entry[1](entry[2], out[-1])
+                else:
+                    right = out.pop()
+                    out[-1] = entry[1](out[-1], right)
+            if binary:
+                ops.append((binary[0], binary[2]))
+                break
+            if token == ")" and ops:
+                ops.pop()
+                continue
+            if not token and not ops:
+                return out[0]
+            if ops:
+                message = f"expected ')', found {_shown(token)}"
+            else:
+                message = f"unexpected {token!r} after formula"
+            raise _syntax_error(text, tokens, i - 1, message)
 
 
 # Quantifiers print at precedence 0 so they are parenthesized whenever

@@ -246,6 +246,24 @@ def test_empty_unknowns_refused_by_every_command(tmp_path, capsys):
         assert captured.err == "error: 'unknowns:' line names no unknown\n"
 
 
+def test_non_ascii_identifier_refused_by_every_command(tmp_path, capsys):
+    # formulas follow the identifier rule of the unknowns: and forbid: lines
+    path = tmp_path / "accent.sp"
+    path.write_text("unknowns: p\nformula: p <-> é\n")
+    for command in (["solve"], ["exists"], ["enumerate", "--basis", "a"],
+                    ["precondition"], ["check", "--with", "true"]):
+        assert run([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1:7: unexpected character 'é'\n"
+    path.write_text("unknowns: p\nforbid: é\nformula: p\n")
+    assert run(["exists", str(path)]) == 2
+    assert capsys.readouterr().err == "error: invalid identifier 'é' in forbid\n"
+    for command in (["eliminate", "--vars", "p"], ["project", "--keep", "p"]):
+        assert run([*command, "p <-> é"]) == 2
+        assert capsys.readouterr().err == "error: 1:7: unexpected character 'é'\n"
+
+
 def test_per_component_file_refuses_reproductive(tmp_path, capsys):
     path = tmp_path / "per.sp"
     path.write_text("unknowns: p q\nforbid(p): b\nformula: (a -> p) & (q <-> b)\n")
@@ -292,6 +310,22 @@ def test_usage_errors(example_path, capsys):
     assert run(["solve", "/nonexistent/file.sp"]) == 2
     assert run(["solve", "--method", "witnesses", "--reproductive", example_path]) == 2
     capsys.readouterr()
+
+
+def test_dispatch_exit_codes(example_path, capsys):
+    assert run([]) == 2
+    assert "usage: boolsolve [-h]" in capsys.readouterr().err
+    assert run(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: boolsolve [-h]")
+    assert run(["solve", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: boolsolve solve [-h]")
+    assert run(["frob"]) == 2
+    assert "invalid choice: 'frob'" in capsys.readouterr().err
+    # an unrecognised option is reported by the command's own parser
+    assert run(["solve", "--bogus", example_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: boolsolve solve [-h]")
+    assert err.endswith("boolsolve solve: error: unrecognized arguments: --bogus\n")
 
 
 def test_syntax_error_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ from boolsolve import (
     And,
     Atom,
     BOT,
+    CheckReport,
     Exists,
     FunctionSpace,
     Not,
@@ -252,7 +253,25 @@ def test_solution_loop_runs_only_after_a_failure(monkeypatch):
     assert len(missed) == 23
     for check in (check_reproductive, check_general):
         report = check(sp, candidate, ["a", "b"])
-        assert [f.subject for f in report.failures] == missed
+        assert [f.subject for f in report.failures] == missed[:5]
+
+
+def test_failing_solution_clause_lists_five():
+    # (a, b | c | d) misses all but one of the 2^22 solutions at basis
+    # a b c d; listing stops after the first five
+    wide = SolutionProblem(
+        parse("(a -> p1) & (p2 -> b | c | d)"), ["p1", "p2"], parameters=["t1", "t2"]
+    )
+    candidate = [parse("a"), parse("b | c | d")]
+    for check, reason in ((check_reproductive, "is not reproduced"),
+                          (check_general, "not reachable")):
+        start = time.perf_counter()
+        report = check(wide, candidate, ["a", "b", "c", "d"], allow_large=True)
+        assert time.perf_counter() - start < 1.0
+        assert not report.verdict
+        assert len(report.failures) == 5
+        assert all(reason in f.reason for f in report.failures)
+        assert all(f.subject.startswith("solution H = ") for f in report.failures)
 
 
 def test_reproductive_implies_general():
@@ -299,6 +318,15 @@ def _bind_above_parameters(g, params, var):
     return substitute(g, hidden, [Exists(var, And(Atom(t), Atom(var))) for t in params])
 
 
+def _first_listed(report):
+    """A reference report cut to what the oracle lists: the references
+    list every solution that fails clause (b) or (b'), the oracle the
+    first five.  Both list the first five failing instantiations."""
+    listed = [f for f in report.failures if not f.subject.startswith("solution H")]
+    listed += [f for f in report.failures if f.subject.startswith("solution H")][:5]
+    return CheckReport(report.verdict, tuple(listed))
+
+
 def _assert_agree(sp, sol, basis):
     # same verdict, and the same failing instantiations and solutions in
     # the same order (the reasons for a falsified instance are worded
@@ -307,7 +335,9 @@ def _assert_agree(sp, sol, basis):
         fast = check(sp, sol, basis)
         slow = getattr(reference, check.__name__)(sp, sol, basis)
         assert fast.verdict == slow.verdict, (check.__name__, sp.formula, sol)
-        assert [f.subject for f in fast.failures] == [f.subject for f in slow.failures]
+        assert [f.subject for f in fast.failures] == [
+            f.subject for f in _first_listed(slow).failures
+        ]
 
 
 def test_fast_and_slow_paths_agree():
@@ -414,7 +444,9 @@ CHECKS = ("check_parametric", "check_reproductive", "check_general")
 def _matches_per_tuple(sp, candidates, basis):
     """The oracle's reports on the candidates, after requiring that they
     and the enumerations equal the per-tuple reference's exactly:
-    failures, their reasons, valuations and order included."""
+    failures, their reasons, valuations and order included, up to the
+    first five failures of each clause.  Each report comes with the
+    number of failures the reference listed."""
     enumerated = enumerate_solutions(sp, basis)
     assert enumerated == reference.tuple_enumerate_solutions(sp, basis), (sp.formula, basis)
     assert any_enumerated_solution(sp, basis) == bool(enumerated)
@@ -422,9 +454,10 @@ def _matches_per_tuple(sp, candidates, basis):
     for sol in candidates:
         for name in CHECKS:
             report = getattr(oracle, name)(sp, sol, basis)
-            expected = getattr(reference, "tuple_" + name)(sp, sol, basis)
+            full = getattr(reference, "tuple_" + name)(sp, sol, basis)
+            expected = _first_listed(full)
             assert report == expected, (name, str(sp.formula), [str(g) for g in sol], basis)
-            reports.append(report)
+            reports.append((report, len(full.failures)))
     return reports
 
 
@@ -448,7 +481,7 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
     shapes = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
     pools = ((), QUANT_POOL, ("a", "b"), ("a", "q1"))
     verdicts, reasons = set(), set()
-    captured_unknowns = 0
+    captured_unknowns = cut = 0
     for i in range(84):  # every shape with every pool, three times
         width, n = shapes[i % len(shapes)]
         basis = ("a", "b", "c")[:width]
@@ -473,12 +506,15 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
         candidates.append(
             [random_formula(rng, (outside, "a") + params, 3, quant_pool=("a",)) for _ in params]
         )
-        for report in _matches_per_tuple(sp, candidates, basis):
+        for report, listed in _matches_per_tuple(sp, candidates, basis):
+            cut += listed > len(report.failures)
             verdicts.add(report.verdict)
             reasons |= {failure.reason.split(" at ")[0] for failure in report.failures}
     assert captured_unknowns >= 15
     # both ways of deciding clauses (b) and (b') were compared
     assert decided[True] >= 100 and decided[False] >= 100
+    # some reports stopped after five failing solutions
+    assert cut >= 50, cut
     # passing checks and every kind of failure were compared
     assert verdicts == {True, False}
     assert {

@@ -18,6 +18,7 @@ from boolsolve import (
     parse,
 )
 from genutil import QUANT_POOL, random_formula
+import syntax_reference
 
 a, b, c, p = Atom("a"), Atom("b"), Atom("c"), Atom("p")
 
@@ -99,3 +100,61 @@ def test_round_trip_random():
     for _ in range(400):
         f = random_formula(rng, ("a", "b", "c"), depth=5, quant_pool=QUANT_POOL)
         assert parse(format_formula(f)) == f
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def test_parser_matches_reference():
+    # Printed random formulas, quantified ones included, and texts one
+    # character inserted into or deleted from them: the parser gives the
+    # reference parser's formula, or its error at the same position.
+    rng = random.Random(11)
+    inserted = "()~&|.-<>#\n aAz"
+    texts = []
+    for _ in range(1000):
+        f = random_formula(rng, ("a", "b", "c"), rng.randint(0, 6), QUANT_POOL, 0.3)
+        text = format_formula(f)
+        texts.append(text)
+        for _ in range(5):
+            at = rng.randint(0, len(text))
+            if rng.random() < 0.5:
+                texts.append(text[:at] + text[at + 1:])
+            else:
+                texts.append(text[:at] + rng.choice(inserted) + text[at:])
+    # the end of input sits where a comment ending the text starts
+    texts += ["", "a &  # comment", "a &\n  # comment", "(a\n#", "a &\n  ", "a\t\r\n->"]
+    errors = 0
+    for text in texts:
+        expected = _outcome(syntax_reference.parse, text)
+        assert _outcome(parse, text) == expected, repr(text)
+        errors += isinstance(expected, tuple)
+    assert len(texts) >= 5000
+    assert 1000 <= errors <= len(texts) - 1000
+
+
+def test_deep_nesting_parses():
+    f = parse("~" * 100000 + "a")
+    depth = 0
+    while isinstance(f, Not):
+        f, depth = f.operand, depth + 1
+    assert (depth, f) == (100000, a)
+    assert parse("(" * 50000 + "a" + ")" * 50000) == a
+    with pytest.raises(ParseError, match="expected '\\)', found 'end of input'"):
+        parse("(" * 50000 + "a")
+
+
+def test_identifiers_are_ascii():
+    for text, col in (("é & a", 1), ("a² | b", 2), ("ßeta", 1), ("a & bé", 6)):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse(text)
+        assert (info.value.line, info.value.col) == (1, col)
+    with pytest.raises(ParseError) as info:
+        parse("a |\n  Beta")
+    assert str(info.value) == (
+        "2:3: invalid identifier 'Beta': identifiers start with a lowercase letter"
+    )
