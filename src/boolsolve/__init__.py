@@ -53,20 +53,9 @@ from .semantics import (
     truth_table,
 )
 from .elimination import (
-    DisjunctWitnesses,
-    InvalidDisjunctWitness,
     NotIndependent,
-    WitnessResult,
-    ackermann_rewrite,
     depends_on,
-    ehw_combine,
-    elim_witness,
-    elim_witness_dnf,
-    eliminate_all,
-    forall_eliminate,
     project_vocabulary,
-    shannon_eliminate,
-    to_dnf,
     weakest_precondition,
 )
 from .solve import (

@@ -42,7 +42,7 @@ from .solve import (
     solve_restricted,
     solve_succ_elim,
 )
-from .syntax import IDENTIFIER, parse
+from .syntax import IDENTIFIER, RESERVED, parse
 
 _IDENT = re.compile(IDENTIFIER)
 
@@ -61,10 +61,14 @@ class ProblemFile:
 
 
 def _idents(value: str, context: str) -> tuple[str, ...]:
+    """The names of a whitespace-separated list; a reserved word, which
+    would print as a constant or a quantifier, is refused."""
     names = value.split()
     for name in names:
         if not _IDENT.fullmatch(name):
             raise ProblemFileError(f"invalid identifier {name!r} in {context}")
+        if name in RESERVED:
+            raise ProblemFileError(f"reserved word {name!r} in {context}")
     return tuple(names)
 
 
@@ -83,7 +87,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         match = re.match(r"forbid\(([^)]*)\)$", key)
         if match:
             unknown = match.group(1).strip()
-            if not _IDENT.fullmatch(unknown):
+            if not _IDENT.fullmatch(unknown) or unknown in RESERVED:
                 raise ProblemFileError(f"line {lineno}: invalid unknown in {key!r}")
             if unknown in per_forbid:
                 raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")

@@ -1,77 +1,31 @@
-"""Quantifier elimination on nullary atoms and elimination witnesses.
+"""Quantifier elimination on nullary atoms, read off truth tables.
 
-An elimination witness of ``p`` in ``exists p . F`` is a formula G with
-``exists p . F`` equivalent to ``F[p := G]``: the quantifier is removed
-by substitution.  The module also provides vocabulary projection
-(uniform interpolation) built on top of plain Shannon-expansion
-elimination, and weakest preconditions and dependence tests read off
-truth tables.
+Every function here evaluates its formula once to a bitmask over its
+free atoms and eliminates an atom by combining the two cofactors of
+that mask at the atom's position: OR for ``exists``, AND for
+``forall``.  On top of that the module decides dependence on a set of
+atoms, computes weakest preconditions (``exists ps . f`` in canonical
+form) and projects a formula onto a vocabulary (uniform interpolation),
+refusing with ``NotIndependent`` when the formula depends on an atom it
+would drop.  Elimination witnesses are the upper bounds of the solver
+core (``solve.solve_by_witnesses``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .formula import (
-    BOT,
-    TOP,
-    And,
-    Atom,
-    BoolsolveError,
-    Exists,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Polarity,
-    clean_variant,
-    conj,
-    free_atoms,
-    has_quantifier,
-    is_substitutible,
-    polarity_of,
-    substitute,
-)
+from .formula import BOT, BoolsolveError, Formula, free_atoms, substitute
 from .semantics import (
     atom_patterns,
     cofactors,
     decode_valuation,
-    equivalent,
     existential_stages,
     formula_mask,
     irredundant_two_level_mask,
-    minterm,
     simplify,
+    top_cofactors,
 )
-
-DNF_MINTERM_CUTOFF = 12
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    """An eliminated atom with its witness and the substituted residue."""
-
-    witness: Formula
-    eliminated: str
-    residue: Formula
-
-
-@dataclass(frozen=True)
-class DisjunctWitnesses:
-    """Per-disjunct elimination witnesses, aligned by position."""
-
-    disjuncts: tuple[Formula, ...]
-    witnesses: tuple[Formula, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.disjuncts) != len(self.witnesses):
-            raise ValueError("disjuncts and witnesses differ in length")
-
-
-class InvalidDisjunctWitness(BoolsolveError):
-    pass
 
 
 class NotIndependent(BoolsolveError):
@@ -90,23 +44,6 @@ class NotIndependent(BoolsolveError):
         )
 
 
-def shannon_eliminate(p: str, f: Formula) -> Formula:
-    """Formula equivalent to ``exists p . f`` with ``p`` eliminated."""
-    return simplify(Or(substitute(f, [p], [TOP]), substitute(f, [p], [BOT])))
-
-
-def forall_eliminate(p: str, f: Formula) -> Formula:
-    """Formula equivalent to ``forall p . f`` with ``p`` eliminated."""
-    return simplify(And(substitute(f, [p], [TOP]), substitute(f, [p], [BOT])))
-
-
-def eliminate_all(ps: Sequence[str], f: Formula) -> Formula:
-    """Eliminate ``exists ps . f`` one atom at a time, last atom first."""
-    for p in reversed(ps):
-        f = shannon_eliminate(p, f)
-    return f
-
-
 def depends_on(ps: Sequence[str], f: Formula) -> bool:
     """Whether ``f`` semantically depends on any of the atoms ``ps``:
     whether the two cofactors of its mask differ at one of them."""
@@ -119,145 +56,6 @@ def depends_on(ps: Sequence[str], f: Formula) -> bool:
             if zero != one:
                 return True
     return False
-
-
-def elim_witness(p: str, f: Formula) -> WitnessResult:
-    """Witness via self-substitution of the true cofactor.
-
-    ``exists p . F`` is equivalent to ``F[p := F[p := true]]`` for
-    nullary ``p``; a clean variant is taken first so the substitution
-    cannot capture.
-    """
-    body = clean_variant(f)
-    witness = simplify(substitute(body, [p], [TOP]))
-    residue = simplify(substitute(body, [p], [witness]))
-    return WitnessResult(witness, p, residue)
-
-
-def ackermann_rewrite(p: str, f: Formula) -> WitnessResult | None:
-    """Witness by the positive Ackermann rewriting, when the shape fits.
-
-    Applies to ``(g -> p) & rest`` with ``p`` not free in ``g`` and only
-    negative (or no) free occurrences of ``p`` in ``rest``; the witness
-    is ``g`` and the residue ``rest[p := g]``.  Returns None otherwise.
-    """
-    if not isinstance(f, And):
-        return None
-    head, rest = f.left, f.right
-    if not (isinstance(head, Implies) and head.right == Atom(p)):
-        return None
-    g = head.left
-    if p in free_atoms(g):
-        return None
-    if polarity_of(rest, p) not in (Polarity.NEGATIVE_ONLY, Polarity.ABSENT):
-        return None
-    if not is_substitutible([g], [p], rest):
-        return None
-    residue = simplify(substitute(rest, [p], [g]))
-    return WitnessResult(g, p, residue)
-
-
-def ehw_combine(p: str, dw: DisjunctWitnesses) -> Formula:
-    """Combine per-disjunct witnesses into one witness for the disjunction.
-
-    With disjuncts F_i and witnesses G_i the combined witness is the
-    conjunction over i of:  (no earlier F_j[G_j] holds) and F_i[G_i]
-    implies G_i.  The result is a witness for ``p`` in the disjunction
-    of all F_i.
-    """
-    residues: list[Formula] = []
-    for i, (d, w) in enumerate(zip(dw.disjuncts, dw.witnesses)):
-        if p in free_atoms(w):
-            raise InvalidDisjunctWitness(f"witness {i} contains the eliminated atom {p}")
-        if not is_substitutible([w], [p], d):
-            raise InvalidDisjunctWitness(f"witness {i} is not substitutible in its disjunct")
-        r = simplify(substitute(d, [p], [w]))
-        if not equivalent(Exists(p, d), r):
-            raise InvalidDisjunctWitness(
-                f"witness {i} does not eliminate {p} from its disjunct"
-            )
-        residues.append(r)
-    parts: list[Formula] = []
-    for i, w in enumerate(dw.witnesses):
-        guard = conj([Not(residues[j]) for j in range(i)] + [residues[i]])
-        parts.append(Implies(guard, w))
-    return simplify(conj(parts))
-
-
-def to_dnf(f: Formula, minterm_cutoff: int = DNF_MINTERM_CUTOFF) -> list[Formula]:
-    """Disjuncts of a disjunctive normal form of ``f``.
-
-    Uses truth-table minterm expansion up to ``minterm_cutoff`` free
-    atoms, distributive rewriting beyond that.  An unsatisfiable formula
-    yields the empty list.
-    """
-    basis = free_atoms(f)
-    if len(basis) <= minterm_cutoff:
-        mask = formula_mask(f, basis)
-        return [minterm(i, basis) for i in range(1 << len(basis)) if (mask >> i) & 1]
-    if has_quantifier(f):
-        raise ValueError("distributive DNF requires a quantifier-free formula")
-    return _distribute_dnf(f)
-
-
-def _nnf(f: Formula, negate: bool) -> Formula:
-    if isinstance(f, Not):
-        return _nnf(f.operand, not negate)
-    if isinstance(f, And):
-        op = Or if negate else And
-        return op(_nnf(f.left, negate), _nnf(f.right, negate))
-    if isinstance(f, Or):
-        op = And if negate else Or
-        return op(_nnf(f.left, negate), _nnf(f.right, negate))
-    if isinstance(f, Implies):
-        if negate:
-            return And(_nnf(f.left, False), _nnf(f.right, True))
-        return Or(_nnf(f.left, True), _nnf(f.right, False))
-    if isinstance(f, Iff):
-        if negate:
-            return Or(
-                And(_nnf(f.left, False), _nnf(f.right, True)),
-                And(_nnf(f.left, True), _nnf(f.right, False)),
-            )
-        return Or(
-            And(_nnf(f.left, False), _nnf(f.right, False)),
-            And(_nnf(f.left, True), _nnf(f.right, True)),
-        )
-    return simplify(Not(f)) if negate else f
-
-
-def _distribute_dnf(f: Formula) -> list[Formula]:
-    def walk(g: Formula) -> list[Formula]:
-        if isinstance(g, Or):
-            return walk(g.left) + walk(g.right)
-        if isinstance(g, And):
-            return [
-                simplify(And(l, r)) for l in walk(g.left) for r in walk(g.right)
-            ]
-        return [g]
-
-    disjuncts = [d for d in walk(_nnf(f, False)) if d != BOT]
-    return disjuncts
-
-
-def elim_witness_dnf(p: str, f: Formula, minterm_cutoff: int = DNF_MINTERM_CUTOFF) -> WitnessResult:
-    """Witness assembled from a DNF of ``f``.
-
-    Per disjunct the witness is ``true`` when ``p`` occurs only
-    positively or not at all, else ``false`` (a mixed-polarity conjunct
-    is unsatisfiable, so any value works); the pieces are combined with
-    ``ehw_combine``.
-    """
-    disjuncts = to_dnf(f, minterm_cutoff)
-    witnesses: list[Formula] = []
-    for d in disjuncts:
-        pol = polarity_of(d, p)
-        witnesses.append(
-            TOP if pol in (Polarity.POSITIVE_ONLY, Polarity.ABSENT) else BOT
-        )
-    combined = ehw_combine(p, DisjunctWitnesses(tuple(disjuncts), tuple(witnesses)))
-    residue = simplify(substitute(clean_variant(f), [p], [combined]))
-    return WitnessResult(combined, p, residue)
 
 
 def weakest_precondition(ps: Sequence[str], f: Formula) -> Formula:
@@ -283,38 +81,49 @@ def weakest_precondition(ps: Sequence[str], f: Formula) -> Formula:
 def project_vocabulary(f: Formula, keep: Sequence[str]) -> Formula:
     """Equivalent formula whose free atoms all lie in ``keep``.
 
-    Raises NotIndependent with a witnessing valuation pair when ``f``
-    semantically depends on a dropped atom.
+    The mask of ``f`` spans its kept free atoms, then the dropped ones,
+    each group sorted.  Quantifying the dropped positions existentially
+    (OR of the two halves of the mask) and universally (AND) gives two
+    masks over the kept positions, and ``f`` is independent of the
+    dropped atoms iff they are equal.  Then ``f`` with every dropped
+    atom replaced by ``false`` is equivalent to it, and its simplified
+    form is returned, never larger than ``f``.  With nothing dropped
+    ``f`` itself is returned.
+
+    Otherwise raises NotIndependent with a pair of valuations that
+    differ only on dropped atoms: at the lowest kept valuation where the
+    two masks differ, the first flip of the value as the dropped atoms
+    count up in binary from all false, and the valuation just before it.
     """
-    kept = set(keep)
-    dropped = tuple(sorted(set(free_atoms(f)) - kept))
-    projected = eliminate_all(dropped, f)
-    if equivalent(projected, f):
-        return projected
-    basis = free_atoms(f)
-    mask = formula_mask(f, basis)
-    drop_positions = [i for i, a in enumerate(basis) if a in dropped]
-    # Scan valuations of the kept atoms for one where the value flips
-    # as the dropped atoms vary.
-    for idx in range(1 << len(basis)):
-        if any((idx >> i) & 1 for i in drop_positions):
-            continue
-        found_true = found_false = None
-        for pattern in range(1 << len(drop_positions)):
-            idx2 = idx
-            for k, i in enumerate(drop_positions):
-                if (pattern >> k) & 1:
-                    idx2 |= 1 << i
-            if (mask >> idx2) & 1:
-                found_true = idx2
-            else:
-                found_false = idx2
-            if found_true is not None and found_false is not None:
-                raise NotIndependent(
-                    ", ".join(dropped),
-                    (
-                        decode_valuation(found_false, basis),
-                        decode_valuation(found_true, basis),
-                    ),
-                )
-    raise AssertionError("unreachable: non-equivalence implies a mixed fiber")
+    atoms = free_atoms(f)
+    keep_set = set(keep)
+    kept = tuple(a for a in atoms if a in keep_set)
+    dropped = tuple(a for a in atoms if a not in keep_set)
+    if not dropped:
+        return f
+    order = kept + dropped
+    patterns = atom_patterns(order)
+    mask = formula_mask(f, order, patterns)
+    some = every = mask
+    for width in range(len(order), len(kept), -1):
+        zero, one = top_cofactors(some, width)
+        some = zero | one
+        zero, one = top_cofactors(every, width)
+        every = zero & one
+    if some == every:
+        return simplify(substitute(f, dropped, [BOT] * len(dropped)))
+    diff = some ^ every
+    start = (diff & -diff).bit_length() - 1
+    full = (1 << (1 << len(order))) - 1
+    fiber = full  # the valuations that agree with start on the kept atoms
+    for at, a in enumerate(kept):
+        fiber &= patterns[a] if (start >> at) & 1 else full ^ patterns[a]
+    value = (mask >> start) & 1
+    flipped = fiber & (full ^ mask if value else mask)
+    after = (flipped & -flipped).bit_length() - 1
+    before = (fiber & ((1 << after) - 1)).bit_length() - 1
+    false_at, true_at = (after, before) if value else (before, after)
+    raise NotIndependent(
+        ", ".join(dropped),
+        tuple(dict(sorted(decode_valuation(i, order).items())) for i in (false_at, true_at)),
+    )

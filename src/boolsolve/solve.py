@@ -20,6 +20,10 @@ bound or the reproductive pair of bounds.  Forbidden atoms are
 quantified universally first, whichever view runs.  Per-component
 vocabulary restrictions search the same intervals, narrowed to the
 components each unknown may depend on.
+
+The constructive shortcuts (``constructive_shortcut``) are the one
+formula-level path left: they print a definiens read off the formula,
+so they eliminate the later unknowns by Shannon expansion on formulas.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .formula import (
     polarity_of,
     substitute,
 )
-from .elimination import eliminate_all
 from .semantics import (
     atom_patterns,
     cofactors,
@@ -489,12 +492,15 @@ def _constructive_cases(unary: Formula, p: str) -> Iterator[Formula]:
 def _constructive_attempt(sp: SolutionProblem) -> Solution | None:
     """Solve each unknown in order by a constructive case: the constant
     true or false when it solves the unary formula, else a definiens of
-    the unknown in it.  Returns None as soon as no case applies."""
+    the unknown in it.  The unary formula has the earlier components
+    substituted and the later unknowns eliminated on formulas, last
+    first.  Returns None as soon as no case applies."""
     work = _prepared(sp)
     components: list[Formula] = []
     for i, p in enumerate(sp.unknowns):
-        cur = substitute(work, sp.unknowns[:i], components)
-        unary = eliminate_all(sp.unknowns[i + 1 :], cur)
+        unary = substitute(work, sp.unknowns[:i], components)
+        for q in reversed(sp.unknowns[i + 1 :]):
+            unary = simplify(Or(substitute(unary, [q], [TOP]), substitute(unary, [q], [BOT])))
         g = next(
             (g for g in _constructive_cases(unary, p) if is_valid(substitute(unary, [p], [g]))),
             None,
@@ -523,8 +529,6 @@ def constructive_shortcut(sp: SolutionProblem, reorder: bool = False) -> Solutio
             back = [sol.components[list(order).index(p)] for p in sp.unknowns]
             return Solution(back, SolutionKind.PARTICULAR)
     return None
-
-
 
 
 _SEARCH_BUDGET = 1 << 16  # candidate components a restricted search may try

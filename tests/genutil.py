@@ -59,6 +59,17 @@ def random_formula(
     )
 
 
+def tree_nodes(f: Formula) -> int:
+    """Number of nodes of the formula tree ``f``."""
+    if isinstance(f, Not):
+        return 1 + tree_nodes(f.operand)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return 1 + tree_nodes(f.left) + tree_nodes(f.right)
+    if isinstance(f, (Exists, Forall)):
+        return 1 + tree_nodes(f.body)
+    return 1
+
+
 def random_sp(
     rng: random.Random,
     n_unknowns: int,

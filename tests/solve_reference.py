@@ -25,17 +25,19 @@ from boolsolve import (
     Not,
     Or,
     SolutionProblem,
-    WitnessResult,
     clean_variant,
     exists,
-    forall_eliminate,
     free_atoms,
     irredundant_two_level,
     is_valid,
-    project_vocabulary,
-    shannon_eliminate,
     simplify,
     substitute,
+)
+from elimination_reference import (
+    WitnessResult,
+    forall_eliminate,
+    project_vocabulary,
+    shannon_eliminate,
 )
 
 

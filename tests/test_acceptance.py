@@ -12,7 +12,6 @@ from boolsolve import (
     And,
     Atom,
     BOT,
-    DisjunctWitnesses,
     Exists,
     FunctionSpace,
     Iff,
@@ -24,20 +23,16 @@ from boolsolve import (
     SolutionProblem,
     Strategy,
     TOP,
-    ackermann_rewrite,
     any_enumerated_solution,
     check_parametric,
     check_particular,
     check_reproductive,
+    clean_variant,
     disj,
-    ehw_combine,
-    elim_witness,
-    elim_witness_dnf,
     entails,
     enumerate_solutions,
     equivalent,
     exists_solution,
-    forall_eliminate,
     Forall,
     free_atoms,
     is_substitutible,
@@ -52,6 +47,14 @@ from boolsolve import (
     weakest_precondition,
 )
 from boolsolve.semantics import minterm
+from elimination_reference import (
+    DisjunctWitnesses,
+    ackermann_rewrite,
+    ehw_combine,
+    elim_witness,
+    elim_witness_dnf,
+    forall_eliminate,
+)
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 import solve_reference
 
@@ -351,6 +354,30 @@ def test_criterion_7_witness_laws():
     ):
         failures.append(("hand example", str(combined), str(residue)))
     _report(7, "witness laws on 1000 random formulas", failures, total)
+
+
+def test_criterion_7_core_witness_removes_quantifier():
+    """On criterion 7's formulas, the package's own witness, the core's
+    upper bound for ``p`` in ``exists p . F -> F``, removes the
+    quantifier when substituted into a clean variant of F."""
+    rng = random.Random(701)
+    failures = []
+    total = 0
+    for i in range(1000):
+        quantified = rng.random() < 0.2
+        f = random_formula(
+            rng, ("p", "a", "b"), depth=4, quant_pool=QUANT_POOL if quantified else ()
+        )
+        if i % 3 == 0:  # criterion 7's Ackermann-shaped draws, skipped
+            random_formula(rng, ("a", "b"), depth=2)
+            random_formula(rng, ("p", "a", "b"), depth=3)
+        sp = SolutionProblem(Implies(Exists("p", f), f), ["p"])
+        witness = solve_by_witnesses(sp).components[0]
+        residue = substitute(clean_variant(f, avoid=free_atoms(witness)), ["p"], [witness])
+        total += 1
+        if not equivalent(Exists("p", f), residue):
+            failures.append((i, str(f), str(witness)))
+    _report(7, "core witness removes the quantifier on 1000 random formulas", failures, total)
 
 
 def test_criterion_8_weakest_precondition_maximality():

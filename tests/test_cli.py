@@ -1,8 +1,9 @@
+import time
+
 import pytest
 
 import boolsolve.solve
 from boolsolve import (
-    Not,
     SolutionProblem,
     check_particular,
     equivalent,
@@ -11,7 +12,8 @@ from boolsolve import (
     substitute,
 )
 from boolsolve.cli import parse_problem_file, run, ProblemFileError
-from boolsolve.formula import BINARY, QUANT
+from boolsolve.syntax import RESERVED
+from genutil import tree_nodes
 
 EXAMPLE_FILE = """\
 # background theory implies a chain through the unknowns
@@ -150,6 +152,18 @@ def test_project_command(capsys):
     assert capsys.readouterr().out.startswith("not independent")
 
 
+def test_project_drops_20_atoms(capsys):
+    # One mask decides projection, so a parity of 20 dropped atoms is
+    # answered at once; Shannon expansion grew fourfold per two atoms.
+    xs = " <-> ".join(f"x{i}" for i in range(20))
+    start = time.perf_counter()
+    assert run(["project", "--keep", "a b", f"((a -> b) & ({xs})) | ((a -> b) & ~({xs}))"]) == 0
+    assert capsys.readouterr().out == "a -> b\n"
+    assert run(["project", "--keep", "a b", f"(a -> b) & (({xs}) | b)"]) == 1
+    assert capsys.readouterr().out.startswith("not independent: depends on a dropped atom (x0, ")
+    assert time.perf_counter() - start < 2
+
+
 def test_solve_restricted_file(tmp_path, capsys):
     path = tmp_path / "restricted.sp"
     path.write_text("unknowns: p\nforbid: b\nformula: b -> p\n")
@@ -262,6 +276,43 @@ def test_non_ascii_identifier_refused_by_every_command(tmp_path, capsys):
     for command in (["eliminate", "--vars", "p"], ["project", "--keep", "p"]):
         assert run([*command, "p <-> é"]) == 2
         assert capsys.readouterr().err == "error: 1:7: unexpected character 'é'\n"
+
+
+_RESERVED_NAME_CASES = (
+    # (problem file or None, command, the refused list as the error names it)
+    ("unknowns: {w}\nformula: a | ~a\n", ["solve"], "unknowns"),
+    ("unknowns: p\nparameters: {w}\nformula: p <-> a\n", ["solve"], "parameters"),
+    ("unknowns: p\nforbid: {w}\nformula: p | a\n", ["exists"], "forbid"),
+    ("unknowns: p\nforbid(p): {w}\nformula: p | a\n", ["exists"], "forbid(p)"),
+    ("unknowns: p\nforbid({w}): a\nformula: p | a\n", ["exists"], None),
+    (None, ["eliminate", "--vars", "p {w}", "p & a"], "--vars"),
+    (None, ["project", "--keep", "a {w}", "a & b"], "--keep"),
+    ("unknowns: p\nformula: p <-> a\n", ["enumerate", "--basis", "a {w}"], "--basis"),
+)
+
+
+@pytest.mark.parametrize("word", sorted(RESERVED))
+@pytest.mark.parametrize(
+    "text, command, context",
+    _RESERVED_NAME_CASES,
+    ids=[context or "forbid-key" for _, _, context in _RESERVED_NAME_CASES],
+)
+def test_reserved_word_refused_in_name_lists(tmp_path, capsys, word, text, command, context):
+    # A reserved word used as a name would print as a constant or a
+    # quantifier, so every name list refuses it as an input error.
+    argv = [part.format(w=word) for part in command]
+    if text is not None:
+        path = tmp_path / "reserved.sp"
+        path.write_text(text.format(w=word))
+        argv.append(str(path))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if context is None:
+        expected = f"error: line 2: invalid unknown in 'forbid({word})'\n"
+    else:
+        expected = f"error: reserved word {word!r} in {context}\n"
+    assert captured.err == expected
 
 
 def test_per_component_file_refuses_reproductive(tmp_path, capsys):
@@ -386,16 +437,6 @@ def test_deep_formula_exit_code(tmp_path, capsys):
     assert captured.err == "error: formula nested too deeply\n"
 
 
-def _nodes(f):
-    if isinstance(f, Not):
-        return 1 + _nodes(f.operand)
-    if isinstance(f, BINARY):
-        return 1 + _nodes(f.left) + _nodes(f.right)
-    if isinstance(f, QUANT):
-        return 1 + _nodes(f.body)
-    return 1
-
-
 def _chain_file(tmp_path, n):
     # The paper's running example grown to n unknowns.
     unknowns = [f"p{i}" for i in range(1, n + 1)]
@@ -422,7 +463,7 @@ def test_chain_output_stays_polynomial(tmp_path, capsys):
             assert [line.split(" := ")[0] for line in lines] == unknowns
             components = [parse(line.split(" := ", 1)[1]) for line in lines]
             assert is_valid(substitute(f, unknowns, components))
-            total += sum(_nodes(c) for c in components)
+            total += sum(tree_nodes(c) for c in components)
         assert total <= 16 * n * n
 
 
@@ -477,7 +518,7 @@ def test_clause_bounds_stay_clauses(tmp_path, capsys):
         assert name == "p"
         component = parse(text)
         assert is_valid(substitute(f, ["p"], [component]))
-        assert _nodes(component) <= 8 * m
+        assert tree_nodes(component) <= 8 * m
 
 
 CHAIN_SECOND_ORDER_GOLDEN = {

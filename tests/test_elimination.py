@@ -7,35 +7,37 @@ from boolsolve import (
     BOT,
     And,
     Atom,
-    DisjunctWitnesses,
     Exists,
-    InvalidDisjunctWitness,
     Not,
     NotIndependent,
     Or,
     TOP,
-    ackermann_rewrite,
     depends_on,
-    ehw_combine,
-    elim_witness,
-    elim_witness_dnf,
-    eliminate_all,
     equivalent,
     evaluate,
     exists,
-    forall_eliminate,
     formula_from_table,
     free_atoms,
     is_substitutible,
     parse,
     project_vocabulary,
-    shannon_eliminate,
     substitute,
-    to_dnf,
     truth_table,
     weakest_precondition,
 )
-from genutil import QUANT_POOL, random_formula
+from elimination_reference import (
+    DisjunctWitnesses,
+    InvalidDisjunctWitness,
+    ackermann_rewrite,
+    ehw_combine,
+    elim_witness,
+    elim_witness_dnf,
+    eliminate_all,
+    forall_eliminate,
+    shannon_eliminate,
+    to_dnf,
+)
+from genutil import QUANT_POOL, random_formula, tree_nodes
 
 
 def test_shannon_eliminate():
@@ -249,6 +251,66 @@ def test_project_vocabulary():
     assert v1["a"] == v2["a"]
     assert v1["b"] != v2["b"]
     assert evaluate(parse("a & b"), v1) != evaluate(parse("a & b"), v2)
+
+
+def _project_outcome(project, f, keep):
+    """The projected formula, or the text of the NotIndependent raised."""
+    try:
+        return project(f, keep)
+    except NotIndependent as exc:
+        return str(exc)
+
+
+def test_project_vocabulary_matches_formula_reference():
+    # The mask projection gives the formula reference's verdict and its
+    # exact NotIndependent text; an independent result is equivalent to
+    # f, drops the dropped atoms and is never larger than f.  Binders
+    # reuse the names of atoms that may be dropped.
+    atoms = ("a", "b", "c", "d", "e")
+    rng = random.Random(107)
+    outcomes = set()
+    for i in range(2000):
+        pool = ("q1", "c", "e") if i % 3 == 0 else ()
+        f = random_formula(rng, atoms, depth=5, quant_pool=pool)
+        keep = [a for a in atoms if rng.random() < 0.5]
+        got = _project_outcome(project_vocabulary, f, keep)
+        expected = _project_outcome(reference.project_vocabulary, f, keep)
+        if isinstance(expected, str):
+            assert got == expected, (str(f), keep)
+            outcomes.add("dependent")
+            continue
+        assert equivalent(got, f), (str(f), keep, str(got))
+        assert set(free_atoms(got)) <= set(keep), (str(f), keep, str(got))
+        assert tree_nodes(got) <= tree_nodes(f), (str(f), keep, str(got))
+        outcomes.add("unchanged" if got == f else "projected")
+    assert outcomes == {"dependent", "unchanged", "projected"}
+
+
+def _parity_pair(d):
+    """The independent ``((a -> b) & X) | ((a -> b) & ~X)`` and the
+    dependent ``(a -> b) & (X | b)``, X a parity of d dropped atoms."""
+    xs = " <-> ".join(f"x{i}" for i in range(d))
+    return (
+        parse(f"((a -> b) & ({xs})) | ((a -> b) & ~({xs}))"),
+        parse(f"(a -> b) & (({xs}) | b)"),
+    )
+
+
+def test_project_vocabulary_parity():
+    for d in (2, 5, 8):
+        for f in _parity_pair(d):
+            assert _project_outcome(project_vocabulary, f, ["a", "b"]) == _project_outcome(
+                reference.project_vocabulary, f, ["a", "b"]
+            ), (d, str(f))
+    independent, dependent = _parity_pair(20)
+    assert str(project_vocabulary(independent, ["a", "b"])) == "a -> b"
+    with pytest.raises(NotIndependent) as info:
+        project_vocabulary(dependent, ["a", "b"])
+    v1, v2 = info.value.counterexample
+    # every atom false, and x0 true, which flips the parity
+    assert [a for a in v1 if v1[a] != v2[a]] == ["x0"]
+    assert sorted((any(v1.values()), any(v2.values()))) == [False, True]
+    assert evaluate(dependent, v1) is False and evaluate(dependent, v2) is True
 
 
 def test_witness_is_solution_of_padded_problem():

@@ -24,8 +24,6 @@ from boolsolve import (
     constructive_shortcut,
     definiens,
     depends_on,
-    elim_witness,
-    elim_witness_dnf,
     entails,
     enumerate_solutions,
     equivalent,
@@ -47,6 +45,7 @@ from boolsolve import (
 )
 from boolsolve.semantics import formula_mask
 from boolsolve.solve import _stage_masks
+from elimination_reference import elim_witness, elim_witness_dnf
 from genutil import random_formula, random_solvable_sp
 import solve_reference
 
