@@ -4,13 +4,18 @@ Nodes are immutable (frozen dataclasses), so formulas hash, compare
 structurally, and can be shared freely between threads.  Besides the
 usual connectives the language has the propositional quantifiers
 ``exists p . F`` and ``forall p . F`` that bind an atom name.
+
+The node classes are final (``typing.final``).  Every formula walker of
+the package dispatches on a node's exact type, ``type(g) is And``,
+which is cheaper than an ``isinstance`` chain, so a subclass of a node
+class would not be walked as that node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, final
 
 AtomSet = tuple[str, ...]  # sorted, duplicate-free
 
@@ -33,56 +38,66 @@ class Formula:
         return f"<{self}>"
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Top(Formula):
     pass
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Bot(Formula):
     pass
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
     name: str
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Not(Formula):
     operand: Formula
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Exists(Formula):
     var: str
     body: Formula
 
 
+@final
 @dataclass(frozen=True, repr=False)
 class Forall(Formula):
     var: str
@@ -130,15 +145,16 @@ def free_atoms(f: Formula) -> AtomSet:
     out: set[str] = set()
 
     def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             if g.name not in bound:
                 out.add(g.name)
-        elif isinstance(g, Not):
+        elif t is Not:
             walk(g.operand, bound)
-        elif isinstance(g, BINARY):
+        elif t in BINARY:
             walk(g.left, bound)
             walk(g.right, bound)
-        elif isinstance(g, QUANT):
+        elif t in QUANT:
             walk(g.body, bound | {g.var})
 
     walk(f, frozenset())
@@ -150,14 +166,15 @@ def all_names(f: Formula) -> AtomSet:
     out: set[str] = set()
 
     def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             out.add(g.name)
-        elif isinstance(g, Not):
+        elif t is Not:
             walk(g.operand)
-        elif isinstance(g, BINARY):
+        elif t in BINARY:
             walk(g.left)
             walk(g.right)
-        elif isinstance(g, QUANT):
+        elif t in QUANT:
             out.add(g.var)
             walk(g.body)
 
@@ -166,11 +183,12 @@ def all_names(f: Formula) -> AtomSet:
 
 
 def has_quantifier(f: Formula) -> bool:
-    if isinstance(f, QUANT):
+    t = type(f)
+    if t in QUANT:
         return True
-    if isinstance(f, Not):
+    if t is Not:
         return has_quantifier(f.operand)
-    if isinstance(f, BINARY):
+    if t in BINARY:
         return has_quantifier(f.left) or has_quantifier(f.right)
     return False
 
@@ -192,24 +210,25 @@ def polarity_of(f: Formula, atom: str) -> Polarity:
 
     def walk(g: Formula, sign: int | None) -> None:
         # sign: +1 positive, -1 negative, None = occurrence counts as both
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             if g.name == atom:
                 if sign is None:
                     signs.update((1, -1))
                 else:
                     signs.add(sign)
-        elif isinstance(g, Not):
+        elif t is Not:
             walk(g.operand, None if sign is None else -sign)
-        elif isinstance(g, (And, Or)):
+        elif t is And or t is Or:
             walk(g.left, sign)
             walk(g.right, sign)
-        elif isinstance(g, Implies):
+        elif t is Implies:
             walk(g.left, None if sign is None else -sign)
             walk(g.right, sign)
-        elif isinstance(g, Iff):
+        elif t is Iff:
             walk(g.left, None)
             walk(g.right, None)
-        elif isinstance(g, QUANT):
+        elif t in QUANT:
             if g.var != atom:
                 walk(g.body, sign)
 
@@ -251,15 +270,20 @@ def free_binders(f: Formula) -> dict[str, frozenset[str]]:
     out: dict[str, set[str]] = {}
 
     def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            if g.name not in bound:
-                out.setdefault(g.name, set()).update(bound)
-        elif isinstance(g, Not):
+        t = type(g)
+        if t is Atom:
+            name = g.name
+            if name not in bound:
+                if name in out:
+                    out[name] |= bound
+                else:
+                    out[name] = set(bound)
+        elif t is Not:
             walk(g.operand, bound)
-        elif isinstance(g, BINARY):
+        elif t in BINARY:
             walk(g.left, bound)
             walk(g.right, bound)
-        elif isinstance(g, QUANT):
+        elif t in QUANT:
             walk(g.body, bound | {g.var})
 
     walk(f, frozenset())
@@ -326,20 +350,21 @@ def substitute(f: Formula, ps: Sequence[str], gs: Sequence[Formula]) -> Formula:
         return f
 
     def walk(g: Formula, shadowed: frozenset[str]) -> Formula:
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             if g.name in mapping and g.name not in shadowed:
                 return mapping[g.name]
             return g
-        if isinstance(g, Not):
+        if t is Not:
             sub = walk(g.operand, shadowed)
             return g if sub is g.operand else Not(sub)
-        if isinstance(g, BINARY):
+        if t in BINARY:
             left = walk(g.left, shadowed)
             right = walk(g.right, shadowed)
-            return g if left is g.left and right is g.right else type(g)(left, right)
-        if isinstance(g, QUANT):
+            return g if left is g.left and right is g.right else t(left, right)
+        if t in QUANT:
             body = walk(g.body, shadowed | {g.var})
-            return g if body is g.body else type(g)(g.var, body)
+            return g if body is g.body else t(g.var, body)
         return g
 
     return walk(f, frozenset())
@@ -367,19 +392,20 @@ def clean_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:
     taken = free | set(avoid)
 
     def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             return Atom(env[g.name]) if g.name in env else g
-        if isinstance(g, Not):
+        if t is Not:
             return Not(walk(g.operand, env))
-        if isinstance(g, BINARY):
-            return type(g)(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, QUANT):
+        if t in BINARY:
+            return t(walk(g.left, env), walk(g.right, env))
+        if t in QUANT:
             name = g.var
             if name in taken:
                 name = fresh_name(g.var, used)
             used.add(name)
             taken.add(name)
-            return type(g)(name, walk(g.body, {**env, g.var: name}))
+            return t(name, walk(g.body, {**env, g.var: name}))
         return g
 
     return walk(f, {})

@@ -43,10 +43,13 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (
+    BOT,
+    TOP,
     AtomSet,
     BoolsolveError,
     Formula,
     NotSubstitutible,
+    Or,
     free_atoms,
     free_binders,
     is_substitutible,
@@ -57,8 +60,8 @@ from .semantics import (
     atom_patterns,
     decode_valuation,
     falsifying_valuation,
-    formula_from_table,
     formula_mask,
+    minterm,
 )
 from .solve import Solution, SolutionKind, SolutionProblem
 
@@ -88,6 +91,7 @@ class FunctionSpace:
         self.basis: AtomSet = tuple(sorted(set(basis)))
         self.tables: range = range(1 << (1 << len(self.basis)))
         self._formulas: dict[int, Formula] = {}
+        self._minterms: list[Formula] = []  # made on first use
         self._basis_atoms = frozenset(self.basis)
 
     def __len__(self) -> int:
@@ -98,11 +102,28 @@ class FunctionSpace:
         return [TruthTable.from_int(t, self.basis) for t in self.tables]
 
     def formula(self, table: int) -> Formula:
-        if table not in self._formulas:
-            self._formulas[table] = formula_from_table(
-                TruthTable.from_int(table, self.basis)
-            )
-        return self._formulas[table]
+        """The full DNF of ``table``, equal to what ``formula_from_table``
+        builds, from minterms made once per space.  A full DNF is a
+        left-nested disjunction, so it is the DNF of ``table`` without
+        its last minterm or'ed with that minterm, and shares that part."""
+        f = self._formulas.get(table)
+        if f is None:
+            if table == 0:
+                f = BOT
+            elif table == self.tables[-1]:
+                f = TOP
+            else:
+                if not self._minterms:
+                    self._minterms = [
+                        minterm(i, self.basis) for i in range(1 << len(self.basis))
+                    ]
+                last = table.bit_length() - 1
+                f = self._minterms[last]
+                rest = table ^ (1 << last)
+                if rest:
+                    f = Or(self.formula(rest), f)
+            self._formulas[table] = f
+        return f
 
     def free_atoms(self, table: int) -> frozenset[str]:
         """Free atoms of ``formula(table)``: a full DNF mentions every

@@ -1,11 +1,14 @@
 """Exact semantics: evaluation, validity, truth tables, canonical forms.
 
-Validity is decided by expansion over the free atoms; quantifiers expand
-to both instantiations of the bound atom.  Internally a formula is
-evaluated to a bitmask holding its value under every valuation of an
-atom basis at once, which keeps exhaustive checks cheap at desk scale.
-A basis spans at most ``MAX_MASK_ATOMS`` atoms; ``atom_patterns``
-refuses a wider one with ``BudgetExceeded``.
+Validity is decided by expansion over the free atoms.  Internally a
+formula is evaluated to a bitmask holding its value under every
+valuation of an atom basis at once, which keeps exhaustive checks cheap
+at desk scale.  A quantifier takes the OR or AND of the cofactors of its
+bound atom: a lone quantifier walks its body once per value of the
+atom, and a nest of them is walked once, each binder on a bit slot of
+its own above the basis (``formula_mask``).  A basis spans at most
+``MAX_MASK_ATOMS`` atoms; ``atom_patterns`` refuses a wider one with
+``BudgetExceeded``.
 
 Truth-table encoding (fixed so golden outputs are portable): the basis
 is sorted ascending, atom ``i`` of the basis contributes bit ``i`` of a
@@ -16,11 +19,11 @@ The text form prints index 0 leftmost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import (
+    BINARY,
     BOT,
-    QUANT,
     TOP,
     And,
     Atom,
@@ -91,40 +94,95 @@ def atom_patterns(basis: AtomSet) -> dict[str, int]:
 
 
 def formula_mask(f: Formula, basis: AtomSet, patterns: dict[str, int] | None = None) -> int:
-    """Bitmask of ``f`` over all valuations of ``basis``."""
+    """Bitmask of ``f`` over all valuations of ``basis``.
+
+    ``patterns`` maps every atom that occurs free in ``f`` to its mask
+    over the basis; it defaults to ``atom_patterns(basis)``.  With k
+    basis atoms, a quantifier whose body holds no quantifier is the OR
+    (exists) or AND (forall) of its body walked with the binder false
+    and with it true.  A quantifier whose body holds another one heads
+    a nest of depth d, which is walked once at width k + d: the binder
+    at nesting depth j takes the bit slot k + j above the basis and is
+    quantified by the OR or AND of that slot's ``cofactors``, and the
+    nest's mask, free of every slot, is cut back to the basis.  While
+    k + d exceeds ``MAX_MASK_ATOMS``, the nest's outer binder is walked
+    per cofactor instead, so nesting never makes a formula too wide.
+    """
     if patterns is None:
         patterns = atom_patterns(basis)
-    full = (1 << (1 << len(basis))) - 1
+    return _walker(len(basis), len(basis))(f, patterns)
 
-    def walk(g: Formula, env: dict[str, int]) -> int:
-        if isinstance(g, Top):
-            return full
-        if isinstance(g, Bot):
-            return 0
-        if isinstance(g, Atom):
-            if g.name in env:
-                return env[g.name]
+
+def _quantifier_depth(f: Formula) -> int:
+    """How deep the quantifiers of ``f`` nest; 0 when it has none."""
+    t = type(f)
+    if t is Not:
+        return _quantifier_depth(f.operand)
+    if t in BINARY:
+        return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
+    if t is Exists or t is Forall:
+        return 1 + _quantifier_depth(f.body)
+    return 0
+
+
+def _walker(width: int, first_slot: int) -> Callable[[Formula, dict[str, int]], int]:
+    """``formula_mask``'s walk at ``width`` positions, given the mask of
+    every free atom.  Positions ``first_slot`` on are the bit slots of a
+    nest, where the binder at nesting depth j takes slot
+    ``first_slot + j``.  Without slots (``first_slot == width``) each
+    quantifier is walked per cofactor or heads a nest of its own."""
+    full = (1 << (1 << width)) - 1
+    # slot p's mask: the upper half of the indices over p + 1 positions, widened
+    slot_masks = [
+        widen(((1 << (1 << p)) - 1) << (1 << p), p + 1, width) for p in range(first_slot, width)
+    ]
+    free_slot = first_slot
+
+    def walk(g: Formula, values: dict[str, int]) -> int:
+        t = type(g)
+        if t is Atom:
             try:
-                return patterns[g.name]
+                return values[g.name]
             except KeyError:
                 raise UnboundAtom(g.name) from None
-        if isinstance(g, Not):
-            return full ^ walk(g.operand, env)
-        if isinstance(g, And):
-            return walk(g.left, env) & walk(g.right, env)
-        if isinstance(g, Or):
-            return walk(g.left, env) | walk(g.right, env)
-        if isinstance(g, Implies):
-            return (full ^ walk(g.left, env)) | walk(g.right, env)
-        if isinstance(g, Iff):
-            return full ^ (walk(g.left, env) ^ walk(g.right, env))
-        if isinstance(g, Exists):
-            return walk(g.body, {**env, g.var: full}) | walk(g.body, {**env, g.var: 0})
-        if isinstance(g, Forall):
-            return walk(g.body, {**env, g.var: full}) & walk(g.body, {**env, g.var: 0})
+        if t is Not:
+            return full ^ walk(g.operand, values)
+        if t is And:
+            return walk(g.left, values) & walk(g.right, values)
+        if t is Or:
+            return walk(g.left, values) | walk(g.right, values)
+        if t is Implies:
+            return (full ^ walk(g.left, values)) | walk(g.right, values)
+        if t is Iff:
+            return full ^ walk(g.left, values) ^ walk(g.right, values)
+        if t is Top:
+            return full
+        if t is Bot:
+            return 0
+        if t is Exists or t is Forall:
+            return quantified(g, values, t is Exists)
         raise TypeError(f"not a formula: {g!r}")
 
-    return walk(f, {})
+    def quantified(g: Exists | Forall, values: dict[str, int], existential: bool) -> int:
+        nonlocal free_slot
+        if free_slot < width:
+            position = free_slot
+            pattern = slot_masks[position - first_slot]
+            free_slot += 1
+            mask = walk(g.body, {**values, g.var: pattern})
+            free_slot -= 1
+            zero, one = cofactors(mask, position, pattern)
+        else:
+            depth = 1 + _quantifier_depth(g.body)
+            if depth > 1 and width + depth <= MAX_MASK_ATOMS:
+                wide = width + depth
+                widened = {name: widen(m, width, wide) for name, m in values.items()}
+                return _walker(wide, width)(g, widened) & full
+            zero = walk(g.body, {**values, g.var: 0})
+            one = walk(g.body, {**values, g.var: full})
+        return zero | one if existential else zero & one
+
+    return walk
 
 
 def top_cofactors(mask: int, width: int) -> tuple[int, int]:
@@ -380,21 +438,22 @@ def irredundant_two_level_mask(
 
 
 def _simp_not(f: Formula) -> Formula:
-    if isinstance(f, Top):
+    t = type(f)
+    if t is Top:
         return BOT
-    if isinstance(f, Bot):
+    if t is Bot:
         return TOP
-    if isinstance(f, Not):
+    if t is Not:
         return f.operand
     return Not(f)
 
 
 def _simp_and(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Bot) or isinstance(right, Bot):
+    if type(left) is Bot or type(right) is Bot:
         return BOT
-    if isinstance(left, Top):
+    if type(left) is Top:
         return right
-    if isinstance(right, Top):
+    if type(right) is Top:
         return left
     if left == right:
         return left
@@ -402,11 +461,11 @@ def _simp_and(left: Formula, right: Formula) -> Formula:
 
 
 def _simp_or(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Top) or isinstance(right, Top):
+    if type(left) is Top or type(right) is Top:
         return TOP
-    if isinstance(left, Bot):
+    if type(left) is Bot:
         return right
-    if isinstance(right, Bot):
+    if type(right) is Bot:
         return left
     if left == right:
         return left
@@ -414,11 +473,11 @@ def _simp_or(left: Formula, right: Formula) -> Formula:
 
 
 def _simp_implies(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Bot) or isinstance(right, Top):
+    if type(left) is Bot or type(right) is Top:
         return TOP
-    if isinstance(left, Top):
+    if type(left) is Top:
         return right
-    if isinstance(right, Bot):
+    if type(right) is Bot:
         return _simp_not(left)
     if left == right:
         return TOP
@@ -426,13 +485,13 @@ def _simp_implies(left: Formula, right: Formula) -> Formula:
 
 
 def _simp_iff(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Top):
+    if type(left) is Top:
         return right
-    if isinstance(right, Top):
+    if type(right) is Top:
         return left
-    if isinstance(left, Bot):
+    if type(left) is Bot:
         return _simp_not(right)
-    if isinstance(right, Bot):
+    if type(right) is Bot:
         return _simp_not(left)
     if left == right:
         return TOP
@@ -445,19 +504,20 @@ def simplify(f: Formula) -> Formula:
 
     No minimality is promised; the rewriting is purely local.
     """
-    if isinstance(f, Not):
+    t = type(f)
+    if t is Not:
         return _simp_not(simplify(f.operand))
-    if isinstance(f, And):
+    if t is And:
         return _simp_and(simplify(f.left), simplify(f.right))
-    if isinstance(f, Or):
+    if t is Or:
         return _simp_or(simplify(f.left), simplify(f.right))
-    if isinstance(f, Implies):
+    if t is Implies:
         return _simp_implies(simplify(f.left), simplify(f.right))
-    if isinstance(f, Iff):
+    if t is Iff:
         return _simp_iff(simplify(f.left), simplify(f.right))
-    if isinstance(f, QUANT):
+    if t is Exists or t is Forall:
         body = simplify(f.body)
         if f.var not in free_atoms(body):
             return body
-        return type(f)(f.var, body)
+        return t(f.var, body)
     return f

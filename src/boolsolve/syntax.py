@@ -171,13 +171,7 @@ def parse(text: str) -> Formula:
 # Quantifiers print at precedence 0 so they are parenthesized whenever
 # nested under an operator; their body never needs parentheses because
 # the parsed scope is maximal.
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, (Exists, Forall)):
-        return 0
-    return _PREC.get(type(f), 6)
+_PREC = {Exists: 0, Forall: 0, Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 
 
 def format_formula(f: Formula) -> str:
@@ -185,28 +179,29 @@ def format_formula(f: Formula) -> str:
 
     def wrap(g: Formula, minimum: int) -> str:
         s = render(g)
-        return f"({s})" if _prec(g) < minimum else s
+        return f"({s})" if _PREC.get(type(g), 6) < minimum else s
 
     def render(g: Formula) -> str:
-        if isinstance(g, Top):
-            return "true"
-        if isinstance(g, Bot):
-            return "false"
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             return g.name
-        if isinstance(g, Not):
+        if t is Not:
             return "~" + wrap(g.operand, 5)
-        if isinstance(g, And):
+        if t is And:
             return f"{wrap(g.left, 4)} & {wrap(g.right, 5)}"
-        if isinstance(g, Or):
+        if t is Or:
             return f"{wrap(g.left, 3)} | {wrap(g.right, 4)}"
-        if isinstance(g, Implies):
+        if t is Implies:
             return f"{wrap(g.left, 3)} -> {wrap(g.right, 2)}"
-        if isinstance(g, Iff):
+        if t is Iff:
             return f"{wrap(g.left, 1)} <-> {wrap(g.right, 2)}"
-        if isinstance(g, Exists):
+        if t is Top:
+            return "true"
+        if t is Bot:
+            return "false"
+        if t is Exists:
             return f"exists {g.var} . {render(g.body)}"
-        if isinstance(g, Forall):
+        if t is Forall:
             return f"forall {g.var} . {render(g.body)}"
         raise TypeError(f"not a formula: {g!r}")
 

@@ -77,6 +77,18 @@ def test_exists_command(example_path, unsolvable_path, capsys):
     assert capsys.readouterr().out == "not solvable\n"
 
 
+def test_exists_on_nested_binders(tmp_path, capsys):
+    # exists q . forall r . ... nests two binders, so the kernel walks
+    # the nest once on bit slots above the basis.
+    path = tmp_path / "nested.sp"
+    path.write_text("unknowns: p\nformula: exists q . forall r . (a -> p) & (p -> a | q | r)\n")
+    assert run(["exists", str(path)]) == 0
+    assert capsys.readouterr().out == "solvable\n"
+    path.write_text("unknowns: p\nformula: forall q . exists r . (p <-> q) & (r | a)\n")
+    assert run(["exists", str(path)]) == 1
+    assert capsys.readouterr().out == "not solvable\n"
+
+
 def test_solve_then_check_pipe(example_path, capsys):
     for extra in ([], ["--method", "second-order"], ["--method", "witnesses"],
                   ["--method", "second-order", "--reproductive"]):

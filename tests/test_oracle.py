@@ -17,6 +17,7 @@ from boolsolve import (
     SolutionProblem,
     TOP,
     TooLarge,
+    TruthTable,
     any_enumerated_solution,
     check_general,
     check_parametric,
@@ -25,6 +26,7 @@ from boolsolve import (
     enumerate_solutions,
     equivalent,
     exists_solution,
+    formula_from_table,
     free_binders,
     parse,
     solve_succ_elim,
@@ -46,6 +48,17 @@ def test_function_space():
     assert equivalent(space.formulas[2], Atom("a"))
     assert equivalent(space.formulas[1], parse("~a"))
     assert len(FunctionSpace(["a", "b"])) == 16
+
+
+def test_function_space_formulas_are_formula_from_table():
+    # The space builds its full DNFs from shared minterms; they must be
+    # the very formulas formula_from_table builds, and print the same.
+    for basis in [(), ("a",), ("a", "b"), ("a", "b", "c")]:
+        space = FunctionSpace(basis)
+        for t in space.tables:
+            expected = formula_from_table(TruthTable.from_int(t, basis))
+            assert space.formula(t) == expected
+            assert str(space.formula(t)) == str(expected)
 
 
 def test_cost_guard():

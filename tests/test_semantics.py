@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+import semantics_reference
 from boolsolve import (
     And,
     Atom,
@@ -26,9 +28,12 @@ from boolsolve import (
     is_valid,
     parse,
     simplify,
+    solve1_interval,
     substitute,
     truth_table,
 )
+from boolsolve import semantics
+from boolsolve.formula import BINARY, QUANT
 from boolsolve.semantics import (
     MAX_MASK_ATOMS,
     atom_patterns,
@@ -39,6 +44,13 @@ from boolsolve.semantics import (
     widen,
 )
 from genutil import QUANT_POOL, random_formula
+
+
+def nested_prefix(q: int):
+    """``exists q0 . ... exists q{q-1} .`` over the chain of
+    ``q_i -> q_{i+1} | a_{i mod 4}``: q binders, each nested in the last."""
+    chain = " & ".join(f"(q{i} -> q{i + 1} | a{i % 4})" for i in range(q - 1))
+    return parse("".join(f"exists q{i} . " for i in range(q)) + chain)
 
 
 def test_evaluate():
@@ -252,3 +264,88 @@ def test_distribution_through_selector():
         )
         assert equivalent(lhs, rhs)
         done += 1
+
+
+def _binder_shapes(f, free: frozenset[str]) -> set[str]:
+    """Which of "nest" (a quantifier over another), "reuses free" (a
+    binder named like an atom free in the whole formula) and "self
+    nested" (a binder under one of the same name) occur in ``f``."""
+    shapes = set()
+    stack = [(f, ())]
+    while stack:
+        g, above = stack.pop()
+        if isinstance(g, QUANT):
+            if above:
+                shapes.add("nest")
+            if g.var in free:
+                shapes.add("reuses free")
+            if g.var in above:
+                shapes.add("self nested")
+            stack.append((g.body, above + (g.var,)))
+        elif isinstance(g, Not):
+            stack.append((g.operand, above))
+        elif isinstance(g, BINARY):
+            stack.extend(((g.left, above), (g.right, above)))
+    return shapes
+
+
+def test_kernel_matches_reference_on_quantified_formulas():
+    # The binder pool overlaps the free atoms, so binders reuse a free
+    # atom's name and nest under their own name.
+    rng = random.Random(61)
+    atoms = ("a", "b", "c")
+    seen = {"nest": 0, "reuses free": 0, "self nested": 0}
+    for _ in range(2400):
+        f = random_formula(rng, atoms, depth=6, quant_pool=("a", "b", "q"), quant_prob=0.3)
+        free = free_atoms(f)
+        for shape in _binder_shapes(f, frozenset(free)):
+            seen[shape] += 1
+        basis = tuple(rng.sample(sorted(set(free) | {"d"}), len(set(free) | {"d"})))
+        assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
+        valuation = {x: rng.random() < 0.5 for x in atoms}
+        assert evaluate(f, valuation) == semantics_reference.evaluate(f, valuation)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_nested_prefix_matches_reference():
+    f = nested_prefix(8)
+    basis = free_atoms(f)
+    assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
+    g = parse("forall q . exists r . (q -> r & a) | (r <-> b) & exists q . q & r")
+    assert formula_mask(g, ("a", "b")) == semantics_reference.formula_mask(g, ("a", "b"))
+
+
+def test_nested_prefix_in_one_pass():
+    # 18 nested binders: a walk per cofactor takes seconds here.
+    f = nested_prefix(18)
+    start = time.perf_counter()
+    assert is_valid(f)
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    assert solve1_interval(f, "a0") == BOT
+    assert time.perf_counter() - start < 2
+
+
+def test_nest_past_the_width_cap(monkeypatch):
+    # Outer binders of a nest too wide for the cap are walked per
+    # cofactor; the rest is walked on slots up to the cap exactly.
+    monkeypatch.setattr(semantics, "MAX_MASK_ATOMS", 7)
+    widths = []
+    walker = semantics._walker
+
+    def spy(width, first_slot):
+        widths.append(width)
+        return walker(width, first_slot)
+
+    monkeypatch.setattr(semantics, "_walker", spy)
+    f = nested_prefix(8)
+    basis = free_atoms(f)
+    assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
+    assert max(widths) == 7
+    rng = random.Random(67)
+    for _ in range(300):
+        f = random_formula(
+            rng, ("a", "b", "c", "d"), depth=7, quant_pool=("a", "q"), quant_prob=0.4
+        )
+        basis = tuple(sorted(set(free_atoms(f)) | {"a", "b", "c", "d"}))
+        assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
