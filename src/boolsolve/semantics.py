@@ -331,6 +331,11 @@ class _OverBudget(Exception):
     """A cover in ``irredundant_two_level_mask`` outgrew its literal budget."""
 
 
+# A cube of ``irredundant_two_level_mask``: literal j (~j) says that the
+# j-th atom of the split order is true (false).
+_Cube = tuple[int, ...]
+
+
 def irredundant_two_level(f: Formula) -> Formula:
     """Irredundant two-level form of ``f``'s exact function, read off
     its bitmask over its free atoms by ``irredundant_two_level_mask``."""
@@ -357,87 +362,138 @@ def irredundant_two_level_mask(
     product of clauses instead of growing into exponentially many
     cubes.  Each cover is built under a literal budget that grows
     fourfold until one fits, so the larger form costs at most a few
-    times the smaller.  The result mentions only atoms the function
-    depends on, and no cube (clause) or literal of it can be dropped.
-    ``names`` must be distinct, and ``patterns`` holds the positions'
-    atom masks (``atom_patterns``, possibly over a wider basis).
+    times the smaller.  The product of sums is not built when the sum
+    of products mentions each of its atoms once, since every cover
+    mentions each atom the function depends on.  The result mentions
+    only atoms the function depends on, and no cube (clause) or
+    literal of it can be dropped.  ``names`` must be distinct, and
+    ``patterns`` holds the positions' atom masks (``atom_patterns``,
+    possibly over a wider basis).
+
+    A constant mask is ``false`` or ``true`` at once.  Otherwise the
+    mask is first laid out in split order, by one delta swap per
+    out-of-place position with selectors read off ``patterns``: the
+    first atom of the split order goes to the top position, the next
+    one below it, and so on.  Each split then takes ``top_cofactors``,
+    so every level of the recursion works on masks of half the width
+    of the level above, and positions that neither bound depends on
+    are dropped from the top the same way.
     """
     width = len(names)
-    order = sorted(range(width), key=names.__getitem__)
     full = (1 << (1 << width)) - 1
-    Cube = tuple[tuple[str, bool], ...]
+    if mask == 0:
+        return BOT
+    if mask == full:
+        return TOP
+    order = sorted(range(width), key=names.__getitem__)
+    held = list(range(width))  # held[p]: the position of ``names`` now at p
+    top = width
+    for want in order:
+        top -= 1
+        at = held.index(want)
+        if at != top:
+            # swap positions at < top: an index with bit at set and bit
+            # top clear trades its value with the one delta above it
+            select = patterns[at] & full
+            select ^= select & patterns[top]
+            delta = (1 << top) - (1 << at)
+            t = (mask ^ mask >> delta) & select
+            mask ^= t | t << delta
+            held[at] = held[top]
+    fulls = [(1 << (1 << w)) - 1 for w in range(width + 1)]
+    cubes: list[_Cube] = []
     spent = budget = 0
 
-    def cover(lower: int, upper: int, i: int, lits: int) -> tuple[list[Cube], int]:
-        # Cubes, as (atom, value) literals, of an irredundant cover c
-        # with lower <= c <= upper, and c.  Neither bound depends on the
-        # positions before order[i], and lits literals are already fixed
-        # above this call.  A call with lower != 0 yields a cube or has
-        # a child with lower != 0, so there are O(width * cubes) calls.
+    def cover(lower: int, upper: int, w: int, prefix: _Cube) -> int:
+        # An irredundant cover c with lower <= c <= upper, all masks
+        # over the first w positions of the layout (the atoms not split
+        # on yet), whose cubes, each after ``prefix``, are appended to
+        # ``cubes``.  lower != 0, so
+        # every call yields a cube or has a child with lower != 0, and
+        # there are O(width * cubes) calls.
         nonlocal spent
-        if lower == 0:
-            return [], 0
-        if upper == full:
-            spent += lits
+        if upper == fulls[w]:
+            spent += len(prefix)
             if spent > budget:
                 raise _OverBudget
-            return [()], full
+            cubes.append(prefix)
+            return upper
+        given = w
         while True:
-            at = order[i]
-            pos = patterns[at]
-            shift = 1 << at
-            lp = lower & pos
-            l0 = lower ^ lp
-            l0 |= l0 << shift
-            l1 = lp | lp >> shift
-            up = upper & pos
-            u0 = upper ^ up
-            u0 |= u0 << shift
-            u1 = up | up >> shift
+            w -= 1
+            shift = 1 << w
+            l0, l1 = lower & fulls[w], lower >> shift
+            u0, u1 = upper & fulls[w], upper >> shift
             if l0 != l1 or u0 != u1:
                 break
-            i += 1
-        name = names[at]
-        cubes0, c0 = cover(l0 & (full ^ u1), u0, i + 1, lits + 1)
-        cubes1, c1 = cover(l1 & (full ^ u0), u1, i + 1, lits + 1)
-        rest = (l0 & (full ^ c0)) | (l1 & (full ^ c1))
-        cubes_r, cr = cover(rest, u0 & u1, i + 1, lits)
-        cubes = (
-            [((name, False), *c) for c in cubes0]
-            + [((name, True), *c) for c in cubes1]
-            + cubes_r
-        )
-        return cubes, (c0 ^ (c0 & pos)) | (c1 & pos) | cr
+            lower, upper = l0, u0
+        j = width - 1 - w
+        full_w = fulls[w]
+        c0 = c1 = cr = 0
+        below = l0 & (full_w ^ u1)
+        if below:
+            c0 = cover(below, u0, w, (*prefix, ~j))
+        below = l1 & (full_w ^ u0)
+        if below:
+            c1 = cover(below, u1, w, (*prefix, j))
+        below = (l0 & (full_w ^ c0)) | (l1 & (full_w ^ c1))
+        if below:
+            cr = cover(below, u0 & u1, w, prefix)
+        c = c0 | cr | (c1 | cr) << shift
+        w += 1
+        while w < given:  # widen over the positions skipped above
+            c |= c << (1 << w)
+            w += 1
+        return c
 
-    def within(target: int, limit: int) -> list[Cube] | None:
+    def within(target: int, limit: int) -> list[_Cube] | None:
         # The cubes of target's cover, or None if it has over limit literals.
-        nonlocal spent, budget
-        spent, budget = 0, limit
+        nonlocal cubes, spent, budget
+        cubes, spent, budget = [], 0, limit
         try:
-            return cover(target, target, 0, 0)[0]
+            cover(target, target, width, ())
         except _OverBudget:
             return None
+        return cubes
 
     limit = 64
     while True:
         ones = within(mask, limit)
         if ones is not None:
-            zeros = within(full ^ mask, sum(map(len, ones)) - 1)
+            size = sum(map(len, ones))
+            once = size == len({j if j >= 0 else ~j for c in ones for j in c})
+            zeros = None if once else within(full ^ mask, size - 1)
             break
         zeros = within(full ^ mask, limit)
         if zeros is not None:
             break
         limit *= 4
 
-    def literal(name: str, value: bool) -> Formula:
-        return Atom(name) if value else Not(Atom(name))
+    # A cube of the negation, negated, is a clause: its literals flip.
+    if zeros is None:
+        terms, inner, outer, flip = ones, And, Or, 0
+    else:
+        terms, inner, outer, flip = zeros, Or, And, -1
+    atoms = [Atom(names[at]) for at in order]
+    negated: dict[int, Formula] = {}
+    result = None
+    for cube in terms:  # never empty, since the mask is not constant
+        term = None
+        for j in cube:
+            j ^= flip
+            if j >= 0:
+                literal = atoms[j]
+            else:
+                literal = negated.get(j)
+                if literal is None:
+                    literal = negated[j] = Not(atoms[~j])
+            term = literal if term is None else inner(term, literal)
+        result = term if result is None else outer(result, term)
+    return result
 
-    if zeros is not None:
-        return conj(disj(literal(a, not v) for a, v in c) for c in zeros)
-    return disj(conj(literal(a, v) for a, v in c) for c in ones)
 
-
-def _simp_not(f: Formula) -> Formula:
+def _not_rule(f: Formula) -> Formula | None:
+    """``~f`` with a rule applied, or None when no rule fires."""
     t = type(f)
     if t is Top:
         return BOT
@@ -445,10 +501,18 @@ def _simp_not(f: Formula) -> Formula:
         return TOP
     if t is Not:
         return f.operand
-    return Not(f)
+    return None
 
 
-def _simp_and(left: Formula, right: Formula) -> Formula:
+def _simp_not(f: Formula) -> Formula:
+    g = _not_rule(f)
+    return Not(f) if g is None else g
+
+
+# Each binary rule gives the simplified node, or None when no rule fires.
+
+
+def _and_rule(left: Formula, right: Formula) -> Formula | None:
     if type(left) is Bot or type(right) is Bot:
         return BOT
     if type(left) is Top:
@@ -457,10 +521,10 @@ def _simp_and(left: Formula, right: Formula) -> Formula:
         return left
     if left == right:
         return left
-    return And(left, right)
+    return None
 
 
-def _simp_or(left: Formula, right: Formula) -> Formula:
+def _or_rule(left: Formula, right: Formula) -> Formula | None:
     if type(left) is Top or type(right) is Top:
         return TOP
     if type(left) is Bot:
@@ -469,10 +533,10 @@ def _simp_or(left: Formula, right: Formula) -> Formula:
         return left
     if left == right:
         return left
-    return Or(left, right)
+    return None
 
 
-def _simp_implies(left: Formula, right: Formula) -> Formula:
+def _implies_rule(left: Formula, right: Formula) -> Formula | None:
     if type(left) is Bot or type(right) is Top:
         return TOP
     if type(left) is Top:
@@ -481,10 +545,10 @@ def _simp_implies(left: Formula, right: Formula) -> Formula:
         return _simp_not(left)
     if left == right:
         return TOP
-    return Implies(left, right)
+    return None
 
 
-def _simp_iff(left: Formula, right: Formula) -> Formula:
+def _iff_rule(left: Formula, right: Formula) -> Formula | None:
     if type(left) is Top:
         return right
     if type(right) is Top:
@@ -495,29 +559,37 @@ def _simp_iff(left: Formula, right: Formula) -> Formula:
         return _simp_not(left)
     if left == right:
         return TOP
-    return Iff(left, right)
+    return None
+
+
+_BINARY_RULES = {And: _and_rule, Or: _or_rule, Implies: _implies_rule, Iff: _iff_rule}
 
 
 def simplify(f: Formula) -> Formula:
     """Equivalent formula with constants absorbed, double negations
     removed and structurally equal operands of ``&``/``|`` merged.
 
-    No minimality is promised; the rewriting is purely local.
+    No minimality is promised; the rewriting is purely local.  A node
+    that no rule changes, and whose children come back unchanged, is
+    returned as it is.
     """
     t = type(f)
     if t is Not:
-        return _simp_not(simplify(f.operand))
-    if t is And:
-        return _simp_and(simplify(f.left), simplify(f.right))
-    if t is Or:
-        return _simp_or(simplify(f.left), simplify(f.right))
-    if t is Implies:
-        return _simp_implies(simplify(f.left), simplify(f.right))
-    if t is Iff:
-        return _simp_iff(simplify(f.left), simplify(f.right))
+        operand = simplify(f.operand)
+        g = _not_rule(operand)
+        if g is None:
+            g = f if operand is f.operand else Not(operand)
+        return g
+    rule = _BINARY_RULES.get(t)
+    if rule is not None:
+        left, right = simplify(f.left), simplify(f.right)
+        g = rule(left, right)
+        if g is None:
+            g = f if left is f.left and right is f.right else t(left, right)
+        return g
     if t is Exists or t is Forall:
         body = simplify(f.body)
         if f.var not in free_atoms(body):
             return body
-        return t(f.var, body)
+        return f if body is f.body else t(f.var, body)
     return f

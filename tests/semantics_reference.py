@@ -1,13 +1,21 @@
-"""Reference for the bitmask kernel's quantifiers, for tests only.
+"""References for the bitmask kernel, for tests only.
 
 ``formula_mask`` walks a nest of quantifiers once, each binder on a bit
 slot of its own above the basis.  The reference below reads the
 quantifiers literally instead: every binder walks its body once with
 the bound atom false and once with it true, so q nested binders walk
 the innermost body 2^q times.  Its masks must equal the kernel's.
+
+``irredundant_two_level_mask`` lays the mask out in split order and
+recurses on half-width cofactors.  The reference below keeps every
+cofactor at full width, splits it on its position in place, and
+rebuilds every cube on each level.  Its formulas must equal the
+kernel's.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from boolsolve import (
     And,
@@ -22,6 +30,8 @@ from boolsolve import (
     Or,
     Top,
     UnboundAtom,
+    conj,
+    disj,
 )
 from boolsolve.semantics import atom_patterns
 
@@ -69,3 +79,103 @@ def formula_mask(
 def evaluate(f: Formula, valuation: dict[str, bool]) -> bool:
     """Truth value of ``f`` under ``valuation`` by the reference walk."""
     return formula_mask(f, (), {a: int(v) for a, v in valuation.items()}) == 1
+
+
+class _OverBudget(Exception):
+    """A cover in ``irredundant_two_level_mask`` outgrew its literal budget."""
+
+
+def irredundant_two_level_mask(
+    mask: int, names: Sequence[str], patterns: Sequence[int]
+) -> Formula:
+    """Irredundant two-level form of the function with bitmask ``mask``,
+    where position i of a valuation's index is the atom ``names[i]``.
+
+    The Minato-Morreale recursion (Minato, IEICE Trans. Fundamentals
+    1993) splits on the positions in the sorted order of their names,
+    so equivalent functions give the same output whatever the layout
+    of their masks.  It covers both the function, which gives a sum of
+    products, and its negation, whose cubes negated by De Morgan give
+    a product of sums.  The form with fewer literals is returned, the
+    sum of products on a tie, so a function built from clauses stays a
+    product of clauses instead of growing into exponentially many
+    cubes.  Each cover is built under a literal budget that grows
+    fourfold until one fits, so the larger form costs at most a few
+    times the smaller.  The result mentions only atoms the function
+    depends on, and no cube (clause) or literal of it can be dropped.
+    ``names`` must be distinct, and ``patterns`` holds the positions'
+    atom masks (``atom_patterns``, possibly over a wider basis).
+    """
+    width = len(names)
+    order = sorted(range(width), key=names.__getitem__)
+    full = (1 << (1 << width)) - 1
+    Cube = tuple[tuple[str, bool], ...]
+    spent = budget = 0
+
+    def cover(lower: int, upper: int, i: int, lits: int) -> tuple[list[Cube], int]:
+        # Cubes, as (atom, value) literals, of an irredundant cover c
+        # with lower <= c <= upper, and c.  Neither bound depends on the
+        # positions before order[i], and lits literals are already fixed
+        # above this call.  A call with lower != 0 yields a cube or has
+        # a child with lower != 0, so there are O(width * cubes) calls.
+        nonlocal spent
+        if lower == 0:
+            return [], 0
+        if upper == full:
+            spent += lits
+            if spent > budget:
+                raise _OverBudget
+            return [()], full
+        while True:
+            at = order[i]
+            pos = patterns[at]
+            shift = 1 << at
+            lp = lower & pos
+            l0 = lower ^ lp
+            l0 |= l0 << shift
+            l1 = lp | lp >> shift
+            up = upper & pos
+            u0 = upper ^ up
+            u0 |= u0 << shift
+            u1 = up | up >> shift
+            if l0 != l1 or u0 != u1:
+                break
+            i += 1
+        name = names[at]
+        cubes0, c0 = cover(l0 & (full ^ u1), u0, i + 1, lits + 1)
+        cubes1, c1 = cover(l1 & (full ^ u0), u1, i + 1, lits + 1)
+        rest = (l0 & (full ^ c0)) | (l1 & (full ^ c1))
+        cubes_r, cr = cover(rest, u0 & u1, i + 1, lits)
+        cubes = (
+            [((name, False), *c) for c in cubes0]
+            + [((name, True), *c) for c in cubes1]
+            + cubes_r
+        )
+        return cubes, (c0 ^ (c0 & pos)) | (c1 & pos) | cr
+
+    def within(target: int, limit: int) -> list[Cube] | None:
+        # The cubes of target's cover, or None if it has over limit literals.
+        nonlocal spent, budget
+        spent, budget = 0, limit
+        try:
+            return cover(target, target, 0, 0)[0]
+        except _OverBudget:
+            return None
+
+    limit = 64
+    while True:
+        ones = within(mask, limit)
+        if ones is not None:
+            zeros = within(full ^ mask, sum(map(len, ones)) - 1)
+            break
+        zeros = within(full ^ mask, limit)
+        if zeros is not None:
+            break
+        limit *= 4
+
+    def literal(name: str, value: bool) -> Formula:
+        return Atom(name) if value else Not(Atom(name))
+
+    if zeros is not None:
+        return conj(disj(literal(a, not v) for a, v in c) for c in zeros)
+    return disj(conj(literal(a, v) for a, v in c) for c in ones)

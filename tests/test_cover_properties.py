@@ -1,0 +1,89 @@
+"""Property tests of the two-level cover over drawn masks and layouts."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+import semantics_reference
+from boolsolve import And, Atom, BOT, Not, Or, TOP, free_atoms
+from boolsolve.semantics import (
+    atom_patterns,
+    cofactors,
+    formula_mask,
+    irredundant_two_level_mask,
+)
+
+NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+
+@st.composite
+def masks(draw):
+    """A mask over up to 8 atoms, laid out in a drawn order."""
+    width = draw(st.integers(0, len(NAMES)))
+    layout = tuple(draw(st.permutations(NAMES))[:width])
+    return draw(st.integers(0, (1 << (1 << width)) - 1)), layout
+
+
+def _terms(g, op):
+    if type(g) is op:
+        return _terms(g.left, op) + _terms(g.right, op)
+    return [g]
+
+
+def _irredundant(g, outer, patterns, full):
+    # g read as an outer-combination of terms, each an inner-combination
+    # of literals: no term and no literal of a term can be dropped
+    # without changing g's mask.
+    inner = And if outer is Or else Or
+
+    def fold(values, op):
+        out = full if op is And else 0
+        for v in values:
+            out = out & v if op is And else out | v
+        return out
+
+    def literal(x):
+        if type(x) is Not and type(x.operand) is Atom:
+            return full ^ patterns[x.operand.name]
+        if type(x) is not Atom:
+            raise TypeError("not a literal")
+        return patterns[x.name]
+
+    try:
+        terms = [[literal(x) for x in _terms(t, inner)] for t in _terms(g, outer)]
+    except TypeError:  # g is not of this shape
+        return False
+    mask = fold((fold(t, inner) for t in terms), outer)
+    for i, term in enumerate(terms):
+        others = [fold(t, inner) for t in terms[:i] + terms[i + 1 :]]
+        if fold(others, outer) == mask:
+            return False
+        for j in range(len(term)):
+            shortened = fold(term[:j] + term[j + 1 :], inner)
+            if fold([*others, shortened], outer) == mask:
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masks())
+def test_cover_properties(drawn):
+    mask, layout = drawn
+    patterns = atom_patterns(layout)
+    full = (1 << (1 << len(layout))) - 1
+    shown = irredundant_two_level_mask(mask, layout, list(patterns.values()))
+    assert formula_mask(shown, layout, patterns) == mask
+    depends = {
+        x for i, x in enumerate(layout) if len(set(cofactors(mask, i, patterns[x]))) == 2
+    }
+    assert set(free_atoms(shown)) == depends
+    if shown not in (TOP, BOT):
+        assert _irredundant(shown, Or, patterns, full) or _irredundant(
+            shown, And, patterns, full
+        )
+    reference = semantics_reference.irredundant_two_level_mask(
+        mask, layout, list(patterns.values())
+    )
+    assert shown == reference

@@ -185,6 +185,64 @@ def test_irredundant_two_level_mask_any_layout():
         assert shown == expected
 
 
+def _cover_matches_reference(mask, names, patterns):
+    shown = irredundant_two_level_mask(mask, names, patterns)
+    assert shown == semantics_reference.irredundant_two_level_mask(mask, names, patterns)
+    return shown
+
+
+def test_cover_matches_full_width_reference():
+    # The cover lays the mask out in split order and recurses on
+    # half-width cofactors; it must print what the full-width cover does.
+    rng = random.Random(59)
+    pool = [f"x{i}" for i in range(12)]
+    for width in range(4):
+        patterns = list(atom_patterns(tuple(pool[:width])).values())
+        for mask in (0, (1 << (1 << width)) - 1):
+            _cover_matches_reference(mask, pool[:width], patterns)
+    for width in range(11):
+        for _ in range(40 if width < 8 else 6):
+            layout = rng.sample(pool, width)
+            patterns = list(atom_patterns(tuple(layout)).values())
+            full = (1 << (1 << width)) - 1
+            mask = rng.getrandbits(1 << width)
+            _cover_matches_reference(mask, layout, patterns)
+            # a few cubes, and their negation: masks with short covers
+            few = 0
+            for _ in range(rng.randint(1, 4)):
+                cube = full
+                for at in rng.sample(range(width), rng.randint(0, width)):
+                    cube &= patterns[at] if rng.random() < 0.5 else full ^ patterns[at]
+                few |= cube
+            _cover_matches_reference(few, layout, patterns)
+            _cover_matches_reference(full ^ few, layout, patterns)
+
+
+def test_cover_parity_retries_the_literal_budget():
+    # A parity of w atoms has 2^(w-1) cubes of w literals either way, so
+    # the first budget of 64 literals fails and the budget grows.
+    for width in (7, 8, 9):
+        layout = [f"x{i}" for i in range(width)][::-1]
+        patterns = list(atom_patterns(tuple(layout)).values())
+        parity = 0
+        for pattern in patterns:
+            parity ^= pattern
+        shown = _cover_matches_reference(parity, layout, patterns)
+        assert len(_flatten(shown, Or)) == 1 << (width - 1)
+
+
+def test_cover_patterns_over_a_wider_basis():
+    # The solver core and weakest_precondition pass the atom masks of a
+    # wider basis, whose first positions the mask spans.
+    rng = random.Random(61)
+    for _ in range(200):
+        layout = rng.sample(["a", "b", "c", "d", "e", "f"], rng.randint(1, 6))
+        width = rng.randint(0, len(layout))
+        patterns = list(atom_patterns(tuple(layout)).values())
+        mask = rng.getrandbits(1 << width)
+        _cover_matches_reference(mask, layout[:width], patterns)
+
+
 def test_width_cap():
     wide = tuple(f"x{i}" for i in range(MAX_MASK_ATOMS + 1))
     with pytest.raises(BudgetExceeded, match="exceed the truth-table cap"):
