@@ -47,7 +47,6 @@ from .semantics import (
     evaluate,
     formula_from_table,
     irredundant_two_level,
-    is_satisfiable,
     is_valid,
     simplify,
     truth_table,
@@ -75,7 +74,6 @@ from .solve import (
     exists_solution,
     instantiate,
     polarity_shortcut,
-    reorder_unknowns,
     rigorous_solution,
     schroeder_interpolant,
     solve1_interval,

@@ -35,7 +35,6 @@ from .solve import (
     Solution,
     SolutionProblem,
     Strategy,
-    constructive_shortcut,
     exists_solution,
     solve_by_witnesses,
     solve_on_second_order,
@@ -210,12 +209,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         sol = solve_restricted(sp, per_unknown)
         _print_solution(pf.unknowns, sol)
         return 0
-    wants_particular = not (args.method == "succ-elim" or args.reproductive)
-    if args.reorder and wants_particular:
-        shortcut = constructive_shortcut(sp, reorder=True)
-        if shortcut is not None:
-            _print_solution(pf.unknowns, shortcut)
-            return 0
     if args.method == "succ-elim":
         sol = solve_succ_elim(sp)
     elif args.method == "second-order":
@@ -313,11 +306,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         default="succ-elim",
     )
     p_solve.add_argument("--reproductive", action="store_true")
-    p_solve.add_argument(
-        "--reorder",
-        action="store_true",
-        help="retry constructive shortcuts with permuted unknowns",
-    )
     p_solve.add_argument("file")
     p_solve.set_defaults(func=_cmd_solve)
 

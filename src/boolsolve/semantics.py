@@ -232,10 +232,6 @@ def is_valid(f: Formula) -> bool:
     return formula_mask(f, basis) == (1 << (1 << len(basis))) - 1
 
 
-def is_satisfiable(f: Formula) -> bool:
-    return formula_mask(f, free_atoms(f)) != 0
-
-
 def _joint_basis(f: Formula, g: Formula) -> AtomSet:
     return tuple(sorted(set(free_atoms(f)) | set(free_atoms(g))))
 

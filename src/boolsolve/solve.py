@@ -16,22 +16,18 @@ the bounds of each solution interval from their masks.  The
 second-order strategies, the unary solvers, elimination witnesses and
 restricted solving are views of the core: they differ only in whether
 each unknown gets the lower bound of its solution interval, the upper
-bound or the reproductive pair of bounds.  Forbidden atoms are
+bound, the reproductive pair of bounds or a constructive case (a
+constant or the definiens of a defined unknown).  Forbidden atoms are
 quantified universally first, whichever view runs.  Per-component
 vocabulary restrictions search the same intervals, narrowed to the
 components each unknown may depend on.
-
-The constructive shortcuts (``constructive_shortcut``) are the one
-formula-level path left: they print a definiens read off the formula,
-so they eliminate the later unknowns by Shannon expansion on formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .formula import (
     BOT,
@@ -284,9 +280,10 @@ class _Bound(Enum):
     LOWER = "lower"  # the interval strategy
     UPPER = "upper"  # the elimination witness
     PAIR = "pair"  # the reproductive (L_i & ~t_i) | (U_i & t_i)
+    CASE = "case"  # the constructive case: true, false or the one member
 
 
-def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution:
+def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
     """Successive elimination on truth tables, the one solver core.
 
     Phase 2 walks the unknowns first-to-last over the stages of
@@ -295,7 +292,13 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution:
     [L_i, U_i] of each stage with the earlier components substituted.
     Unknown i gets L_i, U_i or, over the parameters t_i, the
     reproductive ``(L_i & ~t_i) | (U_i & t_i)``, as ``bound`` says, each
-    bound printed as the irredundant two-level form of its mask.
+    bound printed as the irredundant two-level form of its mask.  The
+    constructive case is true when U_i is valid, else false when L_i is
+    unsatisfiable, else the one member when L_i = U_i (p_i is defined);
+    when an interval allows none of these, the result is None.  The last
+    unknown's definiens, U_n = F[G.., p_n := true], is printed from the
+    formula by substitution unless atoms are forbidden: it needs no
+    elimination and keeps the formula's structure.
     Once p_j is replaced, its position means t_j: the masks keep k + n
     positions however many parameters the components mention, and the
     printed cover splits positions in the sorted order of their names,
@@ -323,7 +326,17 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution:
         lower, upper = _interval(stages, patterns, k, masks)
         shown = names[: width - 1]
         if params is None:
-            g = lower if bound is _Bound.LOWER else upper
+            if bound is _Bound.CASE:
+                full = (1 << (1 << (width - 1))) - 1
+                g = upper if upper == full else lower if lower in (0, upper) else None
+                if g is None:
+                    return None
+                if 0 < g < full and i == len(sp.unknowns) - 1 and not sp.forbidden:
+                    work = substitute(_prepared(sp), sp.unknowns, [*components, TOP])
+                    components.append(simplify(work))
+                    continue
+            else:
+                g = lower if bound is _Bound.LOWER else upper
             components.append(irredundant_two_level_mask(g, shown, patterns))
             masks.append(widen(g, width - 1, width))
             continue
@@ -468,67 +481,16 @@ def definiens(f: Formula, p: str) -> Formula | None:
     return simplify(top)
 
 
-def reorder_unknowns(sp: SolutionProblem, order: Sequence[str]) -> SolutionProblem:
-    if sorted(order) != sorted(sp.unknowns):
-        raise ValueError("order must permute the unknowns")
-    perm = [sp.unknowns.index(p) for p in order]
-    params = (
-        None
-        if sp.parameters is None
-        else tuple(sp.parameters[i] for i in perm)
-    )
-    return SolutionProblem(sp.formula, tuple(order), params, sp.forbidden)
-
-
-def _constructive_cases(unary: Formula, p: str) -> Iterator[Formula]:
-    """The constants, then a definiens of ``p`` in ``unary`` if any."""
-    yield TOP
-    yield BOT
-    g = definiens(unary, p)
-    if g is not None:
-        yield g
-
-
-def _constructive_attempt(sp: SolutionProblem) -> Solution | None:
-    """Solve each unknown in order by a constructive case: the constant
-    true or false when it solves the unary formula, else a definiens of
-    the unknown in it.  The unary formula has the earlier components
-    substituted and the later unknowns eliminated on formulas, last
-    first.  Returns None as soon as no case applies."""
-    work = _prepared(sp)
-    components: list[Formula] = []
-    for i, p in enumerate(sp.unknowns):
-        unary = substitute(work, sp.unknowns[:i], components)
-        for q in reversed(sp.unknowns[i + 1 :]):
-            unary = simplify(Or(substitute(unary, [q], [TOP]), substitute(unary, [q], [BOT])))
-        g = next(
-            (g for g in _constructive_cases(unary, p) if is_valid(substitute(unary, [p], [g]))),
-            None,
-        )
-        if g is None:
-            return None
-        components.append(g)
-    if not is_valid(substitute(work, sp.unknowns, components)):
+def constructive_shortcut(sp: SolutionProblem) -> Solution | None:
+    """The constructive cases, unknown by unknown in the listed order:
+    true or false when the constant solves the stage with the earlier
+    components substituted, else the definiens of a defined unknown.
+    Returns None when some unknown has no such case, or when the problem
+    has no solution."""
+    try:
+        return _solve_stages(sp, _Bound.CASE)
+    except NoSolution:
         return None
-    return Solution(components, SolutionKind.PARTICULAR)
-
-
-def constructive_shortcut(sp: SolutionProblem, reorder: bool = False) -> Solution | None:
-    """Per-unknown constructive solving; with ``reorder`` retry failed
-    attempts over permutations of the unknowns (components are restored
-    to the original order)."""
-    sol = _constructive_attempt(sp)
-    if sol is not None or not reorder:
-        return sol
-    for order in permutations(sp.unknowns):
-        if list(order) == list(sp.unknowns):
-            continue
-        permuted = reorder_unknowns(sp, order)
-        sol = _constructive_attempt(permuted)
-        if sol is not None:
-            back = [sol.components[list(order).index(p)] for p in sp.unknowns]
-            return Solution(back, SolutionKind.PARTICULAR)
-    return None
 
 
 _SEARCH_BUDGET = 1 << 16  # candidate components a restricted search may try

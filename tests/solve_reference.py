@@ -7,13 +7,14 @@ into it syntactically, and the right-to-left witness solver on
 formulas.  The differential tests require the package to print exactly
 what these print.  It also holds an exhaustive search for per-unknown
 vocabulary restrictions that shares nothing with the package's solution
-intervals.
+intervals, and the constructive shortcut on formulas, which eliminates
+the later unknowns by Shannon expansion for each unknown in turn.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from boolsolve import (
     BOT,
@@ -24,8 +25,11 @@ from boolsolve import (
     NoSolution,
     Not,
     Or,
+    Solution,
+    SolutionKind,
     SolutionProblem,
     clean_variant,
+    definiens,
     exists,
     free_atoms,
     irredundant_two_level,
@@ -156,3 +160,42 @@ def restricted_brute_force(table: int, k: int, banned: Sequence[int]) -> list[in
     if not search(0):
         return None
     return [sum(fixed[i][v & ~banned[i]] << v for v in range(1 << k)) for i in range(n)]
+
+
+def _prepared(sp: SolutionProblem) -> Formula:
+    avoid = set(sp.unknowns) | set(sp.parameters or ())
+    return clean_variant(sp.formula, avoid=avoid)
+
+
+def _constructive_cases(unary: Formula, p: str) -> Iterator[Formula]:
+    """The constants, then a definiens of ``p`` in ``unary`` if any."""
+    yield TOP
+    yield BOT
+    g = definiens(unary, p)
+    if g is not None:
+        yield g
+
+
+def constructive_shortcut(sp: SolutionProblem) -> Solution | None:
+    """Solve each unknown in order by a constructive case: the constant
+    true or false when it solves the unary formula, else a definiens of
+    the unknown in it.  The unary formula has the earlier components
+    substituted and the later unknowns eliminated on formulas, last
+    first.  Returns None as soon as no case applies.  The atoms of
+    ``sp.forbidden`` are not looked at."""
+    work = _prepared(sp)
+    components: list[Formula] = []
+    for i, p in enumerate(sp.unknowns):
+        unary = substitute(work, sp.unknowns[:i], components)
+        for q in reversed(sp.unknowns[i + 1 :]):
+            unary = simplify(Or(substitute(unary, [q], [TOP]), substitute(unary, [q], [BOT])))
+        g = next(
+            (g for g in _constructive_cases(unary, p) if is_valid(substitute(unary, [p], [g]))),
+            None,
+        )
+        if g is None:
+            return None
+        components.append(g)
+    if not is_valid(substitute(work, sp.unknowns, components)):
+        return None
+    return Solution(components, SolutionKind.PARTICULAR)

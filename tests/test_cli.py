@@ -373,21 +373,12 @@ def test_restricted_search_undecided_exit_code(tmp_path, capsys, monkeypatch):
         assert captured.err.startswith("error: restricted search undecided after 1 ")
 
 
-def test_solve_reorder_flag(tmp_path, capsys):
-    path = tmp_path / "reorder.sp"
-    path.write_text("unknowns: p1 p2\nformula: (p2 -> p2) | ~b <-> ~p1\n")
-    assert run(["solve", "--method", "second-order", "--reorder", str(path)]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    sp = SolutionProblem(parse("(p2 -> p2) | ~b <-> ~p1"), ("p1", "p2"))
-    components = [parse(line.split(" := ", 1)[1]) for line in lines]
-    assert check_particular(sp, components).verdict
-
-
 def test_usage_errors(example_path, capsys):
     assert run(["solve", "--method", "bogus", example_path]) == 2
     assert run(["nonsense"]) == 2
     assert run(["solve", "/nonexistent/file.sp"]) == 2
     assert run(["solve", "--method", "witnesses", "--reproductive", example_path]) == 2
+    assert run(["solve", "--reorder", example_path]) == 2
     capsys.readouterr()
 
 

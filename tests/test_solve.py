@@ -46,7 +46,7 @@ from boolsolve import (
 from boolsolve.semantics import formula_mask
 from boolsolve.solve import _stage_masks
 from elimination_reference import elim_witness, elim_witness_dnf
-from genutil import random_formula, random_solvable_sp
+from genutil import QUANT_POOL, random_formula, random_solvable_sp
 import solve_reference
 
 EXAMPLE_SOLVABLE = parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
@@ -309,16 +309,65 @@ def test_constructive_shortcut_constants_by_validity():
 
 
 def test_constructive_shortcut_reorder():
-    # solvable, but the constructive cases only fire for one ordering:
+    # solvable, but the constructive cases only fire for the order p2, p1:
     # after p1 := true, p2's interval [b & ~a, a | b] holds no constant
     # and p2 is not definable
     f = parse("(p2 <-> (b & p1)) | a")
     sp = SolutionProblem(f, ["p1", "p2"])
     assert exists_solution(sp)
     assert constructive_shortcut(sp) is None
-    sol = constructive_shortcut(sp, reorder=True)
+    swapped = SolutionProblem(f, ["p2", "p1"])
+    sol = constructive_shortcut(swapped)
     assert sol is not None
-    assert check_particular(sp, sol.components).verdict
+    assert check_particular(swapped, sol.components).verdict
+
+
+def test_constructive_shortcut_honours_forbidden():
+    sp = SolutionProblem(parse("p <-> b"), ["p"], forbidden=["b"])
+    assert constructive_shortcut(sp) is None
+    # p is defined only once b is quantified universally, and then as a;
+    # the definiens read off the formula, F[p := true], is a | b
+    f = parse("(p <-> a) | b")
+    assert constructive_shortcut(SolutionProblem(f, ["p"])) is None
+    sol = constructive_shortcut(SolutionProblem(f, ["p"], forbidden=["b"]))
+    assert sol is not None and sol.components == (Atom("a"),)
+    assert check_particular(SolutionProblem(f, ["p"]), sol.components).verdict
+
+
+def test_constructive_shortcut_matches_formula_reference():
+    # The same decision as the formula-level shortcut on every problem,
+    # the same text with one unknown, and a solution whenever one is
+    # returned; with c forbidden no component mentions c.
+    rng = random.Random(1616)
+    answered = 0
+    for i in range(2400):
+        unknowns = ("p1", "p2", "p3")[: 1 + i % 3]
+        pool = QUANT_POOL if i % 3 == (i // 3) % 3 else ()
+        f = random_formula(rng, unknowns + ("a", "b", "c"), 5, quant_pool=pool)
+        sp = SolutionProblem(f, unknowns)
+        sol = constructive_shortcut(sp)
+        expected = solve_reference.constructive_shortcut(sp)
+        assert (sol is None) == (expected is None), f
+        if sol is None:
+            continue
+        answered += 1
+        assert check_particular(sp, sol.components).verdict, f
+        if len(unknowns) == 1:
+            assert [str(g) for g in sol.components] == [str(g) for g in expected.components]
+        restricted = constructive_shortcut(SolutionProblem(f, unknowns, forbidden=["c"]))
+        if restricted is not None:
+            assert not any("c" in free_atoms(g) for g in restricted.components), f
+            assert check_particular(sp, restricted.components).verdict, f
+    assert answered > 800
+
+
+def test_constructive_parity_definiens_is_structural():
+    atoms = [f"a{i}" for i in range(9)]
+    f = parse(f"p <-> ({' <-> '.join(atoms)})")
+    sol = constructive_shortcut(SolutionProblem(f, ["p"]))
+    expected = solve_reference.constructive_shortcut(SolutionProblem(f, ["p"]))
+    assert str(sol.components[0]) == str(expected.components[0])
+    assert len(str(sol.components[0])) == 58
 
 
 def test_definiens():
