@@ -44,6 +44,7 @@ from .solve import (
 from .syntax import IDENTIFIER, RESERVED, parse
 
 _IDENT = re.compile(IDENTIFIER)
+_FORBID_KEY = re.compile(r"forbid\(([^)]*)\)$")
 
 
 class ProblemFileError(BoolsolveError):
@@ -52,11 +53,15 @@ class ProblemFileError(BoolsolveError):
 
 @dataclass
 class ProblemFile:
+    """A problem file's keys, and the problem they state with the
+    declared parameters and the atoms of ``forbid:``."""
+
     unknowns: tuple[str, ...]
     parameters: tuple[str, ...] | None
     forbid: tuple[str, ...] | None
     per_forbid: dict[str, tuple[str, ...]]
     formula: Formula
+    problem: SolutionProblem
 
 
 def _idents(value: str, context: str) -> tuple[str, ...]:
@@ -83,7 +88,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         key, value = line.split(":", 1)
         key = key.strip()
         value = value.strip()
-        match = re.match(r"forbid\(([^)]*)\)$", key)
+        match = _FORBID_KEY.match(key)
         if match:
             unknown = match.group(1).strip()
             if not _IDENT.fullmatch(unknown) or unknown in RESERVED:
@@ -120,9 +125,10 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ProblemFileError(
                 f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
             )
-    pf = ProblemFile(unknowns, parameters, forbid, per_forbid, parse(seen["formula"]))
-    _problem(pf, parameters, forbid)  # the solvers' own checks, whatever the command
-    return pf
+    formula = parse(seen["formula"])
+    # the solvers' own checks, whatever the command
+    problem = _problem(formula, unknowns, parameters, forbid)
+    return ProblemFile(unknowns, parameters, forbid, per_forbid, formula, problem)
 
 
 def _load(path: str) -> ProblemFile:
@@ -155,13 +161,14 @@ def _restriction_violation(pf: ProblemFile, components: Sequence[Formula]) -> st
 
 
 def _problem(
-    pf: ProblemFile,
-    parameters: Sequence[str] | None = None,
-    forbidden: Sequence[str] | None = None,
+    formula: Formula,
+    unknowns: Sequence[str],
+    parameters: Sequence[str] | None,
+    forbidden: Sequence[str] | None,
 ) -> SolutionProblem:
-    """The file's problem; one the solvers reject is an input error."""
+    """A file's problem; one the solvers reject is an input error."""
     try:
-        return SolutionProblem(pf.formula, pf.unknowns, parameters, forbidden)
+        return SolutionProblem(formula, unknowns, parameters, forbidden)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
 
@@ -182,8 +189,7 @@ def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
 def _cmd_exists(args: argparse.Namespace) -> int:
     pf = _load(args.file)
     # With forbid: or forbid(p): this is solvability of the restricted problem.
-    sp = _problem(pf, forbidden=pf.forbid)
-    if exists_solution(sp, _per_unknown(pf)):
+    if exists_solution(pf.problem, _per_unknown(pf)):
         print("solvable")
         return 0
     print("not solvable")
@@ -201,10 +207,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
     # Per-component restrictions give a particular solution.
     needs_params = (args.method == "succ-elim" or args.reproductive) and not per_unknown
-    parameters = pf.parameters
-    if parameters is None and needs_params:
-        parameters = _fresh_parameters(pf)
-    sp = _problem(pf, parameters, pf.forbid)
+    sp = pf.problem
+    if pf.parameters is None and needs_params:
+        sp = _problem(pf.formula, pf.unknowns, _fresh_parameters(pf), pf.forbid)
     if pf.forbid or per_unknown:
         sol = solve_restricted(sp, per_unknown)
         _print_solution(pf.unknowns, sol)
@@ -230,8 +235,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return 2
     components = [parse(text) for text in texts]
-    sp = _problem(pf, pf.parameters)
-    report = check_particular(sp, components)
+    report = check_particular(pf.problem, components)
     if not report.verdict:
         failure = report.failures[0]
         detail = f" at {failure.valuation}" if failure.valuation else ""
@@ -260,10 +264,9 @@ def _cmd_precondition(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pf = _load(args.file)
     basis = _idents(args.basis, "--basis")
-    sp = _problem(pf)
     solutions = [
         sol
-        for sol in enumerate_solutions(sp, basis)
+        for sol in enumerate_solutions(pf.problem, basis)
         if _restriction_violation(pf, sol.components) is None
     ]
     if args.bits:

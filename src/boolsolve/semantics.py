@@ -362,9 +362,9 @@ def irredundant_two_level_mask(
     of products mentions each of its atoms once, since every cover
     mentions each atom the function depends on.  The result mentions
     only atoms the function depends on, and no cube (clause) or
-    literal of it can be dropped.  ``names`` must be distinct, and
-    ``patterns`` holds the positions' atom masks (``atom_patterns``,
-    possibly over a wider basis).
+    literal of it can be dropped, so ``simplify`` returns it as it is.
+    ``names`` must be distinct, and ``patterns`` holds the positions'
+    atom masks (``atom_patterns``, possibly over a wider basis).
 
     A constant mask is ``false`` or ``true`` at once.  Otherwise the
     mask is first laid out in split order, by one delta swap per
@@ -373,15 +373,32 @@ def irredundant_two_level_mask(
     one below it, and so on.  Each split then takes ``top_cofactors``,
     so every level of the recursion works on masks of half the width
     of the level above, and positions that neither bound depends on
-    are dropped from the top the same way.
+    are dropped from the top the same way.  ``_irredundant_two_level_masks``
+    computes that layout once for several masks over the same names.
     """
+    return _irredundant_two_level_masks((mask,), names, patterns)[0]
+
+
+# _FULLS[w]: the mask of every valuation over w positions, for the
+# widths most covers have; wider covers build their own list.
+_FULLS = tuple((1 << (1 << w)) - 1 for w in range(17))
+
+
+def _irredundant_two_level_masks(
+    masks: Sequence[int], names: Sequence[str], patterns: Sequence[int]
+) -> list[Formula]:
+    """``irredundant_two_level_mask`` of each of ``masks``, all over the
+    positions of ``names``.  The split order and the delta-swap
+    selectors are computed once, and not at all when every mask is
+    constant.  A literal node is built only for an atom some form
+    uses, once for all the forms."""
     width = len(names)
-    full = (1 << (1 << width)) - 1
-    if mask == 0:
-        return BOT
-    if mask == full:
-        return TOP
+    fulls = _FULLS if width < len(_FULLS) else [(1 << (1 << w)) - 1 for w in range(width + 1)]
+    full = fulls[width]
+    if all(m == 0 or m == full for m in masks):
+        return [BOT if m == 0 else TOP for m in masks]
     order = sorted(range(width), key=names.__getitem__)
+    swaps: list[tuple[int, int]] = []  # (selector, delta) of each delta swap
     held = list(range(width))  # held[p]: the position of ``names`` now at p
     top = width
     for want in order:
@@ -392,11 +409,8 @@ def irredundant_two_level_mask(
             # top clear trades its value with the one delta above it
             select = patterns[at] & full
             select ^= select & patterns[top]
-            delta = (1 << top) - (1 << at)
-            t = (mask ^ mask >> delta) & select
-            mask ^= t | t << delta
+            swaps.append((select, (1 << top) - (1 << at)))
             held[at] = held[top]
-    fulls = [(1 << (1 << w)) - 1 for w in range(width + 1)]
     cubes: list[_Cube] = []
     spent = budget = 0
 
@@ -452,40 +466,51 @@ def irredundant_two_level_mask(
             return None
         return cubes
 
-    limit = 64
-    while True:
-        ones = within(mask, limit)
-        if ones is not None:
-            size = sum(map(len, ones))
-            once = size == len({j if j >= 0 else ~j for c in ones for j in c})
-            zeros = None if once else within(full ^ mask, size - 1)
-            break
-        zeros = within(full ^ mask, limit)
-        if zeros is not None:
-            break
-        limit *= 4
-
-    # A cube of the negation, negated, is a clause: its literals flip.
-    if zeros is None:
-        terms, inner, outer, flip = ones, And, Or, 0
-    else:
-        terms, inner, outer, flip = zeros, Or, And, -1
-    atoms = [Atom(names[at]) for at in order]
-    negated: dict[int, Formula] = {}
-    result = None
-    for cube in terms:  # never empty, since the mask is not constant
-        term = None
-        for j in cube:
-            j ^= flip
-            if j >= 0:
-                literal = atoms[j]
-            else:
-                literal = negated.get(j)
-                if literal is None:
-                    literal = negated[j] = Not(atoms[~j])
-            term = literal if term is None else inner(term, literal)
-        result = term if result is None else outer(result, term)
-    return result
+    literals: dict[int, Formula] = {}  # literal j of the split order, and ~j
+    forms: list[Formula] = []
+    for mask in masks:
+        if mask == 0 or mask == full:
+            forms.append(BOT if mask == 0 else TOP)
+            continue
+        for select, delta in swaps:
+            t = (mask ^ mask >> delta) & select
+            mask ^= t | t << delta
+        limit = 64
+        while True:
+            ones = within(mask, limit)
+            if ones is not None:
+                size = sum(map(len, ones))
+                once = size == len({j if j >= 0 else ~j for c in ones for j in c})
+                zeros = None if once else within(full ^ mask, size - 1)
+                break
+            zeros = within(full ^ mask, limit)
+            if zeros is not None:
+                break
+            limit *= 4
+        # A cube of the negation, negated, is a clause: its literals flip.
+        if zeros is None:
+            terms, inner, outer, flip = ones, And, Or, 0
+        else:
+            terms, inner, outer, flip = zeros, Or, And, -1
+        result = None
+        for cube in terms:  # never empty, since the mask is not constant
+            term = None
+            for j in cube:
+                j ^= flip
+                node = literals.get(j)
+                if node is None:
+                    if j < 0:
+                        atom = literals.get(~j)
+                        if atom is None:
+                            atom = literals[~j] = Atom(names[order[~j]])
+                        node = Not(atom)
+                    else:
+                        node = Atom(names[order[j]])
+                    literals[j] = node
+                term = node if term is None else inner(term, node)
+            result = term if result is None else outer(result, term)
+        forms.append(result)
+    return forms
 
 
 def _not_rule(f: Formula) -> Formula | None:

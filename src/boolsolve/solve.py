@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .formula import (
@@ -47,6 +48,7 @@ from .formula import (
     substitute,
 )
 from .semantics import (
+    _irredundant_two_level_masks,
     atom_patterns,
     cofactors,
     entails,
@@ -128,6 +130,11 @@ class SolutionProblem:
         )
         self._validate()
 
+    @cached_property
+    def free(self) -> AtomSet:
+        """The formula's free atoms, found on first use; not compared."""
+        return free_atoms(self.formula)
+
     def _validate(self) -> None:
         if len(set(self.unknowns)) != len(self.unknowns):
             raise ValueError("unknowns must be distinct")
@@ -136,9 +143,7 @@ class SolutionProblem:
                 raise ValueError("parameters must be distinct")
             if len(self.parameters) != len(self.unknowns):
                 raise ValueError("one parameter per unknown is required")
-            clash = (set(free_atoms(self.formula)) | set(self.unknowns)) & set(
-                self.parameters
-            )
+            clash = (set(self.free) | set(self.unknowns)) & set(self.parameters)
             if clash:
                 raise ValueError(f"parameters must be fresh, clashing: {sorted(clash)}")
         if self.forbidden is not None and set(self.forbidden) & set(self.unknowns):
@@ -185,7 +190,8 @@ def solve1_interval(f: Formula, p: str) -> Formula:
 
 def solve1_reproductive(f: Formula, p: str, t: str) -> Formula:
     """Reproductive solution of a unary problem with parameter ``t``:
-    ``(lower & ~t) | (upper & t)``.
+    ``(lower & ~t) | (upper & t)``, or the one member of the solution
+    interval, free of ``t``, when lower and upper bound are equivalent.
 
     Substituting any particular solution H for ``t`` yields a formula
     equivalent to H, so the result represents the whole solution set.
@@ -242,7 +248,7 @@ def _stage_masks(sp: SolutionProblem, forbidden: Sequence[str] = ()) -> _Stages 
     mask.  Returns the base atoms, stages 0..n and the positions' atom
     masks, or None when stage 0 is not valid: then no solution exists.
     """
-    base = tuple(sorted(set(free_atoms(sp.formula)) - set(sp.unknowns)))
+    base = tuple(sorted(set(sp.free) - set(sp.unknowns)))
     basis = base + sp.unknowns
     patterns = atom_patterns(basis)
     mask = formula_mask(sp.formula, basis, patterns)
@@ -292,7 +298,13 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
     [L_i, U_i] of each stage with the earlier components substituted.
     Unknown i gets L_i, U_i or, over the parameters t_i, the
     reproductive ``(L_i & ~t_i) | (U_i & t_i)``, as ``bound`` says, each
-    bound printed as the irredundant two-level form of its mask.  The
+    bound printed as the irredundant two-level form of its mask.  When
+    L_i = U_i, p_i is defined and the reproductive component is that one
+    cover, free of t_i.  Otherwise both covers share one layout of their
+    masks, and the pair is built with the constant rules of ``simplify``
+    at its three top nodes only, since a cover has nothing left to
+    simplify: ``U_i & t_i`` when L_i is false, ``L_i & ~t_i | t_i`` when
+    U_i is true, and ``t_i`` when both hold.  The
     constructive case is true when U_i is valid, else false when L_i is
     unsatisfiable, else the one member when L_i = U_i (p_i is defined);
     when an interval allows none of these, the result is None.  The last
@@ -340,11 +352,14 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
             components.append(irredundant_two_level_mask(g, shown, patterns))
             masks.append(widen(g, width - 1, width))
             continue
-        lower_f = irredundant_two_level_mask(lower, shown, patterns)
-        upper_f = irredundant_two_level_mask(upper, shown, patterns)
-        t = Atom(params[i])
-        components.append(simplify(Or(And(lower_f, Not(t)), And(upper_f, t))))
         masks.append(lower | upper << (1 << (width - 1)))
+        if lower == upper:  # a defined unknown: its definiens, free of t_i
+            components.append(irredundant_two_level_mask(lower, shown, patterns))
+            continue
+        lower_f, upper_f = _irredundant_two_level_masks((lower, upper), shown, patterns)
+        t = Atom(params[i])
+        upper_t = t if upper_f is TOP else And(upper_f, t)
+        components.append(upper_t if lower_f is BOT else Or(And(lower_f, Not(t)), upper_t))
     kind = SolutionKind.PARTICULAR if params is None else SolutionKind.REPRODUCTIVE
     return Solution(components, kind)
 

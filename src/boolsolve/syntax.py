@@ -168,41 +168,42 @@ def parse(text: str) -> Formula:
             raise _syntax_error(text, tokens, i - 1, message)
 
 
+# Each binary node prints as left, operator, right: its precedence, its
+# text, and the least precedence each operand prints unparenthesized at.
 # Quantifiers print at precedence 0 so they are parenthesized whenever
 # nested under an operator; their body never needs parentheses because
 # the parsed scope is maximal.
-_PREC = {Exists: 0, Forall: 0, Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+_INFIX = {
+    And: (4, " & ", 4, 5),
+    Or: (3, " | ", 3, 4),
+    Implies: (2, " -> ", 3, 2),
+    Iff: (1, " <-> ", 1, 2),
+}
 
 
 def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; ``parse(format_formula(f)) == f``."""
 
-    def wrap(g: Formula, minimum: int) -> str:
-        s = render(g)
-        return f"({s})" if _PREC.get(type(g), 6) < minimum else s
-
-    def render(g: Formula) -> str:
+    def render(g: Formula, minimum: int) -> str:
+        # g's text, parenthesized when it binds looser than ``minimum``
         t = type(g)
         if t is Atom:
             return g.name
-        if t is Not:
-            return "~" + wrap(g.operand, 5)
-        if t is And:
-            return f"{wrap(g.left, 4)} & {wrap(g.right, 5)}"
-        if t is Or:
-            return f"{wrap(g.left, 3)} | {wrap(g.right, 4)}"
-        if t is Implies:
-            return f"{wrap(g.left, 3)} -> {wrap(g.right, 2)}"
-        if t is Iff:
-            return f"{wrap(g.left, 1)} <-> {wrap(g.right, 2)}"
-        if t is Top:
+        infix = _INFIX.get(t)
+        if infix is not None:
+            precedence, operator, left, right = infix
+            s = f"{render(g.left, left)}{operator}{render(g.right, right)}"
+        elif t is Not:
+            precedence, s = 5, "~" + render(g.operand, 5)
+        elif t is Top:
             return "true"
-        if t is Bot:
+        elif t is Bot:
             return "false"
-        if t is Exists:
-            return f"exists {g.var} . {render(g.body)}"
-        if t is Forall:
-            return f"forall {g.var} . {render(g.body)}"
-        raise TypeError(f"not a formula: {g!r}")
+        elif t is Exists or t is Forall:
+            word = "exists" if t is Exists else "forall"
+            precedence, s = 0, f"{word} {g.var} . {render(g.body, 0)}"
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        return f"({s})" if precedence < minimum else s
 
-    return render(f)
+    return render(f, 0)

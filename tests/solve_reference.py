@@ -60,7 +60,8 @@ def solve_succ_elim_stages(sp: SolutionProblem) -> tuple[Formula, ...]:
 def solve_stages(sp: SolutionProblem, params) -> list[Formula]:
     """Phase 2 over the stored stage formulas: unknown i gets the lower
     bound ``~F_i[G.., p_i := false]``, or with ``params`` the reproductive
-    ``(lower & ~t_i) | (F_i[G.., p_i := true] & t_i)``."""
+    ``(lower & ~t_i) | (F_i[G.., p_i := true] & t_i)``, which is the one
+    cover when the two bounds print alike (the unknown is defined)."""
     if not is_valid(exists(sp.unknowns, sp.formula)):
         raise NoSolution("the existential closure over the unknowns is not valid")
     stages = solve_succ_elim_stages(sp)
@@ -73,6 +74,9 @@ def solve_stages(sp: SolutionProblem, params) -> list[Formula]:
             components.append(lower)
             continue
         upper = irredundant_two_level(substitute(stage, ps, [*components, TOP]))
+        if lower == upper:
+            components.append(lower)
+            continue
         t = Atom(params[i])
         components.append(simplify(Or(And(lower, Not(t)), And(upper, t))))
     return components

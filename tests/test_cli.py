@@ -620,3 +620,52 @@ def test_check_refuses_components_mentioning_an_unknown(tmp_path, capsys):
         assert capsys.readouterr().out == "not a solution: components mention an unknown\n"
     assert run(["check", "--with", "false; true", str(path)]) == 0
     assert capsys.readouterr().out == "valid solution\n"
+
+
+def test_solve_prints_the_definiens_of_a_defined_unknown(tmp_path, capsys):
+    # When the solution interval of an unknown holds one member, the
+    # reproductive component is that member, free of the parameter.
+    for formula, component in (("p <-> a & b", "a & b"), ("p", "true")):
+        path = tmp_path / "defined.sp"
+        path.write_text(f"unknowns: p\nformula: {formula}\n")
+        for extra in ([], ["--method", "second-order", "--reproductive"]):
+            assert run(["solve", *extra, str(path)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == f"p := {component}\n"
+            assert captured.err == ""
+
+
+def test_cli_walks_the_problem_formula_once(tmp_path, capsys, monkeypatch):
+    # The problem a file states is built and validated once, and the
+    # solver reads its free atoms from it: one walk of the formula per
+    # call, with declared parameters, with generated ones and for exists.
+    import importlib
+
+    import boolsolve.formula
+
+    text = "(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))"
+    walked = []
+    original = boolsolve.formula.free_atoms
+
+    def spy(f):
+        if f == parse(text):
+            walked.append(f)
+        return original(f)
+
+    for name in ("boolsolve", *(f"boolsolve.{m}" for m in (
+        "cli", "elimination", "formula", "oracle", "semantics", "solve", "syntax"
+    ))):
+        module = importlib.import_module(name)
+        if getattr(module, "free_atoms", None) is original:
+            monkeypatch.setattr(module, "free_atoms", spy)
+    declared = tmp_path / "declared.sp"
+    declared.write_text(f"unknowns: p1 p2\nparameters: t1 t2\nformula: {text}\n")
+    plain = tmp_path / "plain.sp"
+    plain.write_text(f"unknowns: p1 p2\nformula: {text}\n")
+    for argv in (["solve", str(declared)], ["solve", str(plain)],
+                 ["solve", "--method", "second-order", str(plain)],
+                 ["exists", str(declared)]):
+        walked.clear()
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert len(walked) == 1, argv

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 import semantics_reference
 from boolsolve import And, Atom, BOT, Not, Or, TOP, free_atoms
 from boolsolve.semantics import (
+    _irredundant_two_level_masks,
     atom_patterns,
     cofactors,
     formula_mask,
     irredundant_two_level_mask,
+    simplify,
 )
 
 NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -87,3 +89,30 @@ def test_cover_properties(drawn):
         mask, layout, list(patterns.values())
     )
     assert shown == reference
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masks())
+def test_cover_is_simplified(drawn):
+    # A cover has no constant below its root, no double negation and no
+    # repeated operand, so simplify returns the very object.
+    mask, layout = drawn
+    shown = irredundant_two_level_mask(mask, layout, list(atom_patterns(layout).values()))
+    assert simplify(shown) is shown
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(masks(), st.data())
+def test_shared_layout_gives_the_one_mask_forms(drawn, data):
+    # Several masks laid out once give exactly the forms of one call per
+    # mask, and those equal the reference's.
+    mask, layout = drawn
+    patterns = list(atom_patterns(layout).values())
+    full = (1 << (1 << len(layout))) - 1
+    others = data.draw(st.lists(st.integers(0, full), max_size=3))
+    several = [mask, *others, mask]
+    shown = _irredundant_two_level_masks(several, layout, patterns)
+    assert shown == [irredundant_two_level_mask(m, layout, patterns) for m in several]
+    assert shown == [
+        semantics_reference.irredundant_two_level_mask(m, layout, patterns) for m in several
+    ]

@@ -669,3 +669,38 @@ def test_core_matches_formula_reference():
         )
         solved += reproductive is not None
     assert 100 <= solved <= 280  # both outcomes are exercised
+
+
+def test_reproductive_solvers_do_not_simplify(monkeypatch):
+    # The reproductive pair is built from its two covers with the
+    # constant rules applied at its top nodes, so no simplify pass runs,
+    # on the running example grown to four unknowns nor on random
+    # clauses; the components are still the reference's.
+    import boolsolve.solve
+
+    calls = []
+    original = boolsolve.solve.simplify
+    monkeypatch.setattr(
+        boolsolve.solve, "simplify", lambda f: calls.append(f) or original(f)
+    )
+    unknowns = ["p1", "p2", "p3", "p4"]
+    links = zip(["a", *unknowns], [*unknowns, "b"])
+    chain = parse("(a -> b) -> (" + " & ".join(f"({x} -> {y})" for x, y in links) + ")")
+    rng = random.Random(17)
+    atoms = ["a", "b", "c", "p1", "p2"]
+    while True:
+        clauses = parse(" & ".join(
+            "(" + " | ".join(
+                ("~" if rng.random() < 0.5 else "") + x for x in rng.sample(atoms, 3)
+            ) + ")"
+            for _ in range(4)
+        ))
+        if exists_solution(SolutionProblem(clauses, ["p1", "p2"])):
+            break
+    for f, ps in ((chain, unknowns), (clauses, ["p1", "p2"])):
+        params = [f"t{i}" for i in range(1, len(ps) + 1)]
+        sp = SolutionProblem(f, ps, params)
+        reference = solve_reference.solve_stages(sp, params)
+        for sol in (solve_succ_elim(sp), solve_on_second_order(sp, Strategy.REPRODUCTIVE)):
+            assert calls == []
+            assert list(sol.components) == reference
