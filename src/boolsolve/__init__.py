@@ -83,17 +83,40 @@ from .solve import (
     solve_restricted,
     solve_succ_elim,
 )
-from .oracle import (
-    CheckFailure,
-    CheckReport,
-    FunctionSpace,
-    TooLarge,
-    any_enumerated_solution,
-    check_general,
-    check_parametric,
-    check_particular,
-    check_reproductive,
-    enumerate_solutions,
-)
 
 __version__ = "0.1.0"
+
+# Importing the brute-force oracle costs a large share of the package's
+# import time, and only checking and enumerating use it, so its names
+# load it on first use (PEP 562).
+_ORACLE_NAMES = (
+    "CheckFailure",
+    "CheckReport",
+    "FunctionSpace",
+    "TooLarge",
+    "any_enumerated_solution",
+    "check_general",
+    "check_parametric",
+    "check_particular",
+    "check_reproductive",
+    "enumerate_solutions",
+)
+
+# ``from boolsolve import *`` still gives every public name, the
+# oracle's among them.
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["oracle", *_ORACLE_NAMES]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = getattr(oracle, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .elimination import (
@@ -26,8 +25,7 @@ from .elimination import (
     project_vocabulary,
     weakest_precondition,
 )
-from .formula import BoolsolveError, Formula, all_names, fresh_name
-from .oracle import enumerate_solutions, check_particular
+from .formula import BoolsolveError, Formula, Record, all_names, fresh_name
 from .semantics import truth_table
 from .solve import (
     NoSolution,
@@ -51,17 +49,35 @@ class ProblemFileError(BoolsolveError):
     pass
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Record):
     """A problem file's keys, and the problem they state with the
     declared parameters and the atoms of ``forbid:``."""
 
+    __slots__ = __match_args__ = (
+        "unknowns", "parameters", "forbid", "per_forbid", "formula", "problem"
+    )
     unknowns: tuple[str, ...]
     parameters: tuple[str, ...] | None
     forbid: tuple[str, ...] | None
     per_forbid: dict[str, tuple[str, ...]]
     formula: Formula
     problem: SolutionProblem
+
+    def __init__(
+        self,
+        unknowns: tuple[str, ...],
+        parameters: tuple[str, ...] | None,
+        forbid: tuple[str, ...] | None,
+        per_forbid: dict[str, tuple[str, ...]],
+        formula: Formula,
+        problem: SolutionProblem,
+    ) -> None:
+        object.__setattr__(self, "unknowns", unknowns)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "forbid", forbid)
+        object.__setattr__(self, "per_forbid", per_forbid)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "problem", problem)
 
 
 def _idents(value: str, context: str) -> tuple[str, ...]:
@@ -135,7 +151,7 @@ def _load(path: str) -> ProblemFile:
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_problem_file(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
 
 
@@ -226,6 +242,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .oracle import check_particular  # loaded only by the commands that use it
+
     pf = _load(args.file)
     texts = [part.strip() for part in args.with_.split(";")]
     if len(texts) != len(pf.unknowns):
@@ -262,6 +280,8 @@ def _cmd_precondition(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_solutions  # loaded only by the commands that use it
+
     pf = _load(args.file)
     basis = _idents(args.basis, "--basis")
     solutions = [

@@ -1,19 +1,21 @@
 """Formula AST over nullary atoms, with analysis and substitution.
 
-Nodes are immutable (frozen dataclasses), so formulas hash, compare
-structurally, and can be shared freely between threads.  Besides the
-usual connectives the language has the propositional quantifiers
-``exists p . F`` and ``forall p . F`` that bind an atom name.
+Nodes are immutable ``__slots__`` objects that compare and hash
+structurally, so formulas can be shared freely between threads and
+used as dict keys.  Besides the usual connectives the language has the
+propositional quantifiers ``exists p . F`` and ``forall p . F`` that
+bind an atom name.
 
 The node classes are final (``typing.final``).  Every formula walker of
 the package dispatches on a node's exact type, ``type(g) is And``,
 which is cheaper than an ``isinstance`` chain, so a subclass of a node
 class would not be walked as that node.
+
+``Record`` is the base of the package's immutable result values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, final
 
@@ -24,8 +26,57 @@ class BoolsolveError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class Formula:
-    """Base class of all formula nodes."""
+class _Immutable:
+    """A value whose fields are named, in constructor order, in
+    ``__match_args__``.  It refuses to set or delete attributes:
+    ``__init__`` sets the fields with the slot descriptors' ``__set__``
+    or with ``object.__setattr__``.  Copies and pickles call the
+    constructor with the fields."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+class Record(_Immutable):
+    """An immutable value whose fields are compared, hashed and printed
+    in turn, as ``Name(field=value, ...)``.  Equality holds only within
+    one class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Formula(_Immutable):
+    """Base class of all formula nodes.
+
+    Equality is structural and holds only between nodes of one type;
+    the hash of a node is the hash of the tuple of its fields.
+    ``__eq__`` is written per node shape, testing identity before
+    equality of each field, since ``simplify`` compares subtrees deeply.
+    """
 
     __slots__ = ()
 
@@ -38,71 +89,142 @@ class Formula:
         return f"<{self}>"
 
 
-@final
-@dataclass(frozen=True, repr=False)
-class Top(Formula):
-    pass
+class _Constant(Formula):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
 @final
-@dataclass(frozen=True, repr=False)
-class Bot(Formula):
-    pass
+class Top(_Constant):
+    __slots__ = ()
 
 
 @final
-@dataclass(frozen=True, repr=False)
+class Bot(_Constant):
+    __slots__ = ()
+
+
+@final
 class Atom(Formula):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
 
 @final
-@dataclass(frozen=True, repr=False)
 class Not(Formula):
+    __slots__ = __match_args__ = ("operand",)
     operand: Formula
 
+    def __init__(self, operand: Formula) -> None:
+        _set_operand(self, operand)
 
-@final
-@dataclass(frozen=True, repr=False)
-class And(Formula):
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Not:
+            return NotImplemented
+        f = self.operand
+        g = other.operand
+        return f is g or f == g
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
+
+
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
 
-@final
-@dataclass(frozen=True, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        f = self.left
+        g = other.left
+        h = self.right
+        k = other.right
+        return (f is g or f == g) and (h is k or h == k)
 
-
-@final
-@dataclass(frozen=True, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@final
-@dataclass(frozen=True, repr=False)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
 @final
-@dataclass(frozen=True, repr=False)
-class Exists(Formula):
+class And(_Binary):
+    __slots__ = ()
+
+
+@final
+class Or(_Binary):
+    __slots__ = ()
+
+
+@final
+class Implies(_Binary):
+    __slots__ = ()
+
+
+@final
+class Iff(_Binary):
+    __slots__ = ()
+
+
+class _Quantifier(Formula):
+    __slots__ = __match_args__ = ("var", "body")
     var: str
     body: Formula
 
+    def __init__(self, var: str, body: Formula) -> None:
+        _set_var(self, var)
+        _set_body(self, body)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        f = self.body
+        g = other.body
+        return self.var == other.var and (f is g or f == g)
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.body))
+
 
 @final
-@dataclass(frozen=True, repr=False)
-class Forall(Formula):
-    var: str
-    body: Formula
+class Exists(_Quantifier):
+    __slots__ = ()
 
+
+@final
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+# The slot descriptors' setters, which the immutable nodes' __init__
+# call instead of the refusing __setattr__.
+_set_name = Atom.name.__set__
+_set_operand = Not.operand.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_var = _Quantifier.var.__set__
+_set_body = _Quantifier.body.__set__
 
 TOP = Top()
 BOT = Bot()

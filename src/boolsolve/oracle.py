@@ -38,7 +38,6 @@ failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -50,6 +49,7 @@ from .formula import (
     Formula,
     NotSubstitutible,
     Or,
+    Record,
     free_atoms,
     free_binders,
     is_substitutible,
@@ -137,21 +137,30 @@ class FunctionSpace:
         return [self.formula(t) for t in self.tables]
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(Record):
+    __slots__ = __match_args__ = ("subject", "reason", "valuation")
     subject: str
     reason: str
-    valuation: dict[str, bool] | None = None
+    valuation: dict[str, bool] | None
+
+    def __init__(
+        self, subject: str, reason: str, valuation: dict[str, bool] | None = None
+    ) -> None:
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "valuation", valuation)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
+    __slots__ = __match_args__ = ("verdict", "failures")
     verdict: bool
-    failures: tuple[CheckFailure, ...] = field(default=())
+    failures: tuple[CheckFailure, ...]
 
-    def __post_init__(self) -> None:
-        if self.verdict != (not self.failures):
+    def __init__(self, verdict: bool, failures: tuple[CheckFailure, ...] = ()) -> None:
+        if verdict != (not failures):
             raise ValueError("verdict must match emptiness of failures")
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "failures", failures)
 
 
 _MENTIONS_UNKNOWN = CheckReport(

@@ -18,7 +18,6 @@ The text form prints index 0 leftmost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import (
@@ -37,6 +36,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    Record,
     Top,
     conj,
     disj,
@@ -264,18 +264,20 @@ def decode_valuation(index: int, basis: AtomSet) -> dict[str, bool]:
     return {name: bool((index >> i) & 1) for i, name in enumerate(basis)}
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """Values of a formula under every valuation of an ordered basis."""
 
+    __slots__ = __match_args__ = ("basis", "bits")
     basis: AtomSet
     bits: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if list(self.basis) != sorted(set(self.basis)):
+    def __init__(self, basis: AtomSet, bits: tuple[bool, ...]) -> None:
+        if list(basis) != sorted(set(basis)):
             raise ValueError("basis must be sorted and duplicate-free")
-        if len(self.bits) != 1 << len(self.basis):
+        if len(bits) != 1 << len(basis):
             raise ValueError("bits length must be 2^|basis|")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "bits", bits)
 
     def bit_string(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)

@@ -25,7 +25,6 @@ components each unknown may depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -41,6 +40,7 @@ from .formula import (
     Not,
     Or,
     Polarity,
+    Record,
     clean_variant,
     free_atoms,
     is_substitutible,
@@ -103,15 +103,16 @@ class SchroederVariant(Enum):
     CASE_SPLIT = "case-split"  # (A & ~t) | (B & t)
 
 
-@dataclass(frozen=True)
-class SolutionProblem:
+class SolutionProblem(Record):
     """A formula with ordered unknowns, optional parameters and an
     optional set of atoms forbidden in solution components."""
 
+    __match_args__ = ("formula", "unknowns", "parameters", "forbidden")
+    __slots__ = (*__match_args__, "__dict__")  # __dict__ holds the cached ``free``
     formula: Formula
     unknowns: tuple[str, ...]
-    parameters: tuple[str, ...] | None = None
-    forbidden: AtomSet | None = None
+    parameters: tuple[str, ...] | None
+    forbidden: AtomSet | None
 
     def __init__(
         self,
@@ -152,8 +153,8 @@ class SolutionProblem:
             raise ValueError("forbidden atoms must not be parameters")
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
+    __slots__ = __match_args__ = ("components", "kind")
     components: tuple[Formula, ...]
     kind: SolutionKind
 

@@ -398,6 +398,18 @@ def test_dispatch_exit_codes(example_path, capsys):
     assert err.endswith("boolsolve solve: error: unrecognized arguments: --bogus\n")
 
 
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    # exit code 1 means "not solvable", so a file that is not UTF-8 must
+    # end in exit code 2 with a message, not a traceback
+    path = tmp_path / "binary.sp"
+    path.write_bytes(b"\xff\xfe bad")
+    for command in ("exists", "solve"):
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
 def test_syntax_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.sp"
     path.write_text("unknowns: p\nformula: p -> -> a\n")
