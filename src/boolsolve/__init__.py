@@ -22,7 +22,6 @@ from .formula import (
     Not,
     NotSubstitutible,
     Or,
-    Polarity,
     Top,
     all_names,
     clean_variant,
@@ -32,9 +31,7 @@ from .formula import (
     forall,
     free_atoms,
     free_binders,
-    has_quantifier,
     is_substitutible,
-    polarity_of,
     substitute,
 )
 from .syntax import ParseError, format_formula, parse
@@ -46,7 +43,6 @@ from .semantics import (
     equivalent,
     evaluate,
     formula_from_table,
-    irredundant_two_level,
     is_valid,
     simplify,
     truth_table,
@@ -58,26 +54,15 @@ from .elimination import (
     weakest_precondition,
 )
 from .solve import (
-    InternalCheckFailed,
     MissingParameters,
     NoSolution,
-    NotAParticularSolution,
-    NotSolvable,
-    SchroederVariant,
     Solution,
     SolutionKind,
     SolutionProblem,
     Strategy,
     Undecided,
     constructive_shortcut,
-    definiens,
     exists_solution,
-    instantiate,
-    polarity_shortcut,
-    rigorous_solution,
-    schroeder_interpolant,
-    solve1_interval,
-    solve1_reproductive,
     solve_by_witnesses,
     solve_on_second_order,
     solve_restricted,

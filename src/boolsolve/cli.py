@@ -29,7 +29,6 @@ from .formula import BoolsolveError, Formula, Record, all_names, fresh_name
 from .semantics import truth_table
 from .solve import (
     NoSolution,
-    NotSolvable,
     Solution,
     SolutionProblem,
     Strategy,
@@ -384,9 +383,6 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except NoSolution as exc:
         print(f"no solution: {exc}")
-        return 1
-    except NotSolvable as exc:
-        print(f"not solvable: {exc}")
         return 1
     except NotIndependent as exc:
         print(f"not independent: {exc}")

@@ -16,7 +16,6 @@ class would not be walked as that node.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Sequence, final
 
 AtomSet = tuple[str, ...]  # sorted, duplicate-free
@@ -302,66 +301,6 @@ def all_names(f: Formula) -> AtomSet:
 
     walk(f)
     return tuple(sorted(out))
-
-
-def has_quantifier(f: Formula) -> bool:
-    t = type(f)
-    if t in QUANT:
-        return True
-    if t is Not:
-        return has_quantifier(f.operand)
-    if t in BINARY:
-        return has_quantifier(f.left) or has_quantifier(f.right)
-    return False
-
-
-class Polarity(Enum):
-    POSITIVE_ONLY = "positive"
-    NEGATIVE_ONLY = "negative"
-    BOTH = "both"
-    ABSENT = "absent"
-
-
-def polarity_of(f: Formula, atom: str) -> Polarity:
-    """Classify the free occurrences of ``atom`` in ``f``.
-
-    Implications flip the sign of their antecedent; any free occurrence
-    under a biconditional counts as both polarities.
-    """
-    signs: set[int] = set()
-
-    def walk(g: Formula, sign: int | None) -> None:
-        # sign: +1 positive, -1 negative, None = occurrence counts as both
-        t = type(g)
-        if t is Atom:
-            if g.name == atom:
-                if sign is None:
-                    signs.update((1, -1))
-                else:
-                    signs.add(sign)
-        elif t is Not:
-            walk(g.operand, None if sign is None else -sign)
-        elif t is And or t is Or:
-            walk(g.left, sign)
-            walk(g.right, sign)
-        elif t is Implies:
-            walk(g.left, None if sign is None else -sign)
-            walk(g.right, sign)
-        elif t is Iff:
-            walk(g.left, None)
-            walk(g.right, None)
-        elif t in QUANT:
-            if g.var != atom:
-                walk(g.body, sign)
-
-    walk(f, 1)
-    if not signs:
-        return Polarity.ABSENT
-    if signs == {1}:
-        return Polarity.POSITIVE_ONLY
-    if signs == {-1}:
-        return Polarity.NEGATIVE_ONLY
-    return Polarity.BOTH
 
 
 class NotSubstitutible(BoolsolveError):

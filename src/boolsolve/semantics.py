@@ -334,16 +334,6 @@ class _OverBudget(Exception):
 _Cube = tuple[int, ...]
 
 
-def irredundant_two_level(f: Formula) -> Formula:
-    """Irredundant two-level form of ``f``'s exact function, read off
-    its bitmask over its free atoms by ``irredundant_two_level_mask``."""
-    basis = free_atoms(f)
-    patterns = atom_patterns(basis)
-    return irredundant_two_level_mask(
-        formula_mask(f, basis, patterns), basis, list(patterns.values())
-    )
-
-
 def irredundant_two_level_mask(
     mask: int, names: Sequence[str], patterns: Sequence[int]
 ) -> Formula:

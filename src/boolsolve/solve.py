@@ -13,8 +13,8 @@ formed from the next by OR of two cofactors, and the problem is
 solvable exactly when stage 0 is valid.  Phase 2 substitutes the
 earlier components into each stage by cofactor selection and prints
 the bounds of each solution interval from their masks.  The
-second-order strategies, the unary solvers, elimination witnesses and
-restricted solving are views of the core: they differ only in whether
+second-order strategies, elimination witnesses, restricted solving and
+the constructive shortcut are views of the core: they differ only in whether
 each unknown gets the lower bound of its solution interval, the upper
 bound, the reproductive pair of bounds or a constructive case (a
 constant or the definiens of a defined unknown).  Forbidden atoms are
@@ -39,24 +39,18 @@ from .formula import (
     Formula,
     Not,
     Or,
-    Polarity,
     Record,
     clean_variant,
     free_atoms,
-    is_substitutible,
-    polarity_of,
     substitute,
 )
 from .semantics import (
     _irredundant_two_level_masks,
     atom_patterns,
     cofactors,
-    entails,
     existential_stages,
-    falsifying_valuation,
     formula_mask,
     irredundant_two_level_mask,
-    is_valid,
     simplify,
     top_cofactors,
     widen,
@@ -68,18 +62,6 @@ class NoSolution(BoolsolveError):
 
 
 class MissingParameters(BoolsolveError):
-    pass
-
-
-class NotSolvable(BoolsolveError):
-    pass
-
-
-class NotAParticularSolution(BoolsolveError):
-    pass
-
-
-class InternalCheckFailed(BoolsolveError):
     pass
 
 
@@ -95,12 +77,6 @@ class SolutionKind(Enum):
 class Strategy(Enum):
     INTERVAL = "interval"
     REPRODUCTIVE = "reproductive"
-
-
-class SchroederVariant(Enum):
-    A_OR_BT = "a-or-bt"  # A | (B & t)
-    B_AND_AT = "b-and-at"  # B & (A | t)
-    CASE_SPLIT = "case-split"  # (A & ~t) | (B & t)
 
 
 class SolutionProblem(Record):
@@ -175,52 +151,6 @@ def exists_solution(
     if per_unknown is not None:
         return _restricted_masks(sp, per_unknown) is not None
     return _stage_masks(sp, sp.forbidden or ()) is not None
-
-
-def solve1_interval(f: Formula, p: str) -> Formula:
-    """Deterministic particular solution of a unary problem: the lower
-    bound of the solution interval.
-
-    Every solution G satisfies lower |= G |= upper; the lower bound
-    itself is returned.  A leading existential prefix (unprocessed
-    unknowns) is evaluated exactly with the rest of the formula.
-    """
-    sp = SolutionProblem(f, [p])
-    return solve_on_second_order(sp, Strategy.INTERVAL).components[0]
-
-
-def solve1_reproductive(f: Formula, p: str, t: str) -> Formula:
-    """Reproductive solution of a unary problem with parameter ``t``:
-    ``(lower & ~t) | (upper & t)``, or the one member of the solution
-    interval, free of ``t``, when lower and upper bound are equivalent.
-
-    Substituting any particular solution H for ``t`` yields a formula
-    equivalent to H, so the result represents the whole solution set.
-    """
-    return solve_succ_elim(SolutionProblem(f, [p], [t])).components[0]
-
-
-def schroeder_interpolant(
-    aF: Formula, bF: Formula, t: str, variant: SchroederVariant
-) -> Formula:
-    """Reproductive solution of ``(A -> p) & (p -> B)`` with parameter t.
-
-    Requires A |= B (otherwise no solution exists).  The three variants
-    are pairwise equivalent as formulas in t:
-    ``A | (B & t)``, ``B & (A | t)`` and ``(A & ~t) | (B & t)``.
-    """
-    if t in free_atoms(aF) or t in free_atoms(bF):
-        raise ValueError(f"parameter {t} must be fresh")
-    if not entails(aF, bF):
-        raise NotSolvable("lower bound does not entail upper bound")
-    ta = Atom(t)
-    if variant is SchroederVariant.A_OR_BT:
-        built = Or(aF, And(bF, ta))
-    elif variant is SchroederVariant.B_AND_AT:
-        built = And(bF, Or(aF, ta))
-    else:
-        built = Or(And(aF, Not(ta)), And(bF, ta))
-    return simplify(built)
 
 
 def _require_parameters(sp: SolutionProblem) -> tuple[str, ...]:
@@ -404,97 +334,6 @@ def solve_by_witnesses(sp: SolutionProblem) -> Solution:
     ``U_i = F_i[G.., p_i := true]`` of the stored stage F_i.
     """
     return _solve_stages(sp, _Bound.UPPER)
-
-
-def _check_is_particular(sp: SolutionProblem, components: Sequence[Formula]) -> None:
-    if len(components) != len(sp.unknowns):
-        raise NotAParticularSolution("component count differs from unknown count")
-    if not is_substitutible(components, sp.unknowns, sp.formula):
-        raise NotAParticularSolution("components are not substitutible")
-    if not is_valid(substitute(sp.formula, sp.unknowns, components)):
-        raise NotAParticularSolution("substituted formula is not valid")
-
-
-def rigorous_solution(sp: SolutionProblem, particular: Solution) -> Solution:
-    """Reproductive solution grown from any particular one.
-
-    Component i is ``(G_i & ~F[t..]) | (t_i & F[t..])`` where F[t..] is
-    the problem formula with every unknown replaced by its parameter:
-    substituting a solution for the parameters makes F[t..] valid and
-    reproduces that solution.
-    """
-    params = _require_parameters(sp)
-    if particular.kind is not SolutionKind.PARTICULAR:
-        raise NotAParticularSolution("expected a particular solution")
-    _check_is_particular(sp, particular.components)
-    work = _prepared(sp)
-    f_params = substitute(work, sp.unknowns, [Atom(t) for t in params])
-    components = [
-        simplify(
-            clean_variant(
-                Or(And(g, Not(f_params)), And(Atom(t), f_params)),
-                avoid=set(sp.unknowns) | set(params),
-            )
-        )
-        for g, t in zip(particular.components, params)
-    ]
-    return Solution(components, SolutionKind.REPRODUCTIVE)
-
-
-def instantiate(
-    sp: SolutionProblem, sol: Solution, ts: Sequence[Formula]
-) -> Solution:
-    """Particular solution obtained by substituting ``ts`` for the
-    parameters of a reproductive solution, then validating it."""
-    params = _require_parameters(sp)
-    if sol.kind is not SolutionKind.REPRODUCTIVE:
-        raise ValueError("only reproductive solutions can be instantiated")
-    if len(ts) != len(params):
-        raise ValueError("one replacement per parameter is required")
-    components = [simplify(substitute(g, params, ts)) for g in sol.components]
-    counterexample = falsifying_valuation(
-        substitute(sp.formula, sp.unknowns, components)  # NotSubstitutible propagates
-    )
-    if counterexample is not None:
-        raise InternalCheckFailed(
-            f"instantiation is not a solution, falsified at {counterexample}"
-        )
-    return Solution(components, SolutionKind.PARTICULAR)
-
-
-def polarity_shortcut(sp: SolutionProblem) -> Solution | None:
-    """Constant solution read off syntactic polarities, when every
-    unknown occurs with a single polarity (or not at all).
-
-    Returns None when some unknown occurs with both polarities or when
-    the constant candidate fails validation.
-    """
-    candidate: list[Formula] = []
-    for p in sp.unknowns:
-        pol = polarity_of(sp.formula, p)
-        if pol in (Polarity.POSITIVE_ONLY, Polarity.ABSENT):
-            candidate.append(TOP)
-        elif pol is Polarity.NEGATIVE_ONLY:
-            candidate.append(BOT)
-        else:
-            return None
-    if not is_valid(substitute(sp.formula, sp.unknowns, candidate)):
-        return None
-    return Solution(candidate, SolutionKind.PARTICULAR)
-
-
-def definiens(f: Formula, p: str) -> Formula | None:
-    """Defining formula for ``p`` within ``f`` when one exists.
-
-    ``p`` is implicitly definable iff the two cofactors of ``f`` cannot
-    hold together; the true cofactor is then a definiens:
-    ``f |= p <-> definiens``.  Returns None when not definable.
-    """
-    top = substitute(f, [p], [TOP])
-    bot = substitute(f, [p], [BOT])
-    if not is_valid(Not(And(top, bot))):
-        return None
-    return simplify(top)
 
 
 def constructive_shortcut(sp: SolutionProblem) -> Solution | None:

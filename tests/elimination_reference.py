@@ -10,7 +10,9 @@ the formula-level code it replaced, as the tests' reference:
 - the paper's elimination witnesses: the self-substituted true cofactor
   (``elim_witness``), the positive Ackermann rewriting
   (``ackermann_rewrite``), and per-disjunct witnesses of a DNF combined
-  into one (``ehw_combine``, ``elim_witness_dnf``).
+  into one (``ehw_combine``, ``elim_witness_dnf``), with the syntactic
+  polarity classification (``polarity_of``) and quantifier test
+  (``has_quantifier``) they use.
 
 The differential tests require the package to agree with these, and the
 witness laws of acceptance criterion 7 run against them.
@@ -19,6 +21,7 @@ witness laws of acceptance criterion 7 run against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 from boolsolve import (
@@ -34,19 +37,17 @@ from boolsolve import (
     Not,
     NotIndependent,
     Or,
-    Polarity,
     clean_variant,
     conj,
     equivalent,
     formula_from_table,
     free_atoms,
-    has_quantifier,
     is_substitutible,
-    polarity_of,
     simplify,
     substitute,
     truth_table,
 )
+from boolsolve.formula import BINARY, QUANT
 from boolsolve.semantics import decode_valuation, formula_mask, minterm
 
 DNF_MINTERM_CUTOFF = 12
@@ -75,6 +76,66 @@ class DisjunctWitnesses:
 
 class InvalidDisjunctWitness(BoolsolveError):
     pass
+
+
+def has_quantifier(f: Formula) -> bool:
+    t = type(f)
+    if t in QUANT:
+        return True
+    if t is Not:
+        return has_quantifier(f.operand)
+    if t in BINARY:
+        return has_quantifier(f.left) or has_quantifier(f.right)
+    return False
+
+
+class Polarity(Enum):
+    POSITIVE_ONLY = "positive"
+    NEGATIVE_ONLY = "negative"
+    BOTH = "both"
+    ABSENT = "absent"
+
+
+def polarity_of(f: Formula, atom: str) -> Polarity:
+    """Classify the free occurrences of ``atom`` in ``f``.
+
+    Implications flip the sign of their antecedent; any free occurrence
+    under a biconditional counts as both polarities.
+    """
+    signs: set[int] = set()
+
+    def walk(g: Formula, sign: int | None) -> None:
+        # sign: +1 positive, -1 negative, None = occurrence counts as both
+        t = type(g)
+        if t is Atom:
+            if g.name == atom:
+                if sign is None:
+                    signs.update((1, -1))
+                else:
+                    signs.add(sign)
+        elif t is Not:
+            walk(g.operand, None if sign is None else -sign)
+        elif t is And or t is Or:
+            walk(g.left, sign)
+            walk(g.right, sign)
+        elif t is Implies:
+            walk(g.left, None if sign is None else -sign)
+            walk(g.right, sign)
+        elif t is Iff:
+            walk(g.left, None)
+            walk(g.right, None)
+        elif t in QUANT:
+            if g.var != atom:
+                walk(g.body, sign)
+
+    walk(f, 1)
+    if not signs:
+        return Polarity.ABSENT
+    if signs == {1}:
+        return Polarity.POSITIVE_ONLY
+    if signs == {-1}:
+        return Polarity.NEGATIVE_ONLY
+    return Polarity.BOTH
 
 
 def shannon_eliminate(p: str, f: Formula) -> Formula:

@@ -1,4 +1,5 @@
-"""Reference solver core: successive elimination on formulas.
+"""Reference solvers on formulas: the solver core and the paper's
+constructions.
 
 The package runs successive elimination on truth tables.  This module
 keeps the formula version it replaced: every stage is a formula built
@@ -9,10 +10,19 @@ what these print.  It also holds an exhaustive search for per-unknown
 vocabulary restrictions that shares nothing with the package's solution
 intervals, and the constructive shortcut on formulas, which eliminates
 the later unknowns by Shannon expansion for each unknown in turn.
+
+The paper's classical constructions live here too, as references for
+the laws the core's views satisfy: Schroeder's reproductive interpolant
+of ``(A -> p) & (p -> B)``, Loewenheim's rigorous solution grown from a
+particular one, the instantiation of a reproductive solution, the
+constant solutions read off syntactic polarities, and the definiens of
+a defined unknown.  Components are printed by ``irredundant_two_level``,
+the formula entry of the package's mask cover.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -21,6 +31,7 @@ from boolsolve import (
     TOP,
     And,
     Atom,
+    BoolsolveError,
     Formula,
     NoSolution,
     Not,
@@ -29,20 +40,57 @@ from boolsolve import (
     SolutionKind,
     SolutionProblem,
     clean_variant,
-    definiens,
+    entails,
     exists,
     free_atoms,
-    irredundant_two_level,
+    is_substitutible,
     is_valid,
     simplify,
     substitute,
 )
+from boolsolve.semantics import (
+    atom_patterns,
+    falsifying_valuation,
+    formula_mask,
+    irredundant_two_level_mask,
+)
+from boolsolve.solve import _require_parameters
 from elimination_reference import (
+    Polarity,
     WitnessResult,
     forall_eliminate,
+    polarity_of,
     project_vocabulary,
     shannon_eliminate,
 )
+
+
+class NotSolvable(BoolsolveError):
+    pass
+
+
+class NotAParticularSolution(BoolsolveError):
+    pass
+
+
+class InternalCheckFailed(BoolsolveError):
+    pass
+
+
+class SchroederVariant(Enum):
+    A_OR_BT = "a-or-bt"  # A | (B & t)
+    B_AND_AT = "b-and-at"  # B & (A | t)
+    CASE_SPLIT = "case-split"  # (A & ~t) | (B & t)
+
+
+def irredundant_two_level(f: Formula) -> Formula:
+    """Irredundant two-level form of ``f``'s exact function, read off
+    its bitmask over its free atoms by ``irredundant_two_level_mask``."""
+    basis = free_atoms(f)
+    patterns = atom_patterns(basis)
+    return irredundant_two_level_mask(
+        formula_mask(f, basis, patterns), basis, list(patterns.values())
+    )
 
 
 def solve_succ_elim_stages(sp: SolutionProblem) -> tuple[Formula, ...]:
@@ -203,3 +251,117 @@ def constructive_shortcut(sp: SolutionProblem) -> Solution | None:
     if not is_valid(substitute(work, sp.unknowns, components)):
         return None
     return Solution(components, SolutionKind.PARTICULAR)
+
+
+def schroeder_interpolant(
+    aF: Formula, bF: Formula, t: str, variant: SchroederVariant
+) -> Formula:
+    """Reproductive solution of ``(A -> p) & (p -> B)`` with parameter t.
+
+    Requires A |= B (otherwise no solution exists).  The three variants
+    are pairwise equivalent as formulas in t:
+    ``A | (B & t)``, ``B & (A | t)`` and ``(A & ~t) | (B & t)``.
+    """
+    if t in free_atoms(aF) or t in free_atoms(bF):
+        raise ValueError(f"parameter {t} must be fresh")
+    if not entails(aF, bF):
+        raise NotSolvable("lower bound does not entail upper bound")
+    ta = Atom(t)
+    if variant is SchroederVariant.A_OR_BT:
+        built = Or(aF, And(bF, ta))
+    elif variant is SchroederVariant.B_AND_AT:
+        built = And(bF, Or(aF, ta))
+    else:
+        built = Or(And(aF, Not(ta)), And(bF, ta))
+    return simplify(built)
+
+
+def _check_is_particular(sp: SolutionProblem, components: Sequence[Formula]) -> None:
+    if len(components) != len(sp.unknowns):
+        raise NotAParticularSolution("component count differs from unknown count")
+    if not is_substitutible(components, sp.unknowns, sp.formula):
+        raise NotAParticularSolution("components are not substitutible")
+    if not is_valid(substitute(sp.formula, sp.unknowns, components)):
+        raise NotAParticularSolution("substituted formula is not valid")
+
+
+def rigorous_solution(sp: SolutionProblem, particular: Solution) -> Solution:
+    """Reproductive solution grown from any particular one.
+
+    Component i is ``(G_i & ~F[t..]) | (t_i & F[t..])`` where F[t..] is
+    the problem formula with every unknown replaced by its parameter:
+    substituting a solution for the parameters makes F[t..] valid and
+    reproduces that solution.
+    """
+    params = _require_parameters(sp)
+    if particular.kind is not SolutionKind.PARTICULAR:
+        raise NotAParticularSolution("expected a particular solution")
+    _check_is_particular(sp, particular.components)
+    work = _prepared(sp)
+    f_params = substitute(work, sp.unknowns, [Atom(t) for t in params])
+    components = [
+        simplify(
+            clean_variant(
+                Or(And(g, Not(f_params)), And(Atom(t), f_params)),
+                avoid=set(sp.unknowns) | set(params),
+            )
+        )
+        for g, t in zip(particular.components, params)
+    ]
+    return Solution(components, SolutionKind.REPRODUCTIVE)
+
+
+def instantiate(
+    sp: SolutionProblem, sol: Solution, ts: Sequence[Formula]
+) -> Solution:
+    """Particular solution obtained by substituting ``ts`` for the
+    parameters of a reproductive solution, then validating it."""
+    params = _require_parameters(sp)
+    if sol.kind is not SolutionKind.REPRODUCTIVE:
+        raise ValueError("only reproductive solutions can be instantiated")
+    if len(ts) != len(params):
+        raise ValueError("one replacement per parameter is required")
+    components = [simplify(substitute(g, params, ts)) for g in sol.components]
+    counterexample = falsifying_valuation(
+        substitute(sp.formula, sp.unknowns, components)  # NotSubstitutible propagates
+    )
+    if counterexample is not None:
+        raise InternalCheckFailed(
+            f"instantiation is not a solution, falsified at {counterexample}"
+        )
+    return Solution(components, SolutionKind.PARTICULAR)
+
+
+def polarity_shortcut(sp: SolutionProblem) -> Solution | None:
+    """Constant solution read off syntactic polarities, when every
+    unknown occurs with a single polarity (or not at all).
+
+    Returns None when some unknown occurs with both polarities or when
+    the constant candidate fails validation.
+    """
+    candidate: list[Formula] = []
+    for p in sp.unknowns:
+        pol = polarity_of(sp.formula, p)
+        if pol in (Polarity.POSITIVE_ONLY, Polarity.ABSENT):
+            candidate.append(TOP)
+        elif pol is Polarity.NEGATIVE_ONLY:
+            candidate.append(BOT)
+        else:
+            return None
+    if not is_valid(substitute(sp.formula, sp.unknowns, candidate)):
+        return None
+    return Solution(candidate, SolutionKind.PARTICULAR)
+
+
+def definiens(f: Formula, p: str) -> Formula | None:
+    """Defining formula for ``p`` within ``f`` when one exists.
+
+    ``p`` is implicitly definable iff the two cofactors of ``f`` cannot
+    hold together; the true cofactor is then a definiens:
+    ``f |= p <-> definiens``.  Returns None when not definable.
+    """
+    top = substitute(f, [p], [TOP])
+    bot = substitute(f, [p], [BOT])
+    if not is_valid(Not(And(top, bot))):
+        return None
+    return simplify(top)

@@ -37,7 +37,6 @@ from boolsolve import (
     free_atoms,
     is_substitutible,
     parse,
-    rigorous_solution,
     solve_by_witnesses,
     solve_on_second_order,
     solve_restricted,
@@ -57,6 +56,7 @@ from elimination_reference import (
 )
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 import solve_reference
+from solve_reference import rigorous_solution
 
 EXAMPLE_1 = parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
 EXAMPLE_3 = parse("(p1 -> p2) & (a -> p2) & (p2 -> b)")

@@ -10,7 +10,6 @@ from boolsolve import (
     Not,
     NotSubstitutible,
     Or,
-    Polarity,
     And,
     clean_variant,
     equivalent,
@@ -19,10 +18,10 @@ from boolsolve import (
     free_atoms,
     is_substitutible,
     parse,
-    polarity_of,
     substitute,
     truth_table,
 )
+from elimination_reference import Polarity, polarity_of
 from genutil import QUANT_POOL, random_formula
 
 

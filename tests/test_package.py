@@ -1,8 +1,16 @@
+import importlib
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import boolsolve
+import readme_tour
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+README = ROOT / "README.md"
 
 # Run in isolated mode (-I: no PYTHONPATH, no user site, no script
 # directory on sys.path), so only the standard library and src/ are
@@ -67,3 +75,53 @@ def test_cli_import_defers_the_oracle():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+# Names that no command reaches and README does not list: the paper's
+# formula-level constructions, now references in tests/solve_reference.py
+# and tests/elimination_reference.py, and the one-unknown wrappers of
+# the solver core.
+MOVED = {
+    "solve": (
+        "InternalCheckFailed",
+        "NotAParticularSolution",
+        "NotSolvable",
+        "SchroederVariant",
+        "definiens",
+        "instantiate",
+        "polarity_shortcut",
+        "rigorous_solution",
+        "schroeder_interpolant",
+        "solve1_interval",
+        "solve1_reproductive",
+    ),
+    "formula": ("Polarity", "has_quantifier", "polarity_of"),
+    "semantics": ("irredundant_two_level",),
+}
+
+
+def _readme_code_names() -> set[str]:
+    """The identifiers in README's code blocks and inline code spans."""
+    spans = re.findall(r"```[a-z]*\n(.*?)```|`([^`]+)`", README.read_text(encoding="utf-8"), re.S)
+    return set(re.findall(r"\w+", " ".join(block + inline for block, inline in spans)))
+
+
+def test_api_is_what_readme_lists():
+    moved = {name for names in MOVED.values() for name in names}
+    assert len(moved) == 15
+    for module, names in MOVED.items():
+        old_home = importlib.import_module(f"boolsolve.{module}")
+        for name in names:
+            assert not hasattr(boolsolve, name), name
+            assert not hasattr(old_home, name), (module, name)
+    assert not moved & set(dir(boolsolve))
+    assert not moved & set(boolsolve.__all__)
+    submodules = {m.name for m in pkgutil.iter_modules(boolsolve.__path__)}
+    named = _readme_code_names()
+    unlisted = [n for n in boolsolve.__all__ if n not in submodules and n not in named]
+    assert unlisted == []
+
+
+def test_readme_tour_runs():
+    # the two "# True" comments: exists_solution and the check's verdict
+    assert readme_tour.run_tour(README) == 2

@@ -11,6 +11,8 @@ from boolsolve import (
     BudgetExceeded,
     Not,
     Or,
+    SolutionProblem,
+    Strategy,
     TOP,
     TruthTable,
     UnboundAtom,
@@ -22,13 +24,11 @@ from boolsolve import (
     exists,
     formula_from_table,
     free_atoms,
-    has_quantifier,
-    irredundant_two_level,
     is_substitutible,
     is_valid,
     parse,
     simplify,
-    solve1_interval,
+    solve_on_second_order,
     substitute,
     truth_table,
 )
@@ -43,7 +43,9 @@ from boolsolve.semantics import (
     top_cofactors,
     widen,
 )
+from elimination_reference import has_quantifier
 from genutil import QUANT_POOL, random_formula
+from solve_reference import irredundant_two_level
 
 
 def nested_prefix(q: int):
@@ -380,7 +382,8 @@ def test_nested_prefix_in_one_pass():
     assert is_valid(f)
     assert time.perf_counter() - start < 2
     start = time.perf_counter()
-    assert solve1_interval(f, "a0") == BOT
+    sol = solve_on_second_order(SolutionProblem(f, ["a0"]), Strategy.INTERVAL)
+    assert sol.components == (BOT,)
     assert time.perf_counter() - start < 2
 
 

@@ -3,16 +3,14 @@ import random
 import pytest
 
 from boolsolve import (
+    And,
     Atom,
     BOT,
     Exists,
-    InternalCheckFailed,
+    Implies,
     MissingParameters,
     NoSolution,
-    NotAParticularSolution,
-    NotSolvable,
     NotSubstitutible,
-    SchroederVariant,
     Solution,
     SolutionKind,
     SolutionProblem,
@@ -22,7 +20,6 @@ from boolsolve import (
     check_particular,
     check_reproductive,
     constructive_shortcut,
-    definiens,
     depends_on,
     entails,
     enumerate_solutions,
@@ -30,13 +27,7 @@ from boolsolve import (
     exists_solution,
     formula_from_table,
     free_atoms,
-    instantiate,
     parse,
-    polarity_shortcut,
-    rigorous_solution,
-    schroeder_interpolant,
-    solve1_interval,
-    solve1_reproductive,
     solve_by_witnesses,
     solve_on_second_order,
     solve_restricted,
@@ -48,6 +39,17 @@ from boolsolve.solve import _stage_masks
 from elimination_reference import elim_witness, elim_witness_dnf
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 import solve_reference
+from solve_reference import (
+    InternalCheckFailed,
+    NotAParticularSolution,
+    NotSolvable,
+    SchroederVariant,
+    definiens,
+    instantiate,
+    polarity_shortcut,
+    rigorous_solution,
+    schroeder_interpolant,
+)
 
 EXAMPLE_SOLVABLE = parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
 EXAMPLE_UNSOLVABLE = parse("(p1 -> p2) & (a -> p2) & (p2 -> b)")
@@ -72,19 +74,23 @@ def test_problem_validation():
 
 
 def test_solve1_interval():
-    g = solve1_interval(UNARY_SOLVABLE, "p")
+    # A unary problem's lower bound is the interval strategy's component.
+    interval = Strategy.INTERVAL
+    unary = SolutionProblem(UNARY_SOLVABLE, ["p"])
+    (g,) = solve_on_second_order(unary, interval).components
     assert equivalent(g, parse("a & b"))
-    assert check_particular(SolutionProblem(UNARY_SOLVABLE, ["p"]), [g]).verdict
+    assert check_particular(unary, [g]).verdict
 
     with pytest.raises(NoSolution):
-        solve1_interval(parse("(a -> p) & (p -> b)"), "p")
+        solve_on_second_order(SolutionProblem(parse("(a -> p) & (p -> b)"), ["p"]), interval)
 
-    assert equivalent(solve1_interval(parse("p <-> a"), "p"), parse("a"))
+    (g,) = solve_on_second_order(SolutionProblem(parse("p <-> a"), ["p"]), interval).components
+    assert equivalent(g, parse("a"))
 
 
 def test_solve1_interval_strips_prefix():
     f = Exists("p2", parse("(a -> b) -> ((p -> p2) & (a -> p2) & (p2 -> b))"))
-    g = solve1_interval(f, "p")
+    (g,) = solve_on_second_order(SolutionProblem(f, ["p"]), Strategy.INTERVAL).components
     assert "p2" not in free_atoms(g)
     inner = parse("(a -> b) -> ((p -> p2) & (a -> p2) & (p2 -> b))")
     assert exists_solution(
@@ -93,23 +99,23 @@ def test_solve1_interval_strips_prefix():
 
 
 def test_solve1_reproductive():
+    # A unary problem's reproductive solution is succ-elim's component.
     unary = SolutionProblem(UNARY_SOLVABLE, ["p"], parameters=["t"])
-    g = solve1_reproductive(UNARY_SOLVABLE, "p", "t")
+    (g,) = solve_succ_elim(unary).components
     assert check_reproductive(unary, [g], ["a", "b"]).verdict
 
-    g = solve1_reproductive(parse("p <-> a"), "p", "t")
+    (g,) = solve_succ_elim(SolutionProblem(parse("p <-> a"), ["p"], ["t"])).components
     assert equivalent(g, parse("a"))
 
-    g = solve1_reproductive(TOP, "p", "t")
+    open_sp = SolutionProblem(TOP, ["p"], parameters=["t"])
+    (g,) = solve_succ_elim(open_sp).components
     assert equivalent(g, Atom("t"))
-    assert check_reproductive(
-        SolutionProblem(TOP, ["p"], parameters=["t"]), [g], ["a"]
-    ).verdict
+    assert check_reproductive(open_sp, [g], ["a"]).verdict
 
     with pytest.raises(NoSolution):
-        solve1_reproductive(parse("(a -> p) & (p -> b)"), "p", "t")
+        solve_succ_elim(SolutionProblem(parse("(a -> p) & (p -> b)"), ["p"], ["t"]))
     with pytest.raises(ValueError):
-        solve1_reproductive(parse("p | t"), "p", "t")
+        SolutionProblem(parse("p | t"), ["p"], ["t"])
 
 
 def test_schroeder_interpolant():
@@ -141,6 +147,24 @@ def test_schroeder_variants_equivalent():
         done += 1
 
 
+def test_schroeder_law_for_succ_elim():
+    # The core's reproductive component of (A -> p) & (p -> B) is
+    # Schroeder's interpolant in each of its three forms.
+    rng = random.Random(7)
+    pairs = 0
+    for _ in range(3000):
+        aF = random_formula(rng, ("a", "b", "c"), 3)
+        bF = random_formula(rng, ("a", "b", "c"), 3)
+        if not entails(aF, bF):
+            continue
+        pairs += 1
+        f = And(Implies(aF, Atom("p")), Implies(Atom("p"), bF))
+        g = solve_succ_elim(SolutionProblem(f, ["p"], ["t"])).components[0]
+        for v in SchroederVariant:
+            assert equivalent(g, schroeder_interpolant(aF, bF, "t", v)), (aF, bF, v)
+    assert pairs > 800
+
+
 def test_solve_on_second_order_interval():
     sp = SolutionProblem(EXAMPLE_SOLVABLE, ["p1", "p2"])
     sol = solve_on_second_order(sp, Strategy.INTERVAL)
@@ -149,7 +173,7 @@ def test_solve_on_second_order_interval():
 
     unary = SolutionProblem(UNARY_SOLVABLE, ["p"])
     sol = solve_on_second_order(unary, Strategy.INTERVAL)
-    assert sol.components[0] == solve1_interval(UNARY_SOLVABLE, "p")
+    assert list(sol.components) == solve_reference.solve_stages(unary, None)
 
     with pytest.raises(NoSolution):
         solve_on_second_order(
@@ -299,6 +323,24 @@ def test_polarity_shortcut():
     assert polarity_shortcut(SolutionProblem(parse("p <-> a"), ["p"])) is None
     # single polarity but the constant candidate fails validation
     assert polarity_shortcut(SolutionProblem(parse("p & a"), ["p"])) is None
+
+
+def test_constructive_shortcut_subsumes_polarity_shortcut():
+    # An unknown of a single polarity is monotone in every stage, so a
+    # solvable stage has U_i full or L_i = 0: the constructive shortcut
+    # answers wherever the polarity shortcut does.
+    rng = random.Random(1919)
+    answered = 0
+    for _ in range(3000):
+        f = random_formula(rng, ("p1", "p2", "a", "b", "c"), 5, quant_pool=QUANT_POOL)
+        sp = SolutionProblem(f, ["p1", "p2"])
+        if polarity_shortcut(sp) is None:
+            continue
+        answered += 1
+        sol = constructive_shortcut(sp)
+        assert sol is not None, f
+        assert check_particular(sp, sol.components).verdict, f
+    assert answered > 600
 
 
 def test_constructive_shortcut_constants_by_validity():
