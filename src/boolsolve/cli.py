@@ -197,8 +197,10 @@ def _per_unknown(pf: ProblemFile) -> list[tuple[str, ...]] | None:
 
 
 def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
-    for name, component in zip(unknowns, sol.components):
-        print(f"{name} := {component}")
+    # Every line is rendered first, so a component too deep to print
+    # leaves no partial answer on stdout.
+    lines = [f"{name} := {component}" for name, component in zip(unknowns, sol.components)]
+    print("\n".join(lines))
 
 
 def _cmd_exists(args: argparse.Namespace) -> int:

@@ -4,11 +4,11 @@ Validity is decided by expansion over the free atoms.  Internally a
 formula is evaluated to a bitmask holding its value under every
 valuation of an atom basis at once, which keeps exhaustive checks cheap
 at desk scale.  A quantifier takes the OR or AND of the cofactors of its
-bound atom: a lone quantifier walks its body once per value of the
-atom, and a nest of them is walked once, each binder on a bit slot of
-its own above the basis (``formula_mask``).  A basis spans at most
-``MAX_MASK_ATOMS`` atoms; ``atom_patterns`` refuses a wider one with
-``BudgetExceeded``.
+bound atom by one width rule (``formula_mask``): over a narrow mask its
+body is walked once, one position wider, with the binder on the new top
+position, and over a wide one once per value of the binder.  A basis
+spans at most ``MAX_MASK_ATOMS`` atoms; ``atom_patterns`` refuses a
+wider one with ``BudgetExceeded``.
 
 Truth-table encoding (fixed so golden outputs are portable): the basis
 is sorted ascending, atom ``i`` of the basis contributes bit ``i`` of a
@@ -18,10 +18,9 @@ The text form prints index 0 leftmost.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .formula import (
-    BINARY,
     BOT,
     TOP,
     And,
@@ -97,92 +96,84 @@ def formula_mask(f: Formula, basis: AtomSet, patterns: dict[str, int] | None = N
     """Bitmask of ``f`` over all valuations of ``basis``.
 
     ``patterns`` maps every atom that occurs free in ``f`` to its mask
-    over the basis; it defaults to ``atom_patterns(basis)``.  With k
-    basis atoms, a quantifier whose body holds no quantifier is the OR
-    (exists) or AND (forall) of its body walked with the binder false
-    and with it true.  A quantifier whose body holds another one heads
-    a nest of depth d, which is walked once at width k + d: the binder
-    at nesting depth j takes the bit slot k + j above the basis and is
-    quantified by the OR or AND of that slot's ``cofactors``, and the
-    nest's mask, free of every slot, is cut back to the basis.  While
-    k + d exceeds ``MAX_MASK_ATOMS``, the nest's outer binder is walked
-    per cofactor instead, so nesting never makes a formula too wide.
+    over the basis; it defaults to ``atom_patterns(basis)``.  A
+    quantifier is the OR (exists) or AND (forall) of the two cofactors
+    of its binder.  While the walk's mask spans fewer than
+    ``_WIDEN_BELOW`` positions (and fewer than ``MAX_MASK_ATOMS``), the
+    body is walked once, one position wider, with the binder on the new
+    top position and every other atom widened as the body reads it; the
+    cofactors are that mask's ``top_cofactors``.  Past that width the
+    body is walked once with the binder false and once with it true.  So
+    a nest over a narrow basis is walked once up to that width, and no
+    quantifier widens a mask past it.
     """
     if patterns is None:
         patterns = atom_patterns(basis)
-    return _walker(len(basis), len(basis))(f, patterns)
+    return _mask(f, patterns, (1 << (1 << len(basis))) - 1)
 
 
-def _quantifier_depth(f: Formula) -> int:
-    """How deep the quantifiers of ``f`` nest; 0 when it has none."""
-    t = type(f)
+# A quantifier over a mask of fewer positions than this is walked one
+# position wider, so no mask widened for a binder passes 2^18 bits
+# (32 kB); of the widths tried, 18 walked deep nests fastest.
+_WIDEN_BELOW = 18
+
+
+class _Scope(dict):
+    """The atom masks a quantifier's body reads: its binder's, stored,
+    and every other atom's from the enclosing ``outer`` scope, widened
+    by one top position above its ``half`` bits unless ``half`` is 0.
+    A widened mask is not stored, so each lives only while it is used."""
+
+    __slots__ = ("outer", "half")
+
+    def __init__(self, outer: dict[str, int], half: int) -> None:
+        self.outer = outer
+        self.half = half
+
+    def __missing__(self, name: str) -> int:
+        mask = self.outer[name]
+        return mask | mask << self.half if self.half else mask
+
+
+def _mask(g: Formula, values: dict[str, int], full: int) -> int:
+    """``formula_mask``'s walk: the mask of ``g`` where ``values`` holds
+    every free atom's mask and ``full`` is the mask of all valuations."""
+    t = type(g)
+    if t is Atom:
+        try:
+            return values[g.name]
+        except KeyError:
+            raise UnboundAtom(g.name) from None
     if t is Not:
-        return _quantifier_depth(f.operand)
-    if t in BINARY:
-        return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
+        return full ^ _mask(g.operand, values, full)
+    if t is And:
+        return _mask(g.left, values, full) & _mask(g.right, values, full)
+    if t is Or:
+        return _mask(g.left, values, full) | _mask(g.right, values, full)
+    if t is Implies:
+        return (full ^ _mask(g.left, values, full)) | _mask(g.right, values, full)
+    if t is Iff:
+        return full ^ _mask(g.left, values, full) ^ _mask(g.right, values, full)
+    if t is Top:
+        return full
+    if t is Bot:
+        return 0
     if t is Exists or t is Forall:
-        return 1 + _quantifier_depth(f.body)
-    return 0
-
-
-def _walker(width: int, first_slot: int) -> Callable[[Formula, dict[str, int]], int]:
-    """``formula_mask``'s walk at ``width`` positions, given the mask of
-    every free atom.  Positions ``first_slot`` on are the bit slots of a
-    nest, where the binder at nesting depth j takes slot
-    ``first_slot + j``.  Without slots (``first_slot == width``) each
-    quantifier is walked per cofactor or heads a nest of its own."""
-    full = (1 << (1 << width)) - 1
-    # slot p's mask: the upper half of the indices over p + 1 positions, widened
-    slot_masks = [
-        widen(((1 << (1 << p)) - 1) << (1 << p), p + 1, width) for p in range(first_slot, width)
-    ]
-    free_slot = first_slot
-
-    def walk(g: Formula, values: dict[str, int]) -> int:
-        t = type(g)
-        if t is Atom:
-            try:
-                return values[g.name]
-            except KeyError:
-                raise UnboundAtom(g.name) from None
-        if t is Not:
-            return full ^ walk(g.operand, values)
-        if t is And:
-            return walk(g.left, values) & walk(g.right, values)
-        if t is Or:
-            return walk(g.left, values) | walk(g.right, values)
-        if t is Implies:
-            return (full ^ walk(g.left, values)) | walk(g.right, values)
-        if t is Iff:
-            return full ^ walk(g.left, values) ^ walk(g.right, values)
-        if t is Top:
-            return full
-        if t is Bot:
-            return 0
-        if t is Exists or t is Forall:
-            return quantified(g, values, t is Exists)
-        raise TypeError(f"not a formula: {g!r}")
-
-    def quantified(g: Exists | Forall, values: dict[str, int], existential: bool) -> int:
-        nonlocal free_slot
-        if free_slot < width:
-            position = free_slot
-            pattern = slot_masks[position - first_slot]
-            free_slot += 1
-            mask = walk(g.body, {**values, g.var: pattern})
-            free_slot -= 1
-            zero, one = cofactors(mask, position, pattern)
+        half = full.bit_length()  # 2^width, for a mask over width positions
+        width = half.bit_length() - 1
+        if width < _WIDEN_BELOW and width < MAX_MASK_ATOMS:
+            scope = _Scope(values, half)
+            scope[g.var] = full << half
+            mask = _mask(g.body, scope, full | full << half)
+            zero, one = top_cofactors(mask, width + 1)
         else:
-            depth = 1 + _quantifier_depth(g.body)
-            if depth > 1 and width + depth <= MAX_MASK_ATOMS:
-                wide = width + depth
-                widened = {name: widen(m, width, wide) for name, m in values.items()}
-                return _walker(wide, width)(g, widened) & full
-            zero = walk(g.body, {**values, g.var: 0})
-            one = walk(g.body, {**values, g.var: full})
-        return zero | one if existential else zero & one
-
-    return walk
+            scope = _Scope(values, 0)
+            scope[g.var] = 0
+            zero = _mask(g.body, scope, full)
+            scope[g.var] = full
+            one = _mask(g.body, scope, full)
+        return zero | one if t is Exists else zero & one
+    raise TypeError(f"not a formula: {g!r}")
 
 
 def top_cofactors(mask: int, width: int) -> tuple[int, int]:

@@ -1,10 +1,11 @@
 """References for the bitmask kernel, for tests only.
 
-``formula_mask`` walks a nest of quantifiers once, each binder on a bit
-slot of its own above the basis.  The reference below reads the
-quantifiers literally instead: every binder walks its body once with
-the bound atom false and once with it true, so q nested binders walk
-the innermost body 2^q times.  Its masks must equal the kernel's.
+``formula_mask`` walks a quantifier's body once, one position wider
+with its binder on the new top position, while the mask is narrow, so
+a nest over a narrow basis is walked once.  The reference below reads
+the quantifiers literally instead: every binder walks its body once
+with the bound atom false and once with it true, so q nested binders
+walk the innermost body 2^q times.  Its masks must equal the kernel's.
 
 ``irredundant_two_level_mask`` lays the mask out in split order and
 recurses on half-width cofactors.  The reference below keeps every

@@ -79,7 +79,7 @@ def test_exists_command(example_path, unsolvable_path, capsys):
 
 def test_exists_on_nested_binders(tmp_path, capsys):
     # exists q . forall r . ... nests two binders, so the kernel walks
-    # the nest once on bit slots above the basis.
+    # the innermost body once, two positions wider than the basis.
     path = tmp_path / "nested.sp"
     path.write_text("unknowns: p\nformula: exists q . forall r . (a -> p) & (p -> a | q | r)\n")
     assert run(["exists", str(path)]) == 0
@@ -466,6 +466,19 @@ def test_deep_formula_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: formula nested too deeply\n"
+
+
+def test_solve_prints_all_lines_or_none(tmp_path, capsys):
+    # q's cover of 1,024 cubes is too deep to print; p's line, rendered
+    # before it, must not reach stdout either.
+    parity = " <-> ".join(f"a{i}" for i in range(11))
+    path = tmp_path / "parity.sp"
+    path.write_text(f"unknowns: p q\nformula: (p <-> b) & (q <-> ({parity}))\n")
+    for method in ("succ-elim", "second-order", "witnesses"):
+        assert run(["solve", "--method", method, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: formula nested too deeply\n"
 
 
 def _chain_file(tmp_path, n):

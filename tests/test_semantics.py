@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,9 @@ from boolsolve.semantics import (
 from elimination_reference import has_quantifier
 from genutil import QUANT_POOL, random_formula
 from solve_reference import irredundant_two_level
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def nested_prefix(q: int):
@@ -387,18 +393,23 @@ def test_nested_prefix_in_one_pass():
     assert time.perf_counter() - start < 2
 
 
+def _walk_width(full: int) -> int:
+    """The positions a walk's mask spans, from its mask of all valuations."""
+    return full.bit_length().bit_length() - 1
+
+
 def test_nest_past_the_width_cap(monkeypatch):
-    # Outer binders of a nest too wide for the cap are walked per
-    # cofactor; the rest is walked on slots up to the cap exactly.
+    # Outer binders of a nest too wide for the cap are walked one
+    # position wider each, up to the cap exactly; the rest per cofactor.
     monkeypatch.setattr(semantics, "MAX_MASK_ATOMS", 7)
     widths = []
-    walker = semantics._walker
+    walk = semantics._mask
 
-    def spy(width, first_slot):
-        widths.append(width)
-        return walker(width, first_slot)
+    def spy(g, values, full):
+        widths.append(_walk_width(full))
+        return walk(g, values, full)
 
-    monkeypatch.setattr(semantics, "_walker", spy)
+    monkeypatch.setattr(semantics, "_mask", spy)
     f = nested_prefix(8)
     basis = free_atoms(f)
     assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
@@ -410,3 +421,72 @@ def test_nest_past_the_width_cap(monkeypatch):
         )
         basis = tuple(sorted(set(free_atoms(f)) | {"a", "b", "c", "d"}))
         assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
+
+
+def test_per_cofactor_inside_a_widened_scope(monkeypatch):
+    # Past the lowered cap a quantifier is walked per cofactor, while the
+    # atoms it reads are still widened by the binders above it.
+    monkeypatch.setattr(semantics, "MAX_MASK_ATOMS", 8)
+    f = nested_prefix(12)
+    basis = free_atoms(f)
+    assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
+    # The reference walks nested_prefix(18) 2^18 times; the kernel at its
+    # own cap widens all 18 binders, so that is the mask to match.
+    f = nested_prefix(18)
+    basis = free_atoms(f)
+    monkeypatch.setattr(semantics, "MAX_MASK_ATOMS", 12)
+    narrow = formula_mask(f, basis)
+    monkeypatch.undo()
+    assert narrow == formula_mask(f, basis) == (1 << (1 << len(basis))) - 1
+
+
+def test_random_quantifiers_per_cofactor_inside_a_widened_scope(monkeypatch):
+    # Binders reuse free atoms' names and nest under their own name.
+    monkeypatch.setattr(semantics, "MAX_MASK_ATOMS", 5)
+    crossed = 0
+    walk = semantics._mask
+
+    def spy(g, values, full):
+        nonlocal crossed
+        crossed += isinstance(g, QUANT) and _walk_width(full) == 5
+        return walk(g, values, full)
+
+    monkeypatch.setattr(semantics, "_mask", spy)
+    rng = random.Random(71)
+    atoms = ("a", "b", "c", "d")
+    seen = {"nest": 0, "reuses free": 0, "self nested": 0}
+    for _ in range(300):
+        f = random_formula(rng, atoms, depth=7, quant_pool=("a", "b", "q"), quant_prob=0.4)
+        for shape in _binder_shapes(f, frozenset(free_atoms(f))):
+            seen[shape] += 1
+        assert formula_mask(f, atoms) == semantics_reference.formula_mask(f, atoms)
+    assert min(seen.values()) >= 50, seen
+    assert crossed >= 500, crossed
+
+
+# The probe reports its peak RSS as VmHWM, in kB: on Linux a child's
+# ru_maxrss also counts the peak of the process it was forked from, here
+# the test run, while VmHWM starts afresh at exec.
+_NEST_MEMORY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from boolsolve import is_valid, parse
+q = 22
+chain = " & ".join(f"(q{i} -> q{i + 1} | a{i % 4})" for i in range(q - 1))
+assert is_valid(parse("".join(f"exists q{i} . " for i in range(q)) + chain))
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def test_nest_does_not_widen_the_basis():
+    # nested_prefix(22) over 4 atoms: the binders widen the masks, not
+    # every atom of the scope at once, so the peak stays small.
+    result = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", _NEST_MEMORY_PROBE, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 100 * 1024
