@@ -2,19 +2,18 @@
 
 Candidate solution components range over every Boolean function of the
 basis atoms, represented canonically as full-DNF formulas.  The checks
-mirror the solution-type definitions exactly: particular (substitutible
-and valid), reproductive (every parameter instantiation solves, and
+mirror the solution-type definitions exactly: particular (the
+substituted formula is valid), reproductive (every parameter instantiation solves, and
 every enumerated solution is reproduced) and general (every enumerated
 solution is reachable by some instantiation).  The basis must not meet
 the unknowns, nor, for these checks, the parameters.
 
-Every check composes truth tables.  ``formula_mask`` evaluates
-quantifiers exactly, so composing tables gives the table of the literal
-substitution whenever that substitution is capture-free.  The capture
-test is syntactic and made once per call with ``free_binders``: a
-canonical basis formula mentions every basis atom unless it is
-constant, so a tuple of basis functions is refused exactly when literal
-substitution would raise ``NotSubstitutible``.
+Substitution is read up to renaming of bound atoms: F[p := G] replaces
+p in F after F's binders are renamed apart from the atoms of G, so no
+quantifier of F binds an atom of G.  The solvers read it so too: their
+masks never see binder names.  Every check composes truth tables, and
+``formula_mask`` evaluates quantifiers exactly, so composing tables
+gives the table of that substitution.
 
 The quantifiers over tuples of basis functions are decided per basis
 valuation.  A row of F[H] sees the tuple H only through its values at
@@ -25,15 +24,9 @@ tests F at every row for every parameter value tuple.  A solution
 takes an allowed value tuple at every basis valuation, so every
 solution is reproduced when no allowed value tuple is mismatched at
 any basis valuation, and every solution is reachable when each basis
-valuation's allowed tuples are reachable there.  An unknown or
-parameter that capture restricts to the constant functions takes one
-value at every basis valuation, so its constant is chosen first; a
-parameter captured in a component refuses a non-constant solution
-component, which no single basis valuation shows, so clause (b) of
-the reproductive check then goes solution by solution.  The loops over
-tuples of basis functions and over the enumerated solutions otherwise
-run only once a clause is known to fail, to list its first five
-failures.
+valuation's allowed tuples are reachable there.  The loops over tuples
+of basis functions and over the enumerated solutions run only once a
+clause is known to fail, to list its first five failures.
 """
 
 from __future__ import annotations
@@ -47,12 +40,10 @@ from .formula import (
     AtomSet,
     BoolsolveError,
     Formula,
-    NotSubstitutible,
     Or,
     Record,
+    clean_variant,
     free_atoms,
-    free_binders,
-    is_substitutible,
     substitute,
 )
 from .semantics import (
@@ -67,8 +58,6 @@ from .solve import Solution, SolutionKind, SolutionProblem
 
 MAX_BASIS = 3
 MAX_UNKNOWNS = 2
-
-_NO_ATOMS: frozenset[str] = frozenset()
 
 
 class TooLarge(BoolsolveError):
@@ -92,7 +81,6 @@ class FunctionSpace:
         self.tables: range = range(1 << (1 << len(self.basis)))
         self._formulas: dict[int, Formula] = {}
         self._minterms: list[Formula] = []  # made on first use
-        self._basis_atoms = frozenset(self.basis)
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -124,13 +112,6 @@ class FunctionSpace:
                     f = Or(self.formula(rest), f)
             self._formulas[table] = f
         return f
-
-    def free_atoms(self, table: int) -> frozenset[str]:
-        """Free atoms of ``formula(table)``: a full DNF mentions every
-        basis atom, and the constants mention none."""
-        if table == 0 or table == self.tables[-1]:
-            return _NO_ATOMS
-        return self._basis_atoms
 
     @property
     def formulas(self) -> list[Formula]:
@@ -228,13 +209,9 @@ class _Composer:
     its basis valuation ``beta[w]``.
     """
 
-    def __init__(self, sp: SolutionProblem, basis: AtomSet, extra: Sequence[str] = ()):
-        binders = free_binders(sp.formula)
-        # the binders above each unknown's free occurrences in F: literal
-        # substitution refuses a component that mentions one of them
-        self.capturing = [binders.get(p, _NO_ATOMS) for p in sp.unknowns]
-        eval_names = (set(binders) - set(sp.unknowns)) | set(basis)
-        eval_names |= set(extra)
+    def __init__(self, sp: SolutionProblem, basis: AtomSet, extra: Iterable[str] = ()):
+        self.n_unknowns = len(sp.unknowns)
+        eval_names = (set(sp.free) - set(sp.unknowns)) | set(basis) | set(extra)
         self.eval_names: AtomSet = tuple(sorted(eval_names))
         all_names = tuple(sorted(eval_names | set(sp.unknowns)))
         fmask = formula_mask(sp.formula, all_names)
@@ -256,22 +233,19 @@ class _Composer:
             self.allowed[b] &= true
 
 
-def _solution_tables(space: FunctionSpace, composer: _Composer) -> Iterator[tuple[int, ...]]:
-    """Tuples of basis tables that substitute into F without capture and
-    make it valid, lazily and in the order of
-    ``product(space.tables, repeat=len(unknowns))``.
+def _solution_tables(composer: _Composer) -> Iterator[tuple[int, ...]]:
+    """Tuples of basis tables that make F valid, lazily and in the order
+    of ``product(space.tables, repeat=len(unknowns))``.
 
     F[H] is valid exactly when H's value tuple is allowed at every basis
     valuation.  So table j takes, at each basis valuation, the values
     that some allowed tuple agreeing with the earlier tables there has,
     the highest basis valuation (the table's top bit) varying slowest.
-    A captured unknown takes the constant tables only.
     """
     allowed = composer.allowed
     if not all(allowed):
         return
-    n = len(composer.capturing)
-    constant_only = [bool(c & set(space.basis)) for c in composer.capturing]
+    n = composer.n_unknowns
     every = (1 << (1 << n)) - 1
     # sides[j][x]: the value tuples in which unknown j has value x
     sides = []
@@ -279,7 +253,6 @@ def _solution_tables(space: FunctionSpace, composer: _Composer) -> Iterator[tupl
         ones = _bits(v for v in range(1 << n) if (v >> j) & 1)
         sides.append((every ^ ones, ones))
     betas = range(len(allowed) - 1, -1, -1)
-    full = space.tables[-1]
 
     def extend(j: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
         # rest[b]: the tuples allowed at b that agree with tables 0..j-1
@@ -287,17 +260,10 @@ def _solution_tables(space: FunctionSpace, composer: _Composer) -> Iterator[tupl
             yield ()
             return
         zero, one = sides[j]
-        if constant_only[j]:
-            tables: Iterable[int] = [
-                t for t, side in ((0, zero), (full, one)) if all(r & side for r in rest)
-            ]
-        else:
-            options = [
-                [x << b for x, side in ((0, zero), (1, one)) if rest[b] & side]
-                for b in betas
-            ]
-            tables = map(sum, product(*options))
-        for t in tables:
+        options = [
+            [x << b for x, side in ((0, zero), (1, one)) if rest[b] & side] for b in betas
+        ]
+        for t in map(sum, product(*options)):
             narrowed = [r & sides[j][(t >> b) & 1] for b, r in enumerate(rest)]
             for tail in extend(j + 1, narrowed):
                 yield (t,) + tail
@@ -313,7 +279,7 @@ def enumerate_solutions(
     basis_t = _basis(sp, basis, allow_large, parameters=False)
     space = FunctionSpace(basis_t)
     out = []
-    for tables in _solution_tables(space, _Composer(sp, basis_t)):
+    for tables in _solution_tables(_Composer(sp, basis_t)):
         out.append(
             Solution([space.formula(t) for t in tables], SolutionKind.PARTICULAR)
         )
@@ -325,8 +291,7 @@ def any_enumerated_solution(
 ) -> bool:
     """Early-exiting nonemptiness test for ``enumerate_solutions``."""
     basis_t = _basis(sp, basis, allow_large, parameters=False)
-    space = FunctionSpace(basis_t)
-    return next(_solution_tables(space, _Composer(sp, basis_t)), None) is not None
+    return next(_solution_tables(_Composer(sp, basis_t)), None) is not None
 
 
 def _mentions_unknown(sp: SolutionProblem, free: Iterable[Iterable[str]]) -> bool:
@@ -336,8 +301,8 @@ def _mentions_unknown(sp: SolutionProblem, free: Iterable[Iterable[str]]) -> boo
 
 
 def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport:
-    """Components free of the unknowns, substitutibility, and validity
-    of the substituted formula."""
+    """Components free of the unknowns, and validity of the substituted
+    formula, its binders renamed apart from the components' atoms."""
 
     def failed(reason: str, valuation: dict[str, bool] | None = None) -> CheckReport:
         label = "(" + ", ".join(str(g) for g in sol) + ")"
@@ -345,11 +310,11 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
 
     if len(sol) != len(sp.unknowns):
         return failed("component count differs from unknown count")
-    if _mentions_unknown(sp, map(free_atoms, sol)):
+    free = [free_atoms(g) for g in sol]
+    if _mentions_unknown(sp, free):
         return _MENTIONS_UNKNOWN
-    if not is_substitutible(sol, sp.unknowns, sp.formula):
-        return failed("NotSubstitutible")
-    counterexample = falsifying_valuation(substitute(sp.formula, sp.unknowns, sol))
+    clean = clean_variant(sp.formula, avoid=[a for atoms in free for a in atoms])
+    counterexample = falsifying_valuation(substitute(clean, sp.unknowns, sol))
     if counterexample is not None:
         return failed("substituted formula falsified", counterexample)
     return CheckReport(True)
@@ -358,28 +323,19 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
 class _ReproductiveChecker:
     """Shared table machinery for the parametric, reproductive and
     general checks.  Parameter value tuples are ints like the unknowns'
-    ones, bit j for parameter j.  ``comp_binders`` holds each
-    component's ``free_binders``."""
+    ones, bit j for parameter j.  ``comp_free`` holds each component's
+    free atoms."""
 
     def __init__(
         self,
         sp: SolutionProblem,
         sol: Sequence[Formula],
-        comp_binders: list[dict[str, frozenset[str]]],
+        comp_free: list[AtomSet],
         basis: AtomSet,
     ):
         self.params = sp.parameters
-        self.comp_binders = comp_binders
-        # per component, the parameters under a quantifier that binds a
-        # basis atom: a non-constant basis function put there is captured
-        self.captured_params = [
-            [j for j, t in enumerate(self.params) if binders.get(t, _NO_ATOMS) & set(basis)]
-            for binders in self.comp_binders
-        ]
-        extra: set[str] = set()
-        for binders in self.comp_binders:
-            extra |= set(binders) - set(self.params)
-        self.composer = _Composer(sp, basis, extra=tuple(extra))
+        extra = {a for atoms in comp_free for a in atoms} - set(self.params)
+        self.composer = _Composer(sp, basis, extra)
         self.space = FunctionSpace(basis)
         self._texts: dict[int, str] = {}  # tuple_label's formula texts
         eval_names = self.composer.eval_names
@@ -399,45 +355,10 @@ class _ReproductiveChecker:
                 ]
             )
 
-    def component_capture(self, t_tables: Sequence[int]) -> str | None:
-        """Why literal substitution of the basis functions for the
-        parameters is refused in the components (a quantifier there binds
-        an atom of the function), or None.  The reason is the message of
-        the ``NotSubstitutible`` that ``substitute`` raises."""
-        for captured in self.captured_params:
-            for j in captured:
-                if self.space.free_atoms(t_tables[j]):
-                    detail = f"replacing {self.params[j]} by {self.space.formula(t_tables[j])}"
-                    return str(NotSubstitutible(1, j, detail))
-        return None
-
-    def instance_captured(self, t_tables: Sequence[int]) -> bool:
-        """True when some instantiated component mentions an atom bound
-        above its unknown's free occurrences in F."""
-        for binders, capturing in zip(self.comp_binders, self.composer.capturing):
-            if not capturing:
-                continue
-            free = set(binders)
-            for j, t in enumerate(self.params):
-                if t in free:
-                    free.discard(t)
-                    free |= self.space.free_atoms(t_tables[j])
-            if free & capturing:
-                return True
-        return False
-
     def instantiations_hold(self) -> bool:
-        """The all-instantiations clause without a loop over tuples: no
-        tuple of basis functions is refused for capture, and F holds at
-        every eval row for the components' values under every parameter
-        value tuple."""
-        if any(self.captured_params):
-            return False
-        # Instance capture depends only on which parameters take a
-        # non-constant function, and grows with that set: the tuple of
-        # non-constant functions (table 1) is refused when any tuple is.
-        if self.instance_captured((1 if self.space.basis else 0,) * len(self.params)):
-            return False
+        """The all-instantiations clause without a loop over tuples: F
+        holds at every eval row for the components' values under every
+        parameter value tuple."""
         return all(
             (true >> v) & 1
             for true, vs in zip(self.composer.true_values, self.values)
@@ -467,32 +388,18 @@ class _ReproductiveChecker:
                 out[b][v] |= image ^ v
         return out
 
-    def reachable(self) -> list[list[int]]:
-        """Per constant choice of the captured parameters, per basis
-        valuation b, the value tuples that the components take at every
-        eval row over b for some parameter values.  The parameters that
-        no component captures take their values at each b independently."""
+    def reachable(self) -> list[int]:
+        """Per basis valuation b, the value tuples that the components
+        take at every eval row over b for some parameter values."""
         common: dict[int, list[int]] = {}  # -1 where the rows over b differ
         for b, vs in zip(self.composer.beta, self.values):
             if b not in common:
                 common[b] = list(vs)
             else:
                 common[b] = [x if x == v else -1 for x, v in zip(common[b], vs)]
-        captured = list({1 << j for params in self.captured_params for j in params})
-        captured_mask = sum(captured)
-        out = []
-        for fixed in _or_table(captured):
-            out.append(
-                [
-                    _bits(
-                        v
-                        for a, v in enumerate(common[b])
-                        if v >= 0 and a & captured_mask == fixed
-                    )
-                    for b in range(len(self.composer.allowed))
-                ]
-            )
-        return out
+        return [
+            _bits(v for v in common[b] if v >= 0) for b in range(len(self.composer.allowed))
+        ]
 
     def every_solution(self, passing: Sequence[int]) -> bool:
         """True when ``passing[b]`` holds every value tuple allowed at
@@ -521,10 +428,10 @@ def _checker(
     if sp.parameters is None:
         raise ValueError(f"{kind} check needs a problem with parameters")
     basis_t = _basis(sp, basis, allow_large, parameters=True)
-    comp_binders = [free_binders(g) for g in sol]  # keyed by free_atoms(g)
-    if _mentions_unknown(sp, comp_binders):
+    comp_free = [free_atoms(g) for g in sol]
+    if _mentions_unknown(sp, comp_free):
         return _MENTIONS_UNKNOWN
-    return _ReproductiveChecker(sp, sol, comp_binders, basis_t)
+    return _ReproductiveChecker(sp, sol, comp_free, basis_t)
 
 
 # A failing clause lists at most this many failures.
@@ -543,18 +450,16 @@ def _instantiation_failures(checker: _ReproductiveChecker) -> list[CheckFailure]
         return []
     failures: list[CheckFailure] = []
     for t_tables in product(checker.space.tables, repeat=len(checker.params)):
-        reason = checker.component_capture(t_tables)
-        if reason is None and checker.instance_captured(t_tables):
-            reason = "NotSubstitutible"
-        valuation = None
-        if reason is None:
-            bad = checker.failing_row(t_tables)
-            if bad is None:
-                continue
-            reason = "instantiated components do not solve the problem"
-            valuation = decode_valuation(bad, checker.composer.eval_names)
-        subject = f"instantiation T = {checker.tuple_label(t_tables)}"
-        failures.append(CheckFailure(subject, reason, valuation))
+        bad = checker.failing_row(t_tables)
+        if bad is None:
+            continue
+        failures.append(
+            CheckFailure(
+                f"instantiation T = {checker.tuple_label(t_tables)}",
+                "instantiated components do not solve the problem",
+                decode_valuation(bad, checker.composer.eval_names),
+            )
+        )
         if len(failures) == LISTED_FAILURES:
             break
     return failures
@@ -587,9 +492,9 @@ def check_reproductive(
     functions is a particular solution.  Clause (b): for every
     enumerated particular solution H, substituting H for the parameters
     reproduces H up to equivalence.  Clause (b) holds outright when no
-    parameter is captured in a component and no value tuple allowed at
-    a basis valuation is mismatched there; otherwise the solutions are
-    tried one by one to list the first ``LISTED_FAILURES`` failures.
+    value tuple allowed at a basis valuation is mismatched there;
+    otherwise the solutions are tried one by one to list the first
+    ``LISTED_FAILURES`` failures.
     """
     checker = _checker("reproductive", sp, sol, basis, allow_large)
     if isinstance(checker, CheckReport):
@@ -597,21 +502,16 @@ def check_reproductive(
     failures = _instantiation_failures(checker)
     mismatches = checker.mismatches()
     matched = [_bits(v for v, bad in enumerate(per_v) if not bad) for per_v in mismatches]
-    # a captured parameter refuses a solution whose component there is
-    # not constant, which no single basis valuation shows
-    if not any(checker.captured_params) and checker.every_solution(matched):
+    if checker.every_solution(matched):
         return CheckReport(not failures, tuple(failures))
     limit = len(failures) + LISTED_FAILURES
-    for h_tables in _solution_tables(checker.space, checker.composer):
-        reason = checker.component_capture(h_tables)
-        if reason is None:
-            bad = 0
-            for b, mismatch in enumerate(mismatches):
-                bad |= mismatch[_values_at(h_tables, b)]
-            if bad:  # name the first component not reproduced, counting from 1
-                reason = f"component {(bad & -bad).bit_length()} is not reproduced"
-        if reason is not None:
+    for h_tables in _solution_tables(checker.composer):
+        bad = 0
+        for b, mismatch in enumerate(mismatches):
+            bad |= mismatch[_values_at(h_tables, b)]
+        if bad:  # name the first component not reproduced, counting from 1
             subject = f"solution H = {checker.tuple_label(h_tables)}"
+            reason = f"component {(bad & -bad).bit_length()} is not reproduced"
             failures.append(CheckFailure(subject, reason))
             if len(failures) == limit:
                 break
@@ -628,28 +528,24 @@ def check_general(
 
     Clause (a) as for the reproductive check; clause (b'): every
     enumerated particular solution equals some instantiation of the
-    candidate with basis functions.  Literal substitution refuses a
-    non-constant function for a captured parameter, so H is reachable
-    when, for some constants of the captured parameters, every basis
-    valuation has parameter values giving H's values there.  Clause (b')
-    holds outright when every value tuple allowed at a basis valuation
-    is reachable there with the captured parameters false; otherwise
-    the solutions are tried one by one to list the first
-    ``LISTED_FAILURES`` failures.
+    candidate with basis functions.  The parameters take their values at
+    each basis valuation independently, so H is reachable when every
+    basis valuation has parameter values giving H's values there.
+    Clause (b') holds outright when every value tuple allowed at a basis
+    valuation is reachable there; otherwise the solutions are tried one
+    by one to list the first ``LISTED_FAILURES`` failures.
     """
     checker = _checker("general", sp, sol, basis, allow_large)
     if isinstance(checker, CheckReport):
         return checker
     failures = _instantiation_failures(checker)
     reachable = checker.reachable()
-    if checker.every_solution(reachable[0]):
+    if checker.every_solution(reachable):
         return CheckReport(not failures, tuple(failures))
     limit = len(failures) + LISTED_FAILURES
-    for h_tables in _solution_tables(checker.space, checker.composer):
-        h_values = [_values_at(h_tables, b) for b in range(len(checker.composer.allowed))]
-        if not any(
-            all((sets >> v) & 1 for sets, v in zip(per_basis, h_values))
-            for per_basis in reachable
+    for h_tables in _solution_tables(checker.composer):
+        if not all(
+            (sets >> _values_at(h_tables, b)) & 1 for b, sets in enumerate(reachable)
         ):
             failures.append(
                 CheckFailure(

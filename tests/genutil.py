@@ -22,9 +22,10 @@ from boolsolve import (
 
 BIN_OPS = (And, Or, Implies, Iff)
 
-# Quantifier binders are drawn from a pool disjoint from the free atoms,
-# so generated formulas never bind an atom that occurs free elsewhere
-# (capture-safe by construction).
+# The default pool of quantifier binders, disjoint from the free atoms
+# the tests draw.  Binders named like free atoms are sound as well, since
+# substitution renames bound atoms apart; tests that want them pass a
+# pool such as ("a", "b").
 QUANT_POOL = ("q1", "q2")
 
 

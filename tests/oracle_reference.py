@@ -2,18 +2,20 @@
 
 Two references, both slow and meant for tests only.
 
-The literal-substitution reference reads the definitions literally: it
-substitutes canonical basis formulas with ``substitute``, checks each
-instance with ``check_particular`` and compares formulas by their truth
-tables.  Its particular solutions are enumerated the same way, so no
-verdict there goes through the oracle's table path.
+The substitution reference reads the definitions as stated: it
+substitutes canonical basis formulas with ``substitute`` into
+``clean_variant(·, basis)`` of F and of each component, so no binder
+meets a basis atom, checks each instance with ``check_particular`` and
+compares formulas by their truth tables.  Its particular solutions are
+enumerated the same way, so no verdict there goes through the oracle's
+table path.
 
 The per-tuple reference (the ``tuple_`` functions) reads the
 quantifiers over tuples of basis functions literally, where the oracle
-decides them per basis valuation.  On the oracle's truth tables and
-capture tests, it loops over every tuple to enumerate the solutions, to
-check every instantiation and to collect the instantiations' images
-for reachability.  Its reports must equal the oracle's exactly.
+decides them per basis valuation.  On the oracle's truth tables, it
+loops over every tuple to enumerate the solutions, to check every
+instantiation and to collect the instantiations' images for
+reachability.  Its reports must equal the oracle's exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from boolsolve import (
-    BoolsolveError,
     CheckFailure,
     CheckReport,
     Formula,
@@ -31,9 +32,9 @@ from boolsolve import (
     SolutionKind,
     SolutionProblem,
     check_particular,
+    clean_variant,
     equivalent,
     free_atoms,
-    is_substitutible,
     is_valid,
     substitute,
     truth_table,
@@ -54,14 +55,20 @@ def _mentions_unknown(sp: SolutionProblem, sol: Sequence[Formula]) -> bool:
     return any(set(free_atoms(g)) & set(sp.unknowns) for g in sol)
 
 
+def _substituted(
+    g: Formula, names: Sequence[str], space: FunctionSpace, values: Sequence[Formula]
+) -> Formula:
+    """``g`` with the basis formulas ``values`` put for ``names``, its
+    binders renamed apart from the basis first."""
+    return substitute(clean_variant(g, space.basis), names, values)
+
+
 def particular_solutions(sp: SolutionProblem, space: FunctionSpace) -> list[list[Formula]]:
-    """Every tuple of basis formulas that substitutes into F and makes it
-    valid."""
+    """Every tuple of basis formulas that makes F valid."""
     return [
         list(hs)
         for hs in product(space.formulas, repeat=len(sp.unknowns))
-        if is_substitutible(hs, sp.unknowns, sp.formula)
-        and is_valid(substitute(sp.formula, sp.unknowns, hs))
+        if is_valid(_substituted(sp.formula, sp.unknowns, space, hs))
     ]
 
 
@@ -71,16 +78,11 @@ def instantiation_failures(
     failures: list[CheckFailure] = []
     params = sp.parameters or ()
     for ts in product(space.formulas, repeat=len(params)):
-        label = "instantiation T = " + _label(ts)
-        try:
-            inst = [substitute(g, params, list(ts)) for g in sol]
-            report = check_particular(sp, inst)
-        except BoolsolveError as exc:
-            failures.append(CheckFailure(label, str(exc)))
-        else:
-            if not report.verdict:
-                first = report.failures[0]
-                failures.append(CheckFailure(label, first.reason, first.valuation))
+        report = check_particular(sp, [_substituted(g, params, space, ts) for g in sol])
+        if not report.verdict:
+            first = report.failures[0]
+            label = "instantiation T = " + _label(ts)
+            failures.append(CheckFailure(label, first.reason, first.valuation))
         if len(failures) >= limit:
             return failures
     return failures
@@ -104,14 +106,10 @@ def check_reproductive(
     failures = instantiation_failures(sp, sol, space)
     params = sp.parameters or ()
     for h in particular_solutions(sp, space):
-        label = "solution H = " + _label(h)
-        try:
-            reproduced = [substitute(g, params, h) for g in sol]
-        except BoolsolveError as exc:
-            failures.append(CheckFailure(label, str(exc)))
-            continue
+        reproduced = [_substituted(g, params, space, h) for g in sol]
         for i, (r, original) in enumerate(zip(reproduced, h)):
             if not equivalent(r, original):
+                label = "solution H = " + _label(h)
                 failures.append(CheckFailure(label, f"component {i + 1} is not reproduced"))
                 break
     return CheckReport(not failures, tuple(failures))
@@ -125,12 +123,10 @@ def check_general(
     space = FunctionSpace(basis)
     failures = instantiation_failures(sp, sol, space)
     params = sp.parameters or ()
-    images = []
-    for ts in product(space.formulas, repeat=len(params)):
-        try:
-            images.append([substitute(g, params, list(ts)) for g in sol])
-        except BoolsolveError:
-            continue
+    images = [
+        [_substituted(g, params, space, ts) for g in sol]
+        for ts in product(space.formulas, repeat=len(params))
+    ]
     solutions = particular_solutions(sp, space)
     # equal truth tables over every atom involved, as ``equivalent`` tests
     names = sorted({a for fs in images + solutions for g in fs for a in free_atoms(g)})
@@ -173,7 +169,6 @@ class _TupleLoops:
 
     def __init__(self, sp: SolutionProblem, space: FunctionSpace, composer) -> None:
         self.space = space
-        self.composer = composer
         self.eval_names = composer.eval_names
         names = tuple(sorted(set(self.eval_names) | set(sp.unknowns)))
         self.fmask = formula_mask(sp.formula, names)
@@ -196,17 +191,14 @@ class _TupleLoops:
         return None
 
     def solution_tables(self) -> Iterator[tuple[int, ...]]:
-        captured = [i for i, c in enumerate(self.composer.capturing) if c & set(self.space.basis)]
-        for tables in product(self.space.tables, repeat=len(self.composer.capturing)):
-            if any(self.space.free_atoms(tables[i]) for i in captured):
-                continue
+        for tables in product(self.space.tables, repeat=len(self.unknown_positions)):
             if self.failing_row([self.extend(t) for t in tables]) is None:
                 yield tables
 
 
 class _TupleChecker(_TupleLoops):
-    """The oracle checker's capture tests and labels, with the components
-    instantiated one tuple of parameter tables at a time."""
+    """The oracle checker's labels, with the components instantiated one
+    tuple of parameter tables at a time."""
 
     def __init__(self, sp: SolutionProblem, sol: Sequence[Formula], checker) -> None:
         super().__init__(sp, checker.space, checker.composer)
@@ -232,28 +224,25 @@ class _TupleChecker(_TupleLoops):
         return out
 
     def instantiation_failures(self, images: set | None = None, limit: int = 5) -> list[CheckFailure]:
-        """As the oracle lists them; given ``images``, every tuple that
-        substitutes into the components adds its instantiated tables
-        there, including the tuples after the stop."""
-        checker = self.checker
+        """As the oracle lists them; given ``images``, every tuple adds its
+        instantiated tables there, including the tuples after the stop."""
         failures: list[CheckFailure] = []
         for t_tables in product(self.space.tables, repeat=len(self.params)):
-            reason = checker.component_capture(t_tables)
-            inst = None if reason else self.instantiated_tables(t_tables)
-            if inst is not None and images is not None:
+            inst = self.instantiated_tables(t_tables)
+            if images is not None:
                 images.add(tuple(inst))
             if len(failures) >= limit:
                 continue
-            if reason is None and checker.instance_captured(t_tables):
-                reason = "NotSubstitutible"
-            valuation = None
-            if reason is None:
-                bad = self.failing_row(inst)
-                if bad is None:
-                    continue
-                reason = "instantiated components do not solve the problem"
-                valuation = decode_valuation(bad, self.eval_names)
-            failures.append(CheckFailure(f"instantiation T = {checker.tuple_label(t_tables)}", reason, valuation))
+            bad = self.failing_row(inst)
+            if bad is None:
+                continue
+            failures.append(
+                CheckFailure(
+                    f"instantiation T = {self.checker.tuple_label(t_tables)}",
+                    "instantiated components do not solve the problem",
+                    decode_valuation(bad, self.eval_names),
+                )
+            )
             if len(failures) >= limit and images is None:
                 break
         return failures
@@ -302,17 +291,15 @@ def tuple_check_reproductive(
         return loops
     failures = loops.instantiation_failures()
     for h_tables in loops.solution_tables():
-        reason = loops.checker.component_capture(h_tables)
-        if reason is None:
-            reproduced = loops.instantiated_tables(h_tables)
-            reason = next(
-                (
-                    f"component {i + 1} is not reproduced"
-                    for i, h in enumerate(h_tables)
-                    if reproduced[i] != loops.extend(h)
-                ),
-                None,
-            )
+        reproduced = loops.instantiated_tables(h_tables)
+        reason = next(
+            (
+                f"component {i + 1} is not reproduced"
+                for i, h in enumerate(h_tables)
+                if reproduced[i] != loops.extend(h)
+            ),
+            None,
+        )
         if reason is not None:
             failures.append(CheckFailure(f"solution H = {loops.checker.tuple_label(h_tables)}", reason))
     return CheckReport(not failures, tuple(failures))

@@ -35,6 +35,7 @@ from boolsolve import (
     exists_solution,
     Forall,
     free_atoms,
+    free_binders,
     is_substitutible,
     parse,
     solve_by_witnesses,
@@ -249,6 +250,37 @@ def test_criterion_4_solver_soundness():
             ).verdict:
                 failures.append((i, name, "some instantiation fails"))
     _report(4, "solver soundness on 1000 random solvable problems", failures, total)
+
+
+def test_solver_soundness_when_binders_reuse_base_atom_names():
+    """Criterion 4 on 400 random formulas whose binders are named like
+    the base atoms, often above an unknown.  Substitution renames them
+    apart, as the solvers' masks do, so every output passes its checks."""
+    rng = random.Random(7)
+    failures = []
+    total = bound = 0
+    for i in range(400):
+        f = random_formula(
+            rng, ("p1", "p2", "a", "b"), depth=4, quant_pool=("a", "b"), quant_prob=0.3
+        )
+        sp = SolutionProblem(f, ("p1", "p2"), parameters=("t1", "t2"))
+        if not exists_solution(sp):
+            continue
+        binders = free_binders(f)
+        bound += any(binders.get(p, frozenset()) & {"a", "b"} for p in sp.unknowns)
+        outputs = [
+            ("succ-elim", solve_succ_elim(sp), True),
+            ("second-order/interval", solve_on_second_order(sp, Strategy.INTERVAL), False),
+            ("witnesses/f-true", solve_by_witnesses(sp), False),
+        ]
+        for name, sol, reproductive in outputs:
+            total += 1
+            if not check_particular(sp, sol.components).verdict:
+                failures.append((i, name, "not a particular solution"))
+            elif reproductive and not check_parametric(sp, sol.components, ("a", "b")).verdict:
+                failures.append((i, name, "some instantiation fails"))
+    assert bound >= 100, bound
+    _report(4, "solver soundness with binders named like base atoms", failures, total)
 
 
 def test_criterion_5_reproductivity():

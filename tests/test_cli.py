@@ -694,3 +694,20 @@ def test_cli_walks_the_problem_formula_once(tmp_path, capsys, monkeypatch):
         assert run(argv) == 0
         capsys.readouterr()
         assert len(walked) == 1, argv
+
+
+def test_commands_agree_when_the_formula_binds_a_base_atom(tmp_path, capsys):
+    # The formula binds a, which the answer p := a mentions.  Substitution
+    # renames the bound a apart, so the answer is checked and enumerated
+    # as the solvers read it.
+    path = tmp_path / "cap.sp"
+    path.write_text("unknowns: p\nformula: (p <-> a) & (exists a . (a | p))\n")
+    for argv, out in (
+        (["exists", str(path)], "solvable\n"),
+        (["solve", str(path)], "p := a\n"),
+        (["check", "--with", "a", str(path)], "valid solution\n"),
+        (["enumerate", "--basis", "a", str(path)], "a\n"),
+    ):
+        assert run(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, ""), argv

@@ -12,7 +12,6 @@ from boolsolve import (
     Exists,
     FunctionSpace,
     Not,
-    NotSubstitutible,
     Or,
     SolutionProblem,
     TOP,
@@ -23,6 +22,7 @@ from boolsolve import (
     check_parametric,
     check_particular,
     check_reproductive,
+    clean_variant,
     enumerate_solutions,
     equivalent,
     exists_solution,
@@ -136,13 +136,16 @@ def test_enumerate_deterministic():
     assert [s.components for s in first] == [s.components for s in second]
 
 
-def test_enumerate_respects_capture():
-    # the only solution value needs the atom bound inside the formula,
-    # so no substitutible basis solution exists
+def test_enumerate_renames_bound_atoms_apart():
+    # the only solution mentions a, which the formula also binds: the
+    # bound a is renamed apart, so p := a solves, as the solvers say
     f = parse("(exists a . (p & a & ~a)) | (p <-> a)")
     sp = SolutionProblem(f, ["p"])
-    assert exists_solution(sp)  # semantically solvable
-    assert enumerate_solutions(sp, ["a"]) == []
+    assert exists_solution(sp)
+    sols = enumerate_solutions(sp, ["a"])
+    assert [s.components for s in sols] == [(Atom("a"),)]
+    assert sols == reference.tuple_enumerate_solutions(sp, ["a"])
+    assert reference.particular_solutions(sp, FunctionSpace(["a"])) == [[Atom("a")]]
 
 
 def test_nonemptiness_matches_existence():
@@ -175,12 +178,18 @@ def test_check_particular():
     sp = SolutionProblem(parse("p -> q"), ["p", "q"])
     assert check_particular(sp, [parse("p"), TOP]) == reference.MENTIONS_UNKNOWN
 
-    # a component that mentions an atom bound above its unknown
+    # a component that mentions an atom bound above its unknown: the
+    # binder is renamed apart from it
     sp = SolutionProblem(parse("(p | ~p) & exists a . (p | a)"), ["p"])
-    report = check_particular(sp, [parse("a")])
-    assert not report.verdict
-    assert "NotSubstitutible" in report.failures[0].reason
+    assert check_particular(sp, [parse("a")]).verdict
     assert check_particular(sp, [parse("b")]).verdict
+    # renamed apart, exists a . ((p <-> a) & ~a) with p := a is ~a, not
+    # the valid exists a . ((a <-> a) & ~a)
+    sp = SolutionProblem(parse("exists a . ((p <-> a) & ~a)"), ["p"])
+    report = check_particular(sp, [parse("a")])
+    assert [(f.reason, f.valuation) for f in report.failures] == [
+        ("substituted formula falsified", {"a": True})
+    ]
 
 
 def test_check_reproductive_golden():
@@ -241,7 +250,7 @@ def test_tuple_loop_runs_only_after_a_failure(monkeypatch):
 def test_solution_loop_runs_only_after_a_failure(monkeypatch):
     # clauses (b) and (b') of a passing check are decided per basis
     # valuation; the loop over the enumerated solutions only lists failures
-    def solution_loop(space, composer):
+    def solution_loop(composer):
         raise AssertionError("solution loop on a passing check")
 
     sp = SolutionProblem(EXAMPLE, ["p1", "p2"], parameters=["t1", "t2"])
@@ -324,8 +333,8 @@ def test_slow_path_with_quantifiers():
 
 def _bind_above_parameters(g, params, var):
     """``g`` with each free parameter occurrence t replaced by the
-    equivalent ``exists var . (t & var)``: literal substitution of a
-    basis function that mentions ``var`` for t is then refused."""
+    equivalent ``exists var . (t & var)``: a basis function that
+    mentions ``var`` put for t needs the binder renamed apart."""
     hidden = [f"{t}_h" for t in params]
     g = substitute(g, params, [Atom(h) for h in hidden])
     return substitute(g, hidden, [Exists(var, And(Atom(t), Atom(var))) for t in params])
@@ -354,7 +363,7 @@ def _assert_agree(sp, sol, basis):
 
 
 def test_fast_and_slow_paths_agree():
-    # the table-composition path must give the same verdicts as literal
+    # the table-composition path must give the same verdicts as
     # substitution
     rng = random.Random(109)
     for _ in range(15):
@@ -373,7 +382,7 @@ def test_fast_and_slow_paths_agree():
 
     # quantified problems, with candidates whose quantifier binds a basis
     # atom above a parameter
-    captured = 0
+    renamed = 0
     for _ in range(15):
         sp = random_solvable_sp(
             rng, rng.choice((1, 2)), 2, depth=3, parameters=True, quantifiers=True
@@ -385,11 +394,11 @@ def test_fast_and_slow_paths_agree():
             candidates.append(mutated[0].components)
         for sol in candidates:
             _assert_agree(sp, sol, ("a", "b"))
-        captured += not check_parametric(sp, candidates[1], ("a", "b")).verdict
-    assert captured >= 5  # the capture candidates do get refused
+        renamed += check_parametric(sp, candidates[1], ("a", "b")).verdict
+    assert renamed == 15  # every candidate binding a above a parameter passes
 
     # problems whose quantifiers bind a basis atom above an unknown
-    found = refused = 0
+    found = passed = 0
     while found < 15:
         f = random_formula(rng, ("p1", "a", "b"), 4, quant_pool=("a", "b"), quant_prob=0.3)
         sp = SolutionProblem(f, ("p1",), ("t1",))
@@ -400,41 +409,75 @@ def test_fast_and_slow_paths_agree():
         candidates = [rep, [Atom("t1")], [_bind_above_parameters(rep[0], ("t1",), "b")]]
         for sol in candidates:
             _assert_agree(sp, sol, ("a", "b"))
-        report = check_parametric(sp, [Atom("t1")], ("a", "b"))
-        refused += any(f.reason == "NotSubstitutible" for f in report.failures)
-    assert refused >= 3  # some instances do land under a binder in F
+        bound = free_binders(f).get("p1", frozenset()) & {"a", "b"}
+        passed += bool(bound) and all(
+            check(sp, sol, ("a", "b")).verdict
+            for check in (check_parametric, check_reproductive, check_general)
+            for sol in (rep, candidates[2])
+        )
+    assert passed >= 5  # instances under a binder in F pass once renamed apart
 
 
-def test_capture_is_not_substitutible():
-    # exists a . (t & a) is equivalent to t, but literal substitution of a
-    # basis function mentioning a for t is refused
+def test_checks_rename_bound_atoms_apart():
+    # exists a . (t & a) is equivalent to t, and stays so when a basis
+    # function mentioning a is put for t: the bound a is renamed apart
     sp = SolutionProblem(parse("p | ~p"), ["p"], parameters=["t"])
     sol = [parse("exists a . (t & a)")]
-    refused = {
-        text: str(NotSubstitutible(1, 0, f"replacing t by {text}")) for text in ("~a", "a")
-    }
     for check in (check_parametric, check_reproductive, check_general):
         report = check(sp, sol, ["a"])
+        assert report == CheckReport(True)
         assert report == getattr(reference, check.__name__)(sp, sol, ["a"])
-    report = check_parametric(sp, sol, ["a"])
-    assert [(f.subject, f.reason) for f in report.failures] == [
-        (f"instantiation T = ({text})", reason) for text, reason in refused.items()
-    ]
-    report = check_reproductive(sp, sol, ["a"])
-    assert [(f.subject, f.reason) for f in report.failures[2:]] == [
-        (f"solution H = ({text})", reason) for text, reason in refused.items()
-    ]
-    report = check_general(sp, sol, ["a"])
-    assert [f.subject for f in report.failures[2:]] == ["solution H = (~a)", "solution H = (a)"]
+        assert report == getattr(reference, "tuple_" + check.__name__)(sp, sol, ["a"])
 
-    # capture in F: an instance mentioning a lands under exists a
+    # a binder in F: an instance mentioning a does not land under exists a
     sp = SolutionProblem(parse("(p | ~p) & exists a . (p | a)"), ["p"], parameters=["t"])
-    report = check_parametric(sp, [Atom("t")], ["a"])
-    assert report == reference.check_parametric(sp, [Atom("t")], ["a"])
-    assert [(f.subject, f.reason) for f in report.failures] == [
-        ("instantiation T = (~a)", "NotSubstitutible"),
-        ("instantiation T = (a)", "NotSubstitutible"),
-    ]
+    for check in (check_parametric, check_reproductive, check_general):
+        report = check(sp, [Atom("t")], ["a"])
+        assert report == CheckReport(True)
+        assert report == getattr(reference, check.__name__)(sp, [Atom("t")], ["a"])
+        assert report == getattr(reference, "tuple_" + check.__name__)(sp, [Atom("t")], ["a"])
+
+
+def test_checks_are_invariant_under_renaming_bound_atoms():
+    # Substitution reads binders up to renaming: the problem and the
+    # candidate with their binders renamed apart from the basis and the
+    # parameters get the same reports.  A particular check's failure
+    # prints the candidate, so there a renamed candidate keeps only the
+    # reasons and valuations.
+    rng = random.Random(127)
+    basis = ("a", "b")
+    renamed_f = renamed_g = 0
+    for i in range(60):
+        unknowns, params = ("p1", "p2")[: 1 + i % 2], ("t1", "t2")[: 1 + i % 2]
+        f = random_formula(rng, unknowns + basis, 4, quant_pool=basis, quant_prob=0.3)
+        sp = SolutionProblem(f, unknowns, params)
+        clean_sp = SolutionProblem(clean_variant(f, basis + params), unknowns, params)
+        renamed_f += clean_sp.formula != f
+        enumerated = enumerate_solutions(sp, basis)
+        assert enumerated == enumerate_solutions(clean_sp, basis)
+        candidates = [
+            [random_formula(rng, basis + params, 3, quant_pool=basis, quant_prob=0.3)
+             for _ in params]
+            for _ in range(2)
+        ]
+        if enumerated:
+            candidates.append(enumerated[0].components)
+        if exists_solution(sp):
+            rep = solve_succ_elim(sp).components
+            candidates += [rep, [_bind_above_parameters(g, params, "a") for g in rep]]
+        for sol in candidates:
+            clean_sol = [clean_variant(g, basis) for g in sol]
+            renamed_g += clean_sol != list(sol)
+            report = check_particular(sp, sol)
+            assert report == check_particular(clean_sp, sol)
+            assert [(f.reason, f.valuation) for f in report.failures] == [
+                (f.reason, f.valuation) for f in check_particular(clean_sp, clean_sol).failures
+            ]
+            for check in (check_parametric, check_reproductive, check_general):
+                assert check(sp, sol, basis) == check(clean_sp, clean_sol, basis), (
+                    check.__name__, str(f), [str(g) for g in sol]
+                )
+    assert renamed_f >= 30 and renamed_g >= 100, (renamed_f, renamed_g)
 
 
 def test_basis_must_not_meet_unknowns_or_parameters():
@@ -477,10 +520,11 @@ def _matches_per_tuple(sp, candidates, basis):
 def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
     # The checks decided per basis valuation against the loops over
     # every tuple of basis functions: bases of 0 to 3 atoms (1 unknown at
-    # 3), problems with and without quantifiers, binders that capture an
-    # unknown, and candidates that are solver outputs, enumerated
-    # solutions, bare parameters, capture candidates and components
-    # mentioning an atom outside the basis.
+    # 3), problems with and without quantifiers, binders that bind a basis
+    # atom above an unknown, and candidates that are solver outputs,
+    # enumerated solutions, bare parameters, candidates binding a basis
+    # atom above a parameter, and components mentioning an atom outside
+    # the basis.
     decided = {True: 0, False: 0}  # clause (b) or (b') decided outright, or listed
     every_solution = oracle._ReproductiveChecker.every_solution
 
@@ -494,7 +538,7 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
     shapes = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
     pools = ((), QUANT_POOL, ("a", "b"), ("a", "q1"))
     verdicts, reasons = set(), set()
-    captured_unknowns = cut = 0
+    bound_unknowns = cut = 0
     for i in range(84):  # every shape with every pool, three times
         width, n = shapes[i % len(shapes)]
         basis = ("a", "b", "c")[:width]
@@ -507,7 +551,7 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
             f = And(f, Exists("a", Or(And(last, Atom("a")), Not(last))))
         sp = SolutionProblem(f, unknowns, params)
         binders = free_binders(f)
-        captured_unknowns += any(binders.get(p, frozenset()) & set(basis) for p in unknowns)
+        bound_unknowns += any(binders.get(p, frozenset()) & set(basis) for p in unknowns)
         candidates = [[Atom(t) for t in params]]
         if exists_solution(sp):
             rep = solve_succ_elim(sp).components
@@ -523,7 +567,7 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
             cut += listed > len(report.failures)
             verdicts.add(report.verdict)
             reasons |= {failure.reason.split(" at ")[0] for failure in report.failures}
-    assert captured_unknowns >= 15
+    assert bound_unknowns >= 15
     # both ways of deciding clauses (b) and (b') were compared
     assert decided[True] >= 100 and decided[False] >= 100
     # some reports stopped after five failing solutions
@@ -531,8 +575,6 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
     # passing checks and every kind of failure were compared
     assert verdicts == {True, False}
     assert {
-        "NotSubstitutible",
-        "condition (1) violated",
         "instantiated components do not solve the problem",
         "not reachable by any parameter instantiation",
     } <= reasons
