@@ -14,10 +14,10 @@ or a restricted search that stopped undecided at its budget.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 from .elimination import (
     NotIndependent,
@@ -203,7 +203,7 @@ def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
     print("\n".join(lines))
 
 
-def _cmd_exists(args: argparse.Namespace) -> int:
+def _cmd_exists(args: SimpleNamespace) -> int:
     pf = _load(args.file)
     # With forbid: or forbid(p): this is solvability of the restricted problem.
     if exists_solution(pf.problem, _per_unknown(pf)):
@@ -213,7 +213,7 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     pf = _load(args.file)
     per_unknown = _per_unknown(pf)
     if args.reproductive and args.method == "witnesses":
@@ -242,7 +242,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     from .oracle import check_particular  # loaded only by the commands that use it
 
     pf = _load(args.file)
@@ -268,19 +268,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eliminate(args: argparse.Namespace) -> int:
+def _cmd_eliminate(args: SimpleNamespace) -> int:
     names = _idents(args.vars, "--vars")
     print(weakest_precondition(names, parse(args.formula)))
     return 0
 
 
-def _cmd_precondition(args: argparse.Namespace) -> int:
+def _cmd_precondition(args: SimpleNamespace) -> int:
     pf = _load(args.file)
     print(weakest_precondition(pf.unknowns, pf.formula))
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     from .oracle import enumerate_solutions  # loaded only by the commands that use it
 
     pf = _load(args.file)
@@ -305,7 +305,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0 if solutions else 1
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _cmd_project(args: SimpleNamespace) -> int:
     keep = _idents(args.keep, "--keep")
     try:
         print(project_vocabulary(parse(args.formula), keep))
@@ -315,74 +315,296 @@ def _cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's sub-parser, by name."""
-    parser = argparse.ArgumentParser(
-        prog="boolsolve",
-        description="Solve Boolean equations over propositional formulas",
+class _Option:
+    """An option of a command: a flag, or an option that takes a value,
+    one of ``choices`` when there are any."""
+
+    __slots__ = ("name", "help", "dest", "flag", "choices", "default", "required", "metavar")
+
+    def __init__(
+        self,
+        name: str,
+        help: str,
+        *,
+        dest: str | None = None,
+        flag: bool = False,
+        choices: tuple[str, ...] = (),
+        default: str | None = None,
+        required: bool = False,
+        metavar: str | None = None,
+    ) -> None:
+        self.name = name
+        self.help = help
+        self.dest = dest or name[2:]
+        self.flag = flag
+        self.choices = choices
+        self.default = False if flag else default
+        self.required = required
+        self.metavar = metavar or self.dest.upper()
+
+    def usage(self) -> str:
+        if self.flag:
+            text = self.name
+        elif self.choices:
+            text = f"{self.name} {{{','.join(self.choices)}}}"
+        else:
+            text = f"{self.name} {self.metavar}"
+        return text if self.required else f"[{text}]"
+
+
+_HELP = _Option("-h/--help", "show this help message and exit", dest="help", flag=True)
+_TOP_LOOKUP = {"-h": _HELP, "--help": _HELP}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+class _Command:
+    """A command: its handler, its help, its options and its one
+    positional argument, with that argument's help."""
+
+    __slots__ = ("name", "handler", "help", "options", "positional", "positional_help", "lookup")
+
+    def __init__(
+        self,
+        name: str,
+        handler: Callable[[SimpleNamespace], int],
+        help: str,
+        options: tuple[_Option, ...],
+        positional: str,
+        positional_help: str,
+    ) -> None:
+        self.name = name
+        self.handler = handler
+        self.help = help
+        self.options = options
+        self.positional = positional
+        self.positional_help = positional_help
+        self.lookup = {**_TOP_LOOKUP, **{o.name: o for o in options}}
+
+
+_COMMANDS = {
+    command.name: command
+    for command in (
+        _Command(
+            "solve", _cmd_solve, "compute a solution of a problem file",
+            (
+                _Option(
+                    "--method", "succ-elim (the default), second-order or witnesses",
+                    choices=("succ-elim", "second-order", "witnesses"), default="succ-elim",
+                ),
+                _Option("--reproductive", "the reproductive strategy of second-order", flag=True),
+            ),
+            "file", "problem file",
+        ),
+        _Command("exists", _cmd_exists, "test solvability", (), "file", "problem file"),
+        _Command(
+            "check", _cmd_check, "verify a candidate solution",
+            (
+                _Option(
+                    "--with", "semicolon-separated component formulas",
+                    dest="with_", required=True, metavar="COMPONENTS",
+                ),
+            ),
+            "file", "problem file",
+        ),
+        _Command(
+            "eliminate", _cmd_eliminate, "eliminate atoms from a formula",
+            (_Option("--vars", "atoms to eliminate", required=True),),
+            "formula", "formula text",
+        ),
+        _Command(
+            "precondition", _cmd_precondition,
+            "weakest antecedent making the problem solvable", (), "file", "problem file",
+        ),
+        _Command(
+            "enumerate", _cmd_enumerate, "list all basis-function solutions",
+            (
+                _Option("--basis", "basis atoms", required=True),
+                _Option("--bits", "print truth-table bits", flag=True),
+            ),
+            "file", "problem file",
+        ),
+        _Command(
+            "project", _cmd_project, "restrict a formula to a vocabulary",
+            (_Option("--keep", "atoms to keep", required=True),),
+            "formula", "formula text",
+        ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="compute a solution of a problem file")
-    p_solve.add_argument(
-        "--method",
-        choices=["succ-elim", "second-order", "witnesses"],
-        default="succ-elim",
-    )
-    p_solve.add_argument("--reproductive", action="store_true")
-    p_solve.add_argument("file")
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_exists = sub.add_parser("exists", help="test solvability")
-    p_exists.add_argument("file")
-    p_exists.set_defaults(func=_cmd_exists)
-
-    p_check = sub.add_parser("check", help="verify a candidate solution")
-    p_check.add_argument(
-        "--with", dest="with_", required=True, metavar="COMPONENTS",
-        help="semicolon-separated component formulas",
-    )
-    p_check.add_argument("file")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_elim = sub.add_parser("eliminate", help="eliminate atoms from a formula")
-    p_elim.add_argument("--vars", required=True, help="atoms to eliminate")
-    p_elim.add_argument("formula")
-    p_elim.set_defaults(func=_cmd_eliminate)
-
-    p_pre = sub.add_parser(
-        "precondition", help="weakest antecedent making the problem solvable"
-    )
-    p_pre.add_argument("file")
-    p_pre.set_defaults(func=_cmd_precondition)
-
-    p_enum = sub.add_parser("enumerate", help="list all basis-function solutions")
-    p_enum.add_argument("--basis", required=True, help="basis atoms")
-    p_enum.add_argument("--bits", action="store_true", help="print truth-table bits")
-    p_enum.add_argument("file")
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_proj = sub.add_parser("project", help="restrict a formula to a vocabulary")
-    p_proj.add_argument("--keep", required=True, help="atoms to keep")
-    p_proj.add_argument("formula")
-    p_proj.set_defaults(func=_cmd_project)
-
-    return parser, sub.choices
+}
 
 
-_PARSER, _COMMANDS = _build_parser()
+class _ArgvExit(Exception):
+    """The end of reading argv without a command to run: ``-h`` (exit 0,
+    the help on stdout) or a usage error (exit 2, on stderr)."""
+
+    def __init__(self, code: int, text: str) -> None:
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _usage(command: _Command | None) -> str:
+    if command is None:
+        return f"usage: boolsolve [-h] {{{','.join(_COMMANDS)}}} ..."
+    options = [o.usage() for o in command.options]
+    return " ".join(["usage: boolsolve", command.name, "[-h]", *options, command.positional])
+
+
+def _help(command: _Command | None) -> str:
+    if command is None:
+        about = "Solve Boolean equations over propositional formulas"
+        rows = [(name, c.help) for name, c in _COMMANDS.items()]
+        after = "\n'boolsolve <command> -h' shows a command's options.\n"
+    else:
+        about = command.help
+        rows = [(command.positional, command.positional_help)]
+        for o in command.options:
+            rows.append((o.name if o.flag else f"{o.name} {o.metavar}", o.help))
+        after = ""
+    rows.append(("-h, --help", _HELP.help))
+    width = max(len(left) for left, _ in rows)
+    lines = "".join(f"  {left:<{width}}  {right}\n" for left, right in rows)
+    return f"{_usage(command)}\n\n{about}\n\n{lines}{after}"
+
+
+def _error(command: _Command | None, message: str) -> _ArgvExit:
+    prog = "boolsolve" if command is None else f"boolsolve {command.name}"
+    return _ArgvExit(2, f"{_usage(command)}\n{prog}: error: {message}\n")
+
+
+def _classify(
+    command: _Command | None, arg: str
+) -> tuple[_Option | None, str | None] | None:
+    """How ``arg``, before any ``--``, reads by the rules of Python's
+    argparse: None for a positional, else the option it names (None if
+    no option) and the value given with ``=``.  A long option may be
+    abbreviated to a unique prefix, and ``-h`` may be repeated (``-hh``);
+    a negative number or a text with a space is a positional."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    lookup = _TOP_LOOKUP if command is None else command.lookup
+    if arg in lookup:
+        return lookup[arg], None
+    name, eq, value = arg.partition("=")
+    if eq and name in lookup:
+        return lookup[name], value
+    if arg[1] == "-":
+        matches = [n for n in lookup if n.startswith(name)]
+        if len(matches) > 1:
+            raise _error(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return lookup[matches[0]], value if eq else None
+    elif arg[1] == "h":
+        return _HELP, arg[2:] if arg[1:].strip("h") else None
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _read_command(
+    command: _Command, argv: Sequence[str]
+) -> tuple[SimpleNamespace, list[str]]:
+    """``command``'s fields read from ``argv``, and the arguments that
+    name nothing.
+
+    Options and the positional come in any order, and the last of a
+    repeated option wins.  Every argument after the first ``--`` is
+    positional; the ``--`` itself names nothing unless it comes before
+    the positional or right after it.  An ambiguous abbreviation is an
+    error before anything else is read.
+    """
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_classify(command, arg) for arg in argv[:end]]
+    fields: dict[str, object] = {o.dest: o.default for o in command.options}
+    seen: set[_Option] = set()
+    extras: list[str] = []
+    at = -1  # the positional's index in argv
+    i = 0
+    while i < len(argv):
+        j, arg = i, argv[i]
+        i += 1
+        kind = kinds[j] if j < end else None
+        if j == end:
+            if 0 <= at < end - 1:
+                extras.append(arg)
+        elif kind is None:
+            if at < 0:
+                fields[command.positional] = arg
+                at = j
+            else:
+                extras.append(arg)
+        elif kind[0] is None:
+            extras.append(arg)
+        else:
+            option, value = kind
+            if option.flag and value is not None:
+                raise _error(command, f"argument {option.name}: ignored explicit argument {value!r}")
+            if option is _HELP:
+                raise _ArgvExit(0, _help(command))
+            if option.flag:
+                value = True
+            elif value is None:
+                if i >= end or kinds[i] is not None:
+                    raise _error(command, f"argument {option.name}: expected one argument")
+                value = argv[i]
+                i += 1
+            if option.choices and value not in option.choices:
+                choices = ", ".join(map(repr, option.choices))
+                raise _error(
+                    command,
+                    f"argument {option.name}: invalid choice: {value!r} (choose from {choices})",
+                )
+            fields[option.dest] = value
+            seen.add(option)
+    missing = [o.name for o in command.options if o.required and o not in seen]
+    if at < 0:
+        missing.append(command.positional)
+    if missing:
+        raise _error(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**fields), extras
+
+
+def _read_argv(argv: Sequence[str]) -> tuple[_Command, SimpleNamespace]:
+    """The command that ``argv`` names first, and its fields.
+
+    Before the command only ``-h`` is an option; the command's own
+    options come after it.  Raises ``_ArgvExit`` for ``-h`` and for a
+    usage error.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = _read_command(command, argv[1:])
+        if extras:
+            raise _error(command, f"unrecognized arguments: {' '.join(extras)}")
+        return command, args
+    extras = []
+    for i, arg in enumerate(argv):
+        kind = None if arg == "--" else _classify(None, arg)
+        if kind is None:
+            command = _COMMANDS.get(arg)
+            if command is None:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise _error(None, f"argument command: invalid choice: {arg!r} (choose from {choices})")
+            # an option before the command names nothing, so this ends in an error
+            extras += _read_command(command, argv[i + 1 :])[1]
+            raise _error(None, f"unrecognized arguments: {' '.join(extras)}")
+        option, value = kind
+        if option is None:
+            extras.append(arg)
+        elif value is not None:
+            raise _error(None, f"argument {option.name}: ignored explicit argument {value!r}")
+        else:
+            raise _ArgvExit(0, _help(None))
+    raise _error(None, "the following arguments are required: command")
 
 
 def run(argv: list[str]) -> int:
-    # A named command goes straight to its own parser, which argparse
-    # would otherwise reach only after a second pass over argv.
-    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+        command, args = _read_argv(argv)
+    except _ArgvExit as stop:
+        print(stop.text, end="", file=sys.stderr if stop.code else sys.stdout)
+        return stop.code
     try:
-        return args.func(args)
+        return command.handler(args)
     except NoSolution as exc:
         print(f"no solution: {exc}")
         return 1

@@ -276,12 +276,20 @@ def schroeder_interpolant(
     return simplify(built)
 
 
+def _renamed_apart(f: Formula, gs: Sequence[Formula]) -> Formula:
+    """``f`` with its binders renamed apart from the atoms of ``gs``, so
+    that substituting ``gs`` reads F[p := G] up to renaming of bound
+    atoms, as ``oracle.check_particular`` does."""
+    return clean_variant(f, avoid=[a for g in gs for a in free_atoms(g)])
+
+
 def _check_is_particular(sp: SolutionProblem, components: Sequence[Formula]) -> None:
     if len(components) != len(sp.unknowns):
         raise NotAParticularSolution("component count differs from unknown count")
-    if not is_substitutible(components, sp.unknowns, sp.formula):
-        raise NotAParticularSolution("components are not substitutible")
-    if not is_valid(substitute(sp.formula, sp.unknowns, components)):
+    work = _renamed_apart(sp.formula, components)
+    if not is_substitutible(components, sp.unknowns, work):
+        raise NotAParticularSolution("components mention an unknown")
+    if not is_valid(substitute(work, sp.unknowns, components)):
         raise NotAParticularSolution("substituted formula is not valid")
 
 
@@ -321,9 +329,9 @@ def instantiate(
         raise ValueError("only reproductive solutions can be instantiated")
     if len(ts) != len(params):
         raise ValueError("one replacement per parameter is required")
-    components = [simplify(substitute(g, params, ts)) for g in sol.components]
-    counterexample = falsifying_valuation(
-        substitute(sp.formula, sp.unknowns, components)  # NotSubstitutible propagates
+    components = [simplify(substitute(_renamed_apart(g, ts), params, ts)) for g in sol.components]
+    counterexample = falsifying_valuation(  # a component mentioning an unknown raises
+        substitute(_renamed_apart(sp.formula, components), sp.unknowns, components)
     )
     if counterexample is not None:
         raise InternalCheckFailed(

@@ -3,6 +3,7 @@ import time
 import pytest
 
 import boolsolve.solve
+from boolsolve import cli
 from boolsolve import (
     SolutionProblem,
     check_particular,
@@ -13,6 +14,7 @@ from boolsolve import (
 )
 from boolsolve.cli import parse_problem_file, run, ProblemFileError
 from boolsolve.syntax import RESERVED
+import cli_reference
 from genutil import tree_nodes
 
 EXAMPLE_FILE = """\
@@ -396,6 +398,114 @@ def test_dispatch_exit_codes(example_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: boolsolve solve [-h]")
     assert err.endswith("boolsolve solve: error: unrecognized arguments: --bogus\n")
+
+
+# The forms argparse reads alike on every supported Python: options
+# before or after the positional, --opt=value, --, repeats, unique
+# abbreviations and -h anywhere.
+ARGV_ACCEPTED = [
+    ["solve", "f"],
+    ["solve", "--method", "second-order", "f"],
+    ["solve", "f", "--method", "witnesses"],
+    ["solve", "--method=witnesses", "f"],
+    ["solve", "--meth", "second-order", "--rep", "f"],
+    ["solve", "--meth=second-order", "f", "--reproductive"],
+    ["solve", "--method", "witnesses", "--reproductive", "--method", "second-order", "f"],
+    ["solve", "--reproductive", "--reproductive", "f"],
+    ["solve", "--", "f"],
+    ["solve", "--method", "witnesses", "--", "f"],
+    ["solve", "f", "--"],
+    ["exists", "f"],
+    ["exists", "--", "-f"],
+    ["check", "--with", "a & b; a", "f"],
+    ["check", "f", "--with=a"],
+    ["check", "--w", "a", "--with", "b", "f"],
+    ["check", "--with=", "f"],
+    ["eliminate", "--vars", "p1 p2", "p1 & a"],
+    ["eliminate", "p1 & a", "--vars=p1"],
+    ["eliminate", "--v", "p", "--", "-p"],
+    ["precondition", "f"],
+    ["enumerate", "--basis", "a b", "--bits", "f"],
+    ["enumerate", "f", "--bi", "--ba=a"],
+    ["enumerate", "--basis", "a", "f"],
+    ["project", "--keep", "a", "a | b"],
+    ["project", "--k", "a", "--keep", "b", "a | b"],
+]
+ARGV_HELP = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "frob"],
+    ["--bogus", "-h"],
+    ["solve", "-h"],
+    ["solve", "f", "-h"],
+    ["solve", "--method", "witnesses", "--h"],
+    ["exists", "--help"],
+    ["check", "-h", "f"],
+    ["eliminate", "--vars", "p", "-h"],
+    ["precondition", "-h"],
+    ["enumerate", "--he"],
+    ["project", "f", "g", "-h"],
+]
+ARGV_REJECTED = [
+    [],
+    ["frob"],
+    ["frob", "-h"],
+    ["--bogus"],
+    ["--bogus", "solve", "f"],
+    ["solve"],
+    ["solve", "f", "g"],
+    ["solve", "--bogus", "f"],
+    ["solve", "f", "--bogus"],
+    ["solve", "--method", "bogus", "f"],
+    ["solve", "--method=bogus", "f"],
+    ["solve", "--method", "bogus", "-h"],
+    ["solve", "f", "--method"],
+    ["solve", "--method", "--reproductive", "f"],
+    ["solve", "--reproductive=yes", "f"],
+    ["exists"],
+    ["exists", "f", "g"],
+    ["exists", "--method", "witnesses", "f"],
+    ["check", "f"],
+    ["check", "--with"],
+    ["check", "f", "--with"],
+    ["eliminate", "p"],
+    ["eliminate", "--vars", "p"],
+    ["eliminate", "--vars", "p", "a", "b"],
+    ["precondition"],
+    ["precondition", "f", "--keep", "a"],
+    ["enumerate", "--b", "a", "f"],
+    ["enumerate", "-h", "--b=a", "f"],
+    ["enumerate", "--basis", "a"],
+    ["enumerate", "f"],
+    ["enumerate", "--bits", "--basis"],
+    ["project", "--keep", "a"],
+    ["project", "a | b"],
+    ["project", "--keep", "a", "a", "b"],
+]
+
+
+def test_argv_corpus_covers_every_command():
+    for corpus in (ARGV_ACCEPTED, ARGV_HELP, ARGV_REJECTED):
+        assert {a[0] for a in corpus if a} >= set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(a, 0) for a in ARGV_ACCEPTED + ARGV_HELP] + [(a, 2) for a in ARGV_REJECTED],
+)
+def test_argv_reader_matches_argparse(argv, code):
+    ref_code, namespace = cli_reference.read(argv)
+    assert ref_code == code
+    try:
+        command, args = cli._read_argv(argv)
+    except cli._ArgvExit as stop:
+        assert (stop.code, namespace) == (code, None)
+        return
+    assert namespace is not None
+    fields = vars(namespace)
+    assert command.handler is fields.pop("func")
+    assert vars(args) == fields
 
 
 def test_undecodable_file_is_an_input_error(tmp_path, capsys):

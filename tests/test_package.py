@@ -44,7 +44,8 @@ _STARTUP_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import boolsolve.cli
-print(" ".join(name for name in ("dataclasses", "inspect", "boolsolve.oracle")
+print(" ".join(name for name in ("argparse", "gettext", "locale", "dataclasses",
+                                  "inspect", "boolsolve.oracle")
                if name in sys.modules))
 import boolsolve
 from boolsolve import CheckReport, FunctionSpace, check_general
@@ -64,7 +65,8 @@ else:
 
 def test_cli_import_defers_the_oracle():
     # Importing the CLI, as every command does, loads neither the oracle
-    # nor dataclasses and the standard library modules it pulls in.
+    # nor dataclasses, argparse and the standard library modules they
+    # pull in.
     # The oracle's names still import from the package, which loads
     # the oracle on their first use.
     result = subprocess.run(

@@ -306,6 +306,17 @@ def test_instantiate():
         instantiate(sp, rep, [parse("p1"), parse("b")])
 
 
+def test_reference_constructions_rename_bound_atoms_apart():
+    # F binds a, which the particular solution p := a mentions free; the
+    # constructions substitute into F with its binder renamed apart, as
+    # the oracle's checks do
+    sp = SolutionProblem(parse("(p <-> a) & (exists a . (a | p))"), ["p"], parameters=["t"])
+    rig = rigorous_solution(sp, Solution([parse("a")], SolutionKind.PARTICULAR))
+    assert check_reproductive(sp, rig.components, ["a"]).verdict
+    inst = instantiate(sp, rig, [parse("a")])
+    assert equivalent(inst.components[0], parse("a"))
+
+
 def test_instantiate_flags_bogus_reproductive():
     sp = SolutionProblem(parse("p <-> a"), ["p"], parameters=["t"])
     bogus = Solution([Atom("t")], SolutionKind.REPRODUCTIVE)
