@@ -10,6 +10,12 @@ Problem files are line-oriented ``key: value`` with ``#`` comments:
 
 Exit codes: 0 success/true, 1 no solution/false, 2 usage or input error,
 or a restricted search that stopped undecided at its budget.
+
+One table, ``_COMMANDS``, lists each command's handler, options and
+positional.  An argv in the exact form that scripts send (each option
+named in full, see ``_read_exact``) is read from it directly; argparse,
+with parsers built from the same table, reads every other argv and
+prints ``-h`` help and usage errors.  Only the second loads argparse.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .elimination import (
     project_vocabulary,
     weakest_precondition,
 )
-from .formula import BoolsolveError, Formula, Record, all_names, fresh_name
+from .formula import BoolsolveError, Formula, Record, all_names, free_atoms, fresh_name
 from .semantics import truth_table
 from .solve import (
     NoSolution,
@@ -49,34 +55,17 @@ class ProblemFileError(BoolsolveError):
 
 
 class ProblemFile(Record):
-    """A problem file's keys, and the problem they state with the
-    declared parameters and the atoms of ``forbid:``."""
+    """A problem file's problem, which holds its unknowns, formula,
+    declared parameters and the atoms of ``forbid:``, and each unknown's
+    ``forbid(p):`` atoms."""
 
-    __slots__ = __match_args__ = (
-        "unknowns", "parameters", "forbid", "per_forbid", "formula", "problem"
-    )
-    unknowns: tuple[str, ...]
-    parameters: tuple[str, ...] | None
-    forbid: tuple[str, ...] | None
-    per_forbid: dict[str, tuple[str, ...]]
-    formula: Formula
+    __slots__ = __match_args__ = ("problem", "per_forbid")
     problem: SolutionProblem
+    per_forbid: dict[str, tuple[str, ...]]
 
-    def __init__(
-        self,
-        unknowns: tuple[str, ...],
-        parameters: tuple[str, ...] | None,
-        forbid: tuple[str, ...] | None,
-        per_forbid: dict[str, tuple[str, ...]],
-        formula: Formula,
-        problem: SolutionProblem,
-    ) -> None:
-        object.__setattr__(self, "unknowns", unknowns)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "forbid", forbid)
-        object.__setattr__(self, "per_forbid", per_forbid)
-        object.__setattr__(self, "formula", formula)
+    def __init__(self, problem: SolutionProblem, per_forbid: dict[str, tuple[str, ...]]) -> None:
         object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "per_forbid", per_forbid)
 
 
 def _idents(value: str, context: str) -> tuple[str, ...]:
@@ -140,10 +129,9 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ProblemFileError(
                 f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
             )
-    formula = parse(seen["formula"])
     # the solvers' own checks, whatever the command
-    problem = _problem(formula, unknowns, parameters, forbid)
-    return ProblemFile(unknowns, parameters, forbid, per_forbid, formula, problem)
+    problem = _problem(parse(seen["formula"]), unknowns, parameters, forbid)
+    return ProblemFile(problem, per_forbid)
 
 
 def _load(path: str) -> ProblemFile:
@@ -154,10 +142,10 @@ def _load(path: str) -> ProblemFile:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
 
 
-def _fresh_parameters(pf: ProblemFile) -> tuple[str, ...]:
-    used = set(all_names(pf.formula)) | set(pf.unknowns) | set(pf.forbid or ())
+def _fresh_parameters(sp: SolutionProblem) -> tuple[str, ...]:
+    used = set(all_names(sp.formula)) | set(sp.unknowns) | set(sp.forbidden or ())
     out = []
-    for _ in pf.unknowns:
+    for _ in sp.unknowns:
         name = fresh_name("t", used)
         used.add(name)
         out.append(name)
@@ -167,11 +155,12 @@ def _fresh_parameters(pf: ProblemFile) -> tuple[str, ...]:
 def _restriction_violation(pf: ProblemFile, components: Sequence[Formula]) -> str | None:
     """How the first component that depends on an atom forbidden to it
     by ``forbid:`` or ``forbid(p):`` breaks the restriction, or None."""
-    for p, c in zip(pf.unknowns, components):
-        forbidden = sorted(set(pf.forbid or ()) | set(pf.per_forbid.get(p, ())))
-        if depends_on(forbidden, c):
-            b = next(b for b in forbidden if depends_on([b], c))
-            return f"component {p} depends on forbidden atom {b}"
+    sp = pf.problem
+    for p, c in zip(sp.unknowns, components):
+        mentioned = free_atoms(c)  # c depends on no other atom
+        for b in sorted(set(sp.forbidden or ()) | set(pf.per_forbid.get(p, ()))):
+            if b in mentioned and depends_on([b], c):
+                return f"component {p} depends on forbidden atom {b}"
     return None
 
 
@@ -193,7 +182,7 @@ def _per_unknown(pf: ProblemFile) -> list[tuple[str, ...]] | None:
     such line; the solvers add the atoms of ``forbid:`` to every set."""
     if not pf.per_forbid:
         return None
-    return [pf.per_forbid.get(p, ()) for p in pf.unknowns]
+    return [pf.per_forbid.get(p, ()) for p in pf.problem.unknowns]
 
 
 def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
@@ -225,11 +214,11 @@ def _cmd_solve(args: SimpleNamespace) -> int:
     # Per-component restrictions give a particular solution.
     needs_params = (args.method == "succ-elim" or args.reproductive) and not per_unknown
     sp = pf.problem
-    if pf.parameters is None and needs_params:
-        sp = _problem(pf.formula, pf.unknowns, _fresh_parameters(pf), pf.forbid)
-    if pf.forbid or per_unknown:
+    if sp.parameters is None and needs_params:
+        sp = _problem(sp.formula, sp.unknowns, _fresh_parameters(sp), sp.forbidden)
+    if sp.forbidden or per_unknown:
         sol = solve_restricted(sp, per_unknown)
-        _print_solution(pf.unknowns, sol)
+        _print_solution(sp.unknowns, sol)
         return 0
     if args.method == "succ-elim":
         sol = solve_succ_elim(sp)
@@ -238,7 +227,7 @@ def _cmd_solve(args: SimpleNamespace) -> int:
         sol = solve_on_second_order(sp, strategy)
     else:
         sol = solve_by_witnesses(sp)
-    _print_solution(pf.unknowns, sol)
+    _print_solution(sp.unknowns, sol)
     return 0
 
 
@@ -247,9 +236,9 @@ def _cmd_check(args: SimpleNamespace) -> int:
 
     pf = _load(args.file)
     texts = [part.strip() for part in args.with_.split(";")]
-    if len(texts) != len(pf.unknowns):
+    if len(texts) != len(pf.problem.unknowns):
         print(
-            f"error: expected {len(pf.unknowns)} components, got {len(texts)}",
+            f"error: expected {len(pf.problem.unknowns)} components, got {len(texts)}",
             file=sys.stderr,
         )
         return 2
@@ -275,8 +264,8 @@ def _cmd_eliminate(args: SimpleNamespace) -> int:
 
 
 def _cmd_precondition(args: SimpleNamespace) -> int:
-    pf = _load(args.file)
-    print(weakest_precondition(pf.unknowns, pf.formula))
+    sp = _load(args.file).problem
+    print(weakest_precondition(sp.unknowns, sp.formula))
     return 0
 
 
@@ -315,296 +304,148 @@ def _cmd_project(args: SimpleNamespace) -> int:
     return 0
 
 
-class _Option:
-    """An option of a command: a flag, or an option that takes a value,
-    one of ``choices`` when there are any."""
+_Handler = Callable[[SimpleNamespace], int]
 
-    __slots__ = ("name", "help", "dest", "flag", "choices", "default", "required", "metavar")
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        *,
-        dest: str | None = None,
-        flag: bool = False,
-        choices: tuple[str, ...] = (),
-        default: str | None = None,
-        required: bool = False,
-        metavar: str | None = None,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.dest = dest or name[2:]
-        self.flag = flag
-        self.choices = choices
-        self.default = False if flag else default
-        self.required = required
-        self.metavar = metavar or self.dest.upper()
-
-    def usage(self) -> str:
-        if self.flag:
-            text = self.name
-        elif self.choices:
-            text = f"{self.name} {{{','.join(self.choices)}}}"
-        else:
-            text = f"{self.name} {self.metavar}"
-        return text if self.required else f"[{text}]"
-
-
-_HELP = _Option("-h/--help", "show this help message and exit", dest="help", flag=True)
-_TOP_LOOKUP = {"-h": _HELP, "--help": _HELP}
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
-
-
-class _Command:
-    """A command: its handler, its help, its options and its one
-    positional argument, with that argument's help."""
-
-    __slots__ = ("name", "handler", "help", "options", "positional", "positional_help", "lookup")
-
-    def __init__(
-        self,
-        name: str,
-        handler: Callable[[SimpleNamespace], int],
-        help: str,
-        options: tuple[_Option, ...],
-        positional: str,
-        positional_help: str,
-    ) -> None:
-        self.name = name
-        self.handler = handler
-        self.help = help
-        self.options = options
-        self.positional = positional
-        self.positional_help = positional_help
-        self.lookup = {**_TOP_LOOKUP, **{o.name: o for o in options}}
-
-
+# Each command's handler, help, positional argument and that argument's
+# help, and its options: each option's name and the keywords that
+# argparse's add_argument takes for it.
 _COMMANDS = {
-    command.name: command
-    for command in (
-        _Command(
-            "solve", _cmd_solve, "compute a solution of a problem file",
-            (
-                _Option(
-                    "--method", "succ-elim (the default), second-order or witnesses",
-                    choices=("succ-elim", "second-order", "witnesses"), default="succ-elim",
-                ),
-                _Option("--reproductive", "the reproductive strategy of second-order", flag=True),
-            ),
-            "file", "problem file",
-        ),
-        _Command("exists", _cmd_exists, "test solvability", (), "file", "problem file"),
-        _Command(
-            "check", _cmd_check, "verify a candidate solution",
-            (
-                _Option(
-                    "--with", "semicolon-separated component formulas",
-                    dest="with_", required=True, metavar="COMPONENTS",
-                ),
-            ),
-            "file", "problem file",
-        ),
-        _Command(
-            "eliminate", _cmd_eliminate, "eliminate atoms from a formula",
-            (_Option("--vars", "atoms to eliminate", required=True),),
-            "formula", "formula text",
-        ),
-        _Command(
-            "precondition", _cmd_precondition,
-            "weakest antecedent making the problem solvable", (), "file", "problem file",
-        ),
-        _Command(
-            "enumerate", _cmd_enumerate, "list all basis-function solutions",
-            (
-                _Option("--basis", "basis atoms", required=True),
-                _Option("--bits", "print truth-table bits", flag=True),
-            ),
-            "file", "problem file",
-        ),
-        _Command(
-            "project", _cmd_project, "restrict a formula to a vocabulary",
-            (_Option("--keep", "atoms to keep", required=True),),
-            "formula", "formula text",
-        ),
-    )
+    "solve": (
+        _cmd_solve, "compute a solution of a problem file", "file", "problem file",
+        {
+            "--method": {
+                "help": "succ-elim (the default), second-order or witnesses",
+                "choices": ("succ-elim", "second-order", "witnesses"),
+                "default": "succ-elim",
+            },
+            "--reproductive": {
+                "help": "the reproductive strategy of second-order", "action": "store_true"
+            },
+        },
+    ),
+    "exists": (_cmd_exists, "test solvability", "file", "problem file", {}),
+    "check": (
+        _cmd_check, "verify a candidate solution", "file", "problem file",
+        {
+            "--with": {
+                "help": "semicolon-separated component formulas",
+                "dest": "with_", "required": True, "metavar": "COMPONENTS",
+            },
+        },
+    ),
+    "eliminate": (
+        _cmd_eliminate, "eliminate atoms from a formula", "formula", "formula text",
+        {"--vars": {"help": "atoms to eliminate", "required": True}},
+    ),
+    "precondition": (
+        _cmd_precondition, "weakest antecedent making the problem solvable",
+        "file", "problem file", {},
+    ),
+    "enumerate": (
+        _cmd_enumerate, "list all basis-function solutions", "file", "problem file",
+        {
+            "--basis": {"help": "basis atoms", "required": True},
+            "--bits": {"help": "print truth-table bits", "action": "store_true"},
+        },
+    ),
+    "project": (
+        _cmd_project, "restrict a formula to a vocabulary", "formula", "formula text",
+        {"--keep": {"help": "atoms to keep", "required": True}},
+    ),
 }
 
 
-class _ArgvExit(Exception):
-    """The end of reading argv without a command to run: ``-h`` (exit 0,
-    the help on stdout) or a usage error (exit 2, on stderr)."""
+def _read_exact(argv: Sequence[str]) -> tuple[_Handler, SimpleNamespace] | None:
+    """The handler and fields of ``argv`` when it is in the exact form,
+    else None.
 
-    def __init__(self, code: int, text: str) -> None:
-        super().__init__(text)
-        self.code = code
-        self.text = text
-
-
-def _usage(command: _Command | None) -> str:
-    if command is None:
-        return f"usage: boolsolve [-h] {{{','.join(_COMMANDS)}}} ..."
-    options = [o.usage() for o in command.options]
-    return " ".join(["usage: boolsolve", command.name, "[-h]", *options, command.positional])
-
-
-def _help(command: _Command | None) -> str:
-    if command is None:
-        about = "Solve Boolean equations over propositional formulas"
-        rows = [(name, c.help) for name, c in _COMMANDS.items()]
-        after = "\n'boolsolve <command> -h' shows a command's options.\n"
-    else:
-        about = command.help
-        rows = [(command.positional, command.positional_help)]
-        for o in command.options:
-            rows.append((o.name if o.flag else f"{o.name} {o.metavar}", o.help))
-        after = ""
-    rows.append(("-h, --help", _HELP.help))
-    width = max(len(left) for left, _ in rows)
-    lines = "".join(f"  {left:<{width}}  {right}\n" for left, right in rows)
-    return f"{_usage(command)}\n\n{about}\n\n{lines}{after}"
-
-
-def _error(command: _Command | None, message: str) -> _ArgvExit:
-    prog = "boolsolve" if command is None else f"boolsolve {command.name}"
-    return _ArgvExit(2, f"{_usage(command)}\n{prog}: error: {message}\n")
-
-
-def _classify(
-    command: _Command | None, arg: str
-) -> tuple[_Option | None, str | None] | None:
-    """How ``arg``, before any ``--``, reads by the rules of Python's
-    argparse: None for a positional, else the option it names (None if
-    no option) and the value given with ``=``.  A long option may be
-    abbreviated to a unique prefix, and ``-h`` may be repeated (``-hh``);
-    a negative number or a text with a space is a positional."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    lookup = _TOP_LOOKUP if command is None else command.lookup
-    if arg in lookup:
-        return lookup[arg], None
-    name, eq, value = arg.partition("=")
-    if eq and name in lookup:
-        return lookup[name], value
-    if arg[1] == "-":
-        matches = [n for n in lookup if n.startswith(name)]
-        if len(matches) > 1:
-            raise _error(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return lookup[matches[0]], value if eq else None
-    elif arg[1] == "h":
-        return _HELP, arg[2:] if arg[1:].strip("h") else None
-    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _read_command(
-    command: _Command, argv: Sequence[str]
-) -> tuple[SimpleNamespace, list[str]]:
-    """``command``'s fields read from ``argv``, and the arguments that
-    name nothing.
-
-    Options and the positional come in any order, and the last of a
-    repeated option wins.  Every argument after the first ``--`` is
-    positional; the ``--`` itself names nothing unless it comes before
-    the positional or right after it.  An ambiguous abbreviation is an
-    error before anything else is read.
-    """
-    end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_classify(command, arg) for arg in argv[:end]]
-    fields: dict[str, object] = {o.dest: o.default for o in command.options}
-    seen: set[_Option] = set()
-    extras: list[str] = []
-    at = -1  # the positional's index in argv
-    i = 0
-    while i < len(argv):
-        j, arg = i, argv[i]
-        i += 1
-        kind = kinds[j] if j < end else None
-        if j == end:
-            if 0 <= at < end - 1:
-                extras.append(arg)
-        elif kind is None:
-            if at < 0:
-                fields[command.positional] = arg
-                at = j
-            else:
-                extras.append(arg)
-        elif kind[0] is None:
-            extras.append(arg)
-        else:
-            option, value = kind
-            if option.flag and value is not None:
-                raise _error(command, f"argument {option.name}: ignored explicit argument {value!r}")
-            if option is _HELP:
-                raise _ArgvExit(0, _help(command))
-            if option.flag:
-                value = True
-            elif value is None:
-                if i >= end or kinds[i] is not None:
-                    raise _error(command, f"argument {option.name}: expected one argument")
-                value = argv[i]
-                i += 1
-            if option.choices and value not in option.choices:
-                choices = ", ".join(map(repr, option.choices))
-                raise _error(
-                    command,
-                    f"argument {option.name}: invalid choice: {value!r} (choose from {choices})",
-                )
-            fields[option.dest] = value
-            seen.add(option)
-    missing = [o.name for o in command.options if o.required and o not in seen]
-    if at < 0:
-        missing.append(command.positional)
-    if missing:
-        raise _error(command, f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(**fields), extras
-
-
-def _read_argv(argv: Sequence[str]) -> tuple[_Command, SimpleNamespace]:
-    """The command that ``argv`` names first, and its fields.
-
-    Before the command only ``-h`` is an option; the command's own
-    options come after it.  Raises ``_ArgvExit`` for ``-h`` and for a
-    usage error.
+    In the exact form a command comes first, then its one positional and
+    its options in any order, each option named in full: a flag alone,
+    any other option with its value after it or joined to it by ``=``.
+    No value starts with ``-``, each is one of its option's choices if
+    it has any, and every required option is there.  argparse reads such
+    argv alike on every Python, to the same fields.
     """
     command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = _read_command(command, argv[1:])
-        if extras:
-            raise _error(command, f"unrecognized arguments: {' '.join(extras)}")
-        return command, args
-    extras = []
-    for i, arg in enumerate(argv):
-        kind = None if arg == "--" else _classify(None, arg)
-        if kind is None:
-            command = _COMMANDS.get(arg)
-            if command is None:
-                choices = ", ".join(map(repr, _COMMANDS))
-                raise _error(None, f"argument command: invalid choice: {arg!r} (choose from {choices})")
-            # an option before the command names nothing, so this ends in an error
-            extras += _read_command(command, argv[i + 1 :])[1]
-            raise _error(None, f"unrecognized arguments: {' '.join(extras)}")
-        option, value = kind
+    if command is None:
+        return None
+    handler, _, positional, _, options = command
+    fields: dict[str, object] = {}
+    i, n = 1, len(argv)
+    while i < n:
+        arg = argv[i]
+        i += 1
+        if arg[:1] != "-":
+            if positional in fields:
+                return None
+            fields[positional] = arg
+            continue
+        name, eq, value = arg.partition("=")
+        option = options.get(name)
         if option is None:
-            extras.append(arg)
-        elif value is not None:
-            raise _error(None, f"argument {option.name}: ignored explicit argument {value!r}")
-        else:
-            raise _ArgvExit(0, _help(None))
-    raise _error(None, "the following arguments are required: command")
+            return None
+        dest = option.get("dest", name[2:])
+        if option.get("action"):  # a flag
+            if eq:
+                return None
+            fields[dest] = True
+            continue
+        if not eq:
+            if i == n:
+                return None
+            value = argv[i]
+            i += 1
+        if value[:1] == "-" or value not in option.get("choices", (value,)):
+            return None
+        fields[dest] = value
+    if positional not in fields:
+        return None
+    for name, option in options.items():
+        dest = option.get("dest", name[2:])
+        if dest not in fields:
+            if option.get("required"):
+                return None
+            fields[dest] = False if option.get("action") else option.get("default")
+    return handler, SimpleNamespace(**fields)
+
+
+def _read_argv(argv: Sequence[str]) -> tuple[_Handler, SimpleNamespace]:
+    """The handler and fields that ``argv`` names.
+
+    argparse reads every argv that is not in the exact form; it prints
+    the help of ``-h`` and the text of a usage error, and raises
+    ``SystemExit``.  A named command goes straight to its own parser,
+    which argparse would otherwise reach only after a second pass.
+    """
+    read = _read_exact(argv)
+    if read is not None:
+        return read
+    import argparse  # loaded only by argv outside the exact form
+
+    parser = argparse.ArgumentParser(
+        prog="boolsolve",
+        description="Solve Boolean equations over propositional formulas",
+        epilog="'boolsolve <command> -h' shows a command's options.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, about, positional, positional_help, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=about, description=about)
+        for option, keywords in options.items():
+            sub.add_argument(option, **keywords)
+        sub.add_argument(positional, help=positional_help)
+        sub.set_defaults(func=handler)
+    command = commands.choices.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+    return args.func, args
 
 
 def run(argv: list[str]) -> int:
     try:
-        command, args = _read_argv(argv)
-    except _ArgvExit as stop:
-        print(stop.text, end="", file=sys.stderr if stop.code else sys.stdout)
-        return stop.code
+        handler, args = _read_argv(argv)
+    except SystemExit as exc:  # argparse's -h or usage error
+        return 0 if exc.code in (0, None) else 2
     try:
-        return command.handler(args)
+        return handler(args)
     except NoSolution as exc:
         print(f"no solution: {exc}")
         return 1

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import random
 import time
 
 import pytest
@@ -44,18 +47,18 @@ def unsolvable_path(tmp_path):
 
 
 def test_parse_problem_file():
-    pf = parse_problem_file(EXAMPLE_FILE)
-    assert pf.unknowns == ("p1", "p2")
-    assert pf.parameters is None
-    assert pf.formula == parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
+    sp = parse_problem_file(EXAMPLE_FILE).problem
+    assert sp.unknowns == ("p1", "p2")
+    assert sp.parameters is None
+    assert sp.formula == parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")
 
 
 def test_parse_problem_file_full():
     pf = parse_problem_file(
         "unknowns: p\nparameters: t\nforbid: b\nforbid(p): b\nformula: b -> p\n"
     )
-    assert pf.parameters == ("t",)
-    assert pf.forbid == ("b",)
+    assert pf.problem.parameters == ("t",)
+    assert pf.problem.forbidden == ("b",)
     assert pf.per_forbid == {"p": ("b",)}
 
 
@@ -490,22 +493,85 @@ def test_argv_corpus_covers_every_command():
         assert {a[0] for a in corpus if a} >= set(cli._COMMANDS)
 
 
+def _read(argv):
+    """The exit code of ``cli._read_argv(argv)`` (0 on success or
+    ``-h``, 2 on a usage error) and, on success, its handler and fields."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            handler, args = cli._read_argv(argv)
+    except SystemExit as exc:
+        return (0 if exc.code in (0, None) else 2), None
+    fields = vars(args).copy()
+    fields.pop("func", None)  # argparse's reading also holds the handler
+    return 0, (handler, fields)
+
+
+def _reference_read(argv):
+    """``cli_reference.read(argv)`` in the form of ``_read``."""
+    code, namespace = cli_reference.read(argv)
+    if namespace is None:
+        return code, None
+    fields = vars(namespace).copy()
+    return code, (fields.pop("func"), fields)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(a, 0) for a in ARGV_ACCEPTED + ARGV_HELP] + [(a, 2) for a in ARGV_REJECTED],
 )
 def test_argv_reader_matches_argparse(argv, code):
-    ref_code, namespace = cli_reference.read(argv)
-    assert ref_code == code
-    try:
-        command, args = cli._read_argv(argv)
-    except cli._ArgvExit as stop:
-        assert (stop.code, namespace) == (code, None)
-        return
-    assert namespace is not None
-    fields = vars(namespace)
-    assert command.handler is fields.pop("func")
-    assert vars(args) == fields
+    expected = _reference_read(argv)
+    assert expected[0] == code
+    assert (expected[1] is None) == (argv in ARGV_HELP + ARGV_REJECTED)
+    assert _read(argv) == expected
+
+
+# The option names in full.  The argv of ARGV_ACCEPTED in the exact form
+# are those whose every token that starts with "-" is one of these,
+# alone or joined to a value by "=".
+FULL_OPTION_NAMES = {
+    "--method", "--reproductive", "--with", "--vars", "--basis", "--bits", "--keep"
+}
+
+
+def _names_options_in_full(argv):
+    return all(a.partition("=")[0] in FULL_OPTION_NAMES for a in argv[1:] if a[:1] == "-")
+
+
+def test_shortcut_reads_only_the_exact_form():
+    exact = [a for a in ARGV_ACCEPTED if _names_options_in_full(a)]
+    assert len(exact) == 16
+    for argv in exact:
+        read = cli._read_exact(argv)
+        assert read is not None, argv
+        handler, args = read
+        assert (0, (handler, vars(args))) == _reference_read(argv), argv
+    for argv in ARGV_ACCEPTED + ARGV_HELP + ARGV_REJECTED:
+        if argv not in exact:
+            assert cli._read_exact(argv) is None, argv
+
+
+# Tokens that make the reading of argv differ: commands, options in full
+# and abbreviated, joined values, "--", forms of -h, negative numbers,
+# texts with a space and the empty text.
+FUZZ_TOKENS = [
+    "solve", "exists", "check", "eliminate", "precondition", "enumerate", "project",
+    "frob", "f", "g", "a", "x y", "", "-", "--", "-h", "-hh", "-h=x", "--help", "--he",
+    "-1", "-.5", "--bogus", "--method", "--meth", "--method=witnesses", "--method=bogus",
+    "succ-elim", "second-order", "witnesses", "bogus", "--reproductive", "--rep",
+    "--reproductive=yes", "--with", "--w", "--with=a", "--with=", "--vars", "--v=p",
+    "--basis", "--ba", "--b", "--b=a", "--bits", "--bi", "--keep", "--k=a",
+]
+
+
+def test_argv_reader_matches_argparse_on_random_argv():
+    rng = random.Random(2301)
+    commands = list(cli._COMMANDS)
+    for _ in range(2000):
+        argv = [rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 6))]
+        if argv and rng.random() < 0.7:
+            argv[0] = rng.choice(commands)
+        assert _read(argv) == _reference_read(argv), argv
 
 
 def test_undecodable_file_is_an_input_error(tmp_path, capsys):

@@ -79,6 +79,44 @@ def test_cli_import_defers_the_oracle():
     assert result.stdout.split() == []
 
 
+# The argv shapes of the benchmark's workloads, each run through the
+# CLI; the exit codes print first, then whether argparse was loaded.
+_BENCHMARK_ARGV_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from boolsolve.cli import run
+path = sys.argv[2]
+codes = []
+for argv in (
+    ["solve", "--method", "succ-elim", path],
+    ["solve", "--method", "second-order", path],
+    ["solve", "--method", "witnesses", path],
+    ["solve", "--method", "second-order", "--reproductive", path],
+    ["exists", path],
+    ["precondition", path],
+    ["project", "--keep", "a b", "a | (b & c & ~c)"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(argv))
+print(*codes, "argparse" in sys.modules)
+"""
+
+
+def test_benchmark_argv_take_the_exact_form_shortcut(tmp_path):
+    # argparse reads only argv outside the exact form; if the argv the
+    # benchmark sends slid onto it, they would load argparse.
+    path = tmp_path / "example.sp"
+    path.write_text("unknowns: p1 p2\nformula: (a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))\n")
+    result = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", _BENCHMARK_ARGV_PROBE, str(SRC), str(path)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"] * 7 + ["False"]
+
+
 # Names that no command reaches and README does not list: the paper's
 # formula-level constructions, now references in tests/solve_reference.py
 # and tests/elimination_reference.py, and the one-unknown wrappers of

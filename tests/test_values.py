@@ -215,17 +215,9 @@ def test_problem_file_record():
     assert pf == parse_problem_file("unknowns:   p\nformula: p|a\n")
     assert pf != parse_problem_file("unknowns: p\nformula: p | b\n")
     assert repr(pf) == (
-        "ProblemFile(unknowns=('p',), parameters=None, forbid=None, per_forbid={}, "
-        "formula=<p | a>, problem=SolutionProblem(formula=<p | a>, unknowns=('p',), "
-        "parameters=None, forbidden=None))"
+        "ProblemFile(problem=SolutionProblem(formula=<p | a>, unknowns=('p',), "
+        "parameters=None, forbidden=None), per_forbid={})"
     )
-    assert pf == ProblemFile(
-        unknowns=("p",),
-        parameters=None,
-        forbid=None,
-        per_forbid={},
-        formula=pf.formula,
-        problem=pf.problem,
-    )
+    assert pf == ProblemFile(problem=pf.problem, per_forbid={})
     with pytest.raises(TypeError):
         hash(pf)  # a mutable record
