@@ -9,7 +9,13 @@ bind an atom name.
 The node classes are final (``typing.final``).  Every formula walker of
 the package dispatches on a node's exact type, ``type(g) is And``,
 which is cheaper than an ``isinstance`` chain, so a subclass of a node
-class would not be walked as that node.
+class would not be walked as that node.  One walk, ``_scan``, answers
+every name question for ``free_atoms``, ``free_binders``, ``all_names``,
+``clean_variant`` and ``simplify``'s quantifier test.  The other walks
+stay separate because each returns something else: ``substitute`` and
+``clean_variant`` rebuild the tree, ``semantics._mask`` evaluates it,
+``simplify`` rewrites it, the printer prints it, and ``__eq__`` compares
+it per node shape, for speed.
 
 ``Record`` is the base of the package's immutable result values.
 """
@@ -261,46 +267,59 @@ def forall(names: Sequence[str], f: Formula) -> Formula:
     return f
 
 
-def free_atoms(f: Formula) -> AtomSet:
-    """The atoms with at least one occurrence not bound by a quantifier."""
-    out: set[str] = set()
+_UNBOUND: frozenset[str] = frozenset()
+
+
+def _scan(f: Formula) -> tuple[dict[str, frozenset[str]], set[str]]:
+    """Each free atom of ``f`` mapped to the names bound above its free
+    occurrences, and the set of binder names, from one walk.  A first
+    free occurrence stores its bound set as it is, and a later one under
+    the same set takes no union, so a quantifier-free formula takes none."""
+    free: dict[str, frozenset[str]] = {}
+    binders: set[str] = set()
 
     def walk(g: Formula, bound: frozenset[str]) -> None:
         t = type(g)
         if t is Atom:
-            if g.name not in bound:
-                out.add(g.name)
+            name = g.name
+            if name not in free:
+                if name not in bound:
+                    free[name] = bound
+            elif bound and name not in bound and free[name] is not bound:
+                free[name] |= bound
         elif t is Not:
             walk(g.operand, bound)
         elif t in BINARY:
             walk(g.left, bound)
             walk(g.right, bound)
         elif t in QUANT:
+            binders.add(g.var)
             walk(g.body, bound | {g.var})
 
-    walk(f, frozenset())
-    return tuple(sorted(out))
+    walk(f, _UNBOUND)
+    return free, binders
+
+
+def free_atoms(f: Formula) -> AtomSet:
+    """The atoms with at least one occurrence not bound by a quantifier."""
+    return tuple(sorted(_scan(f)[0]))
 
 
 def all_names(f: Formula) -> AtomSet:
     """Every atom name occurring anywhere in ``f``, free, bound or as binder."""
-    out: set[str] = set()
+    free, binders = _scan(f)
+    return tuple(sorted(binders.union(free)))  # a binder names each bound atom
 
-    def walk(g: Formula) -> None:
-        t = type(g)
-        if t is Atom:
-            out.add(g.name)
-        elif t is Not:
-            walk(g.operand)
-        elif t in BINARY:
-            walk(g.left)
-            walk(g.right)
-        elif t in QUANT:
-            out.add(g.var)
-            walk(g.body)
 
-    walk(f)
-    return tuple(sorted(out))
+def free_binders(f: Formula) -> dict[str, frozenset[str]]:
+    """Map each free atom of ``f`` to the names bound by the quantifiers
+    above its free occurrences.
+
+    Replacing the atom by a formula whose free atoms meet this set would
+    capture them; an atom with no quantifier above any of its free
+    occurrences maps to the empty set.
+    """
+    return _scan(f)[0]
 
 
 class NotSubstitutible(BoolsolveError):
@@ -318,40 +337,6 @@ class NotSubstitutible(BoolsolveError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-def free_binders(f: Formula) -> dict[str, frozenset[str]]:
-    """Map each free atom of ``f`` to the names bound by the quantifiers
-    above its free occurrences.
-
-    Replacing the atom by a formula whose free atoms meet this set would
-    capture them; an atom with no quantifier above any of its free
-    occurrences maps to the empty set.
-    """
-    out: dict[str, set[str]] = {}
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        t = type(g)
-        if t is Atom:
-            name = g.name
-            if name not in bound:
-                if name in out:
-                    out[name] |= bound
-                else:
-                    out[name] = set(bound)
-        elif t is Not:
-            walk(g.operand, bound)
-        elif t in BINARY:
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif t in QUANT:
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
-    return {name: frozenset(binders) for name, binders in out.items()}
-
-
-_UNBOUND: frozenset[str] = frozenset()
 
 
 def _substitution_violation(
@@ -448,9 +433,9 @@ def clean_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:
     fresh, assigned in a left-to-right traversal, so the result is
     deterministic.  Names in ``avoid`` are treated as taken.
     """
-    free = set(free_atoms(f))
-    used = set(all_names(f)) | free | set(avoid)
-    taken = free | set(avoid)
+    free, binders = _scan(f)
+    taken = set(free).union(avoid)
+    used = taken | binders
 
     def walk(g: Formula, env: dict[str, str]) -> Formula:
         t = type(g)

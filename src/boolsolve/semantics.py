@@ -37,6 +37,7 @@ from .formula import (
     Or,
     Record,
     Top,
+    _scan,
     conj,
     disj,
     free_atoms,
@@ -219,36 +220,24 @@ def widen(mask: int, width: int, new_width: int) -> int:
 
 def is_valid(f: Formula) -> bool:
     """True iff ``f`` holds under every valuation of its free atoms."""
-    basis = free_atoms(f)
-    return formula_mask(f, basis) == (1 << (1 << len(basis))) - 1
-
-
-def _joint_basis(f: Formula, g: Formula) -> AtomSet:
-    return tuple(sorted(set(free_atoms(f)) | set(free_atoms(g))))
+    return falsifying_valuation(f) is None
 
 
 def entails(f: Formula, g: Formula) -> bool:
-    basis = _joint_basis(f, g)
-    patterns = atom_patterns(basis)
-    full = (1 << (1 << len(basis))) - 1
-    return formula_mask(f, basis, patterns) & (full ^ formula_mask(g, basis, patterns)) == 0
+    return is_valid(Implies(f, g))
 
 
 def equivalent(f: Formula, g: Formula) -> bool:
-    basis = _joint_basis(f, g)
-    patterns = atom_patterns(basis)
-    return formula_mask(f, basis, patterns) == formula_mask(g, basis, patterns)
+    return is_valid(Iff(f, g))
 
 
 def falsifying_valuation(f: Formula) -> dict[str, bool] | None:
     """Some valuation making ``f`` false, or None when ``f`` is valid."""
     basis = free_atoms(f)
-    mask = formula_mask(f, basis)
-    full = (1 << (1 << len(basis))) - 1
-    if mask == full:
+    false_at = ((1 << (1 << len(basis))) - 1) ^ formula_mask(f, basis)
+    if not false_at:
         return None
-    idx = ((full ^ mask) & -(full ^ mask)).bit_length() - 1
-    return decode_valuation(idx, basis)
+    return decode_valuation((false_at & -false_at).bit_length() - 1, basis)
 
 
 def decode_valuation(index: int, basis: AtomSet) -> dict[str, bool]:
@@ -593,7 +582,7 @@ def simplify(f: Formula) -> Formula:
         return g
     if t is Exists or t is Forall:
         body = simplify(f.body)
-        if f.var not in free_atoms(body):
+        if f.var not in _scan(body)[0]:
             return body
         return f if body is f.body else t(f.var, body)
     return f

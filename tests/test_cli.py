@@ -1,7 +1,12 @@
 import contextlib
 import io
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,8 @@ from boolsolve.cli import parse_problem_file, run, ProblemFileError
 from boolsolve.syntax import RESERVED
 import cli_reference
 from genutil import tree_nodes
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXAMPLE_FILE = """\
 # background theory implies a chain through the unknowns
@@ -118,6 +125,54 @@ def test_solve_deterministic(example_path, capsys):
     assert capsys.readouterr().out == first
 
 
+_HASH_SEED_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from boolsolve.cli import run
+for argv in json.loads(sys.argv[2]):
+    print("exit", run(argv), flush=True)
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # One process sees one hash seed, so string sets iterate in one
+    # order there; two seeds in two processes must print the same bytes.
+    example = tmp_path / "example.sp"
+    example.write_text(EXAMPLE_FILE)
+    capture = tmp_path / "capture.sp"
+    capture.write_text("unknowns: p\nformula: (p <-> a) & (exists a . (a | p))\n")
+    commands = [
+        ["solve", str(example)],
+        ["check", "--with", "a", str(capture)],
+        ["enumerate", "--basis", "a b", str(example)],
+        ["project", "--keep", "a", "a & b"],
+        ["eliminate", "--vars", "p", "exists q . forall r . (p -> a | q & r) & (b -> p)"],
+    ]
+    outputs = []
+    for seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", _HASH_SEED_PROBE, str(SRC), json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            check=False,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert [line for line in outputs[0].splitlines() if line.startswith("exit")] == [
+        "exit 0", "exit 0", "exit 0", "exit 1", "exit 0"
+    ]
+
+
+def test_generated_parameters_avoid_binder_names(tmp_path, capsys):
+    # t_1 occurs only as a binder, yet a fresh parameter must skip it.
+    path = tmp_path / "binder.sp"
+    path.write_text("unknowns: p\nformula: (a -> p) & (exists t_1 . t_1)\n")
+    assert run(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == "p := a & ~t_2 | t_2\n"
+
+
 def test_check_rejects_non_solution(example_path, capsys):
     assert run(["check", "--with", "b; a", example_path]) == 1
     assert capsys.readouterr().out.startswith("not a solution")
@@ -166,7 +221,10 @@ def test_project_command(capsys):
     assert equivalent(parse(out), parse("a"))
 
     assert run(["project", "--keep", "a", "a & b"]) == 1
-    assert capsys.readouterr().out.startswith("not independent")
+    assert capsys.readouterr().out == (
+        "not independent: depends on a dropped atom (b): value differs between "
+        "{'a': True, 'b': False} and {'a': True, 'b': True}\n"
+    )
 
 
 def test_project_drops_20_atoms(capsys):

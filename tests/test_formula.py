@@ -11,17 +11,21 @@ from boolsolve import (
     NotSubstitutible,
     Or,
     And,
+    all_names,
     clean_variant,
     equivalent,
     exists,
     forall,
     free_atoms,
+    free_binders,
     is_substitutible,
     parse,
+    simplify,
     substitute,
     truth_table,
 )
 from elimination_reference import Polarity, polarity_of
+import formula_reference as reference
 from genutil import QUANT_POOL, random_formula
 
 
@@ -29,6 +33,44 @@ def test_free_atoms():
     assert free_atoms(parse("a & exists p . (p | b)")) == ("a", "b")
     assert free_atoms(parse("exists p . p")) == ()
     assert free_atoms(parse("p | exists p . p")) == ("p",)
+
+
+def test_all_names_and_free_binders():
+    # a binder that names no occurrence is still a name of the formula
+    f = parse("exists q . a")
+    assert all_names(f) == ("a", "q")
+    assert free_binders(f) == {"a": frozenset({"q"})}
+    # a name both free and bound: only its free occurrence is mapped
+    f = parse("p | exists p . p")
+    assert all_names(f) == ("p",)
+    assert free_binders(f) == {"p": frozenset()}
+    # nested binders sharing a name
+    f = parse("(exists p . p & forall p . (p | a)) & forall q . exists q . b")
+    assert all_names(f) == ("a", "b", "p", "q")
+    assert free_binders(f) == {"a": frozenset({"p"}), "b": frozenset({"q"})}
+    # a free atom under two different binder sets maps to their union
+    f = parse("(exists q . a & b) & (forall r . exists s . a) & a")
+    assert free_binders(f) == {"a": frozenset({"q", "r", "s"}), "b": frozenset({"q"})}
+    # without quantifiers every atom maps to the empty set
+    f = parse("(a & ~b) -> (c | a)")
+    assert all_names(f) == ("a", "b", "c")
+    assert free_binders(f) == dict.fromkeys(("a", "b", "c"), frozenset())
+
+
+def test_name_walkers_match_reference():
+    # Binders drawn from the free atoms' names exercise shadowing,
+    # capture and renaming; every result must equal the reference's.
+    rng = random.Random(2501)
+    atoms = ("a", "b", "c")
+    pool = ("a", "b", "q1")
+    for _ in range(2000):
+        f = random_formula(rng, atoms, depth=rng.randint(1, 6), quant_pool=pool, quant_prob=0.25)
+        avoid = rng.sample(atoms + pool[2:], rng.randint(0, 3))
+        assert free_atoms(f) == reference.free_atoms(f)
+        assert all_names(f) == reference.all_names(f)
+        assert free_binders(f) == reference.free_binders(f)
+        assert clean_variant(f, avoid) == reference.clean_variant(f, avoid)
+        assert simplify(f) == reference.simplify(f)
 
 
 def test_polarity():
@@ -91,6 +133,9 @@ def test_clean_variant_examples():
     assert clean_variant(f) == parse("exists p . (p & exists p_1 . (p_1 | a))")
     assert clean_variant(parse("a & b")) == parse("a & b")
     assert clean_variant(parse("p & exists p . p")) == parse("p & exists p_1 . p_1")
+    # a fresh name skips the names of later binders too
+    f = parse("a & exists a . exists a_1 . (a | a_1)")
+    assert clean_variant(f) == parse("a & exists a_2 . exists a_1 . (a_2 | a_1)")
 
 
 def test_clean_variant_preserves_semantics():

@@ -1,5 +1,6 @@
 import random
 import subprocess
+from collections import Counter
 import sys
 import time
 from pathlib import Path
@@ -81,6 +82,28 @@ def test_entails_equivalent():
     assert equivalent(parse("~(a & b)"), parse("~a | ~b"))
     assert entails(parse("a & b"), parse("a"))
     assert not entails(parse("a"), parse("a & b"))
+
+
+def test_validity_verdicts_match_reference_masks():
+    # is_valid, entails and equivalent against the verdicts read off the
+    # reference walk's masks over the pair's joint free atoms.  Most
+    # second formulas are built from the first, so each verdict is met
+    # both ways; binders reuse free names on both sides.
+    rng = random.Random(2502)
+    atoms = ("a", "b", "c")
+    seen = Counter()
+    for _ in range(1000):
+        f = random_formula(rng, atoms, depth=4, quant_pool=("a", "q1"))
+        h = random_formula(rng, atoms, depth=3, quant_pool=("b", "q1"))
+        g = rng.choice((h, Or(f, h), And(f, h), simplify(f), Not(Not(f)), Or(f, Not(f))))
+        basis = tuple(sorted(set(free_atoms(f)) | set(free_atoms(g))))
+        full = (1 << (1 << len(basis))) - 1
+        fmask = semantics_reference.formula_mask(f, basis)
+        gmask = semantics_reference.formula_mask(g, basis)
+        verdicts = (gmask == full, fmask & ~gmask == 0, fmask == gmask)
+        assert (is_valid(g), entails(f, g), equivalent(f, g)) == verdicts
+        seen.update(enumerate(verdicts))
+    assert min(seen[i, v] for i in range(3) for v in (False, True)) >= 100, seen
 
 
 def test_truth_table_encoding():
