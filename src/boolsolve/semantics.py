@@ -8,7 +8,9 @@ bound atom by one width rule (``formula_mask``): over a narrow mask its
 body is walked once, one position wider, with the binder on the new top
 position, and over a wide one once per value of the binder.  A basis
 spans at most ``MAX_MASK_ATOMS`` atoms; ``atom_patterns`` refuses a
-wider one with ``BudgetExceeded``.
+wider one with ``BudgetExceeded``.  The atom masks depend on the width
+alone, so those of widths up to 16 are kept once built, at most about
+240 KB; a wider basis has its masks built per call and never kept.
 
 Truth-table encoding (fixed so golden outputs are portable): the basis
 is sorted ascending, atom ``i`` of the basis contributes bit ``i`` of a
@@ -57,6 +59,17 @@ class BudgetExceeded(BoolsolveError):
     """A truth table would span more than ``MAX_MASK_ATOMS`` atoms."""
 
 
+# For the widths w most bases have: _FULLS[w], the mask of every valuation
+# over w positions, and _PATTERNS[w], atom_patterns' masks once built.
+_FULLS = tuple((1 << (1 << w)) - 1 for w in range(17))
+_PATTERNS: dict[int, list[int]] = {}
+
+
+def _full_mask(width: int) -> int:
+    """The mask of every valuation over ``width`` positions."""
+    return _FULLS[width] if width < len(_FULLS) else (1 << (1 << width)) - 1
+
+
 def evaluate(f: Formula, valuation: Valuation) -> bool:
     """Truth value of ``f`` under a valuation covering its free atoms;
     a free atom the valuation misses raises ``UnboundAtom``."""
@@ -65,32 +78,34 @@ def evaluate(f: Formula, valuation: Valuation) -> bool:
 
 
 def atom_patterns(basis: AtomSet) -> dict[str, int]:
-    """Per-atom bitmasks over all valuations of ``basis``.
+    """Per-atom bitmasks over all valuations of ``basis``, whose names
+    must be distinct, in a fresh dict keyed in basis order.
 
     Atom ``i`` is true exactly at indices with bit ``i`` set.  The top
     atom's mask is the upper half of the indices; each lower mask comes
     from the one above it as ``p_i = p_{i+1} ^ (p_{i+1} >> 2^i)``, since
     adding 2^i to an index flips its bit i+1 exactly when its bit i is
-    set.  The dict is keyed in basis order before the masks are filled
-    in, top atom first.  A basis wider than ``MAX_MASK_ATOMS`` raises
+    set.  The masks of widths up to 16 are kept once built, at most
+    about 240 KB in all; a wider basis gets masks built per call and
+    never kept.  A basis wider than ``MAX_MASK_ATOMS`` raises
     ``BudgetExceeded`` before any mask is built; every bitmask of the
     package starts here.
     """
-    if len(basis) > MAX_MASK_ATOMS:
+    width = len(basis)
+    if width > MAX_MASK_ATOMS:
         raise BudgetExceeded(
-            f"{len(basis)} atoms exceed the truth-table cap of {MAX_MASK_ATOMS} "
+            f"{width} atoms exceed the truth-table cap of {MAX_MASK_ATOMS} "
             f"atoms ({1 << (MAX_MASK_ATOMS - 23)} MB per mask)"
         )
-    masks = dict.fromkeys(basis, 0)
-    i = len(basis) - 1
-    if i >= 0:
-        m = ((1 << (1 << i)) - 1) << (1 << i)
-        masks[basis[i]] = m
-        while i:
-            i -= 1
-            m ^= m >> (1 << i)
-            masks[basis[i]] = m
-    return masks
+    masks = _PATTERNS.get(width)
+    if masks is None:
+        masks, m = [], 0
+        for i in reversed(range(width)):
+            m = m ^ m >> (1 << i) if masks else _full_mask(i) << (1 << i)
+            masks.insert(0, m)
+        if width < len(_FULLS):
+            _PATTERNS[width] = masks
+    return dict(zip(basis, masks))
 
 
 def formula_mask(f: Formula, basis: AtomSet, patterns: dict[str, int] | None = None) -> int:
@@ -110,7 +125,7 @@ def formula_mask(f: Formula, basis: AtomSet, patterns: dict[str, int] | None = N
     """
     if patterns is None:
         patterns = atom_patterns(basis)
-    return _mask(f, patterns, (1 << (1 << len(basis))) - 1)
+    return _mask(f, patterns, _full_mask(len(basis)))
 
 
 # A quantifier over a mask of fewer positions than this is walked one
@@ -180,8 +195,7 @@ def _mask(g: Formula, values: dict[str, int], full: int) -> int:
 def top_cofactors(mask: int, width: int) -> tuple[int, int]:
     """Cofactors, false then true, of a mask over ``width`` positions at
     its last position; each is a mask over the first ``width - 1``."""
-    half = 1 << (width - 1)
-    return mask & ((1 << half) - 1), mask >> half
+    return mask & _full_mask(width - 1), mask >> (1 << (width - 1))
 
 
 def existential_stages(mask: int, width: int, keep: int) -> list[int]:
@@ -234,7 +248,7 @@ def equivalent(f: Formula, g: Formula) -> bool:
 def falsifying_valuation(f: Formula) -> dict[str, bool] | None:
     """Some valuation making ``f`` false, or None when ``f`` is valid."""
     basis = free_atoms(f)
-    false_at = ((1 << (1 << len(basis))) - 1) ^ formula_mask(f, basis)
+    false_at = _full_mask(len(basis)) ^ formula_mask(f, basis)
     if not false_at:
         return None
     return decode_valuation((false_at & -false_at).bit_length() - 1, basis)
@@ -349,11 +363,6 @@ def irredundant_two_level_mask(
     computes that layout once for several masks over the same names.
     """
     return _irredundant_two_level_masks((mask,), names, patterns)[0]
-
-
-# _FULLS[w]: the mask of every valuation over w positions, for the
-# widths most covers have; wider covers build their own list.
-_FULLS = tuple((1 << (1 << w)) - 1 for w in range(17))
 
 
 def _irredundant_two_level_masks(

@@ -45,6 +45,7 @@ from .formula import (
     substitute,
 )
 from .semantics import (
+    _full_mask,
     _irredundant_two_level_masks,
     atom_patterns,
     cofactors,
@@ -188,7 +189,7 @@ def _stage_masks(sp: SolutionProblem, forbidden: Sequence[str] = ()) -> _Stages 
             zero, one = cofactors(mask, base.index(b), patterns[b])
             mask = zero & one
     stages = existential_stages(mask, len(basis), len(base))
-    if stages[0] != (1 << (1 << len(base))) - 1:
+    if stages[0] != _full_mask(len(base)):
         return None
     return base, stages, list(patterns.values())
 
@@ -208,7 +209,7 @@ def _interval(
         zero, one = cofactors(stage, k + j, patterns[k + j])
         stage = zero ^ ((zero ^ one) & widen(g, k + j + 1, width))
     zero, upper = top_cofactors(stage, width)
-    return zero ^ ((1 << (1 << (width - 1))) - 1), upper
+    return zero ^ _full_mask(width - 1), upper
 
 
 class _Bound(Enum):
@@ -270,7 +271,7 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
         shown = names[: width - 1]
         if params is None:
             if bound is _Bound.CASE:
-                full = (1 << (1 << (width - 1))) - 1
+                full = _full_mask(width - 1)
                 g = upper if upper == full else lower if lower in (0, upper) else None
                 if g is None:
                     return None
@@ -388,7 +389,7 @@ def _restricted_masks(
         return None
     base, stages, patterns = found
     k = len(base)
-    full = (1 << (1 << k)) - 1
+    full = _full_mask(k)
     chosen: list[int] = []  # chosen[j]: G_{j+1} over the k base positions
     masks: list[int] = []  # the same, widened as _interval takes them
     budget = _SEARCH_BUDGET

@@ -4,6 +4,11 @@ Grammar, loosest to tightest: ``<->`` (left-assoc), ``->`` (right-assoc),
 ``|``, ``&``, prefix ``~``, then atoms / ``true`` / ``false`` / parens.
 ``exists <id> . F`` and ``forall <id> . F`` extend maximally to the
 right.  ``#`` starts a comment to end of line.
+
+The tokenizer is one ``findall`` of a regex matching only tokens and
+comments, exact when the tokens join to the text less its blanks; only
+a text with a comment or a bad character is walked again, to drop the
+comments or find the first bad character.
 """
 
 from __future__ import annotations
@@ -40,13 +45,10 @@ class ParseError(BoolsolveError):
 # Identifiers are ASCII; the problem-file reader checks names with the
 # same rule.
 IDENTIFIER = r"[a-z][A-Za-z0-9_]*"
-_SKIP = r"[ \t\r\n]+|#[^\n]*"
-_SYMBOLS = r"<->|->|[()~&|.]"
-# The longest prefix of a text made of whitespace, comments and tokens;
-# a text is lexically valid when that prefix is all of it.
-_VALID = re.compile(rf"(?:{_SKIP}|{_SYMBOLS}|{IDENTIFIER})*")
-# A match is a token, in group 1, or a run of whitespace or a comment.
-_TOKEN = re.compile(rf"{_SKIP}|({_SYMBOLS}|{IDENTIFIER})")
+# A match is a token, in group 1, or a comment.  Blanks match nothing.
+_TOKEN = re.compile(rf"#[^\n]*|(<->|->|[()~&|.]|{IDENTIFIER})")
+_BLANK = " \t\r\n"
+_BLANKS = str.maketrans("", "", _BLANK)
 _UPPER_WORD = re.compile(r"[A-Z][A-Za-z0-9_]*")
 
 # Operator stack entries: (precedence, constructor) for operators, plus
@@ -57,11 +59,11 @@ _UPPER_WORD = re.compile(r"[A-Z][A-Za-z0-9_]*")
 # its body extends as far right as possible.
 _OPEN = (-1,)
 _NOT = (5, Not)
-_BINARY = {
-    "<->": (1, 1, Iff),
-    "->": (2, 3, Implies),
-    "|": (3, 3, Or),
-    "&": (4, 4, And),
+_BINARY = {  # token: (threshold, stack entry)
+    "<->": (1, (1, Iff)),
+    "->": (3, (2, Implies)),
+    "|": (3, (3, Or)),
+    "&": (4, (4, And)),
 }
 _QUANTIFIERS = {"exists": Exists, "forall": Forall}
 _CONSTANTS = {"true": TOP, "false": BOT}
@@ -99,14 +101,32 @@ def _shown(token: str) -> str:
     return repr(token or "end of input")
 
 
+def _tokens(text: str) -> list[str]:
+    """The tokens of a text with a comment or a bad character, less its
+    comments; the first bad character raises a ``ParseError``."""
+    tokens, end = [], 0
+    for m in _TOKEN.finditer(text):
+        if text[end : m.start()].strip(_BLANK):
+            break
+        if m.lastindex:
+            tokens.append(m[1])
+        end = m.end()
+    rest = text[end:].lstrip(_BLANK)
+    if rest:
+        raise _lexical_error(text, len(text) - len(rest))
+    return tokens
+
+
 def parse(text: str) -> Formula:
     """Parse a formula, resolving precedence and quantifier scope."""
-    valid = _VALID.match(text).end()
-    if valid < len(text):
-        raise _lexical_error(text, valid)
-    tokens = list(filter(None, _TOKEN.findall(text)))
+    tokens = _TOKEN.findall(text)
+    # No token holds a blank and a comment yields "", so this holds
+    # exactly when every other character lies in a token.
+    if "".join(tokens) != text.translate(_BLANKS):
+        tokens = _tokens(text)
     tokens.append("")  # end of input
-    out: list[Formula] = []
+    atoms: dict[str, Atom] = {}  # one node per name; nodes are immutable
+    lefts: list[Formula] = []  # the left operands of pending binary operators
     ops: list[tuple] = []
     i = 0
     while True:
@@ -133,9 +153,9 @@ def parse(text: str) -> Formula:
             i += 2
             continue
         if token in _CONSTANTS:
-            out.append(_CONSTANTS[token])
+            operand = _CONSTANTS[token]
         elif token not in _NOT_ATOM:
-            out.append(Atom(token))
+            operand = atoms.get(token) or atoms.setdefault(token, Atom(token))
         else:
             raise _syntax_error(text, tokens, i - 1, f"unexpected {_shown(token)}")
         # Closing parentheses, then a binary operator or the end of input.
@@ -143,24 +163,24 @@ def parse(text: str) -> Formula:
             token = tokens[i]
             i += 1
             binary = _BINARY.get(token)
-            threshold = binary[1] if binary else 0
+            threshold = binary[0] if binary else 0
             while ops and ops[-1][0] >= threshold:
                 entry = ops.pop()
                 if entry[0] == 5:
-                    out[-1] = Not(out[-1])
+                    operand = Not(operand)
                 elif entry[0] == 0:
-                    out[-1] = entry[1](entry[2], out[-1])
+                    operand = entry[1](entry[2], operand)
                 else:
-                    right = out.pop()
-                    out[-1] = entry[1](out[-1], right)
+                    operand = entry[1](lefts.pop(), operand)
             if binary:
-                ops.append((binary[0], binary[2]))
+                lefts.append(operand)
+                ops.append(binary[1])
                 break
             if token == ")" and ops:
                 ops.pop()
                 continue
             if not token and not ops:
-                return out[0]
+                return operand
             if ops:
                 message = f"expected ')', found {_shown(token)}"
             else:

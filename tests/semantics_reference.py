@@ -1,5 +1,9 @@
 """References for the bitmask kernel, for tests only.
 
+``atom_patterns`` keeps the masks of each narrow width once built.
+The reference below builds them anew on every call.  Its masks must
+equal the kernel's.
+
 ``formula_mask`` walks a quantifier's body once, one position wider
 with its binder on the new top position, while the mask is narrow, so
 a nest over a narrow basis is walked once.  The reference below reads
@@ -34,7 +38,26 @@ from boolsolve import (
     conj,
     disj,
 )
-from boolsolve.semantics import atom_patterns
+from boolsolve.semantics import MAX_MASK_ATOMS, BudgetExceeded
+
+
+def atom_patterns(basis: tuple[str, ...]) -> dict[str, int]:
+    """Per-atom bitmasks over all valuations of ``basis``, built anew on
+    every call: the top atom's mask is the upper half of the indices,
+    and each lower mask comes from the one above it as
+    ``p_i = p_{i+1} ^ (p_{i+1} >> 2^i)``."""
+    if len(basis) > MAX_MASK_ATOMS:
+        raise BudgetExceeded(f"{len(basis)} atoms exceed the truth-table cap")
+    masks = dict.fromkeys(basis, 0)
+    i = len(basis) - 1
+    if i >= 0:
+        m = ((1 << (1 << i)) - 1) << (1 << i)
+        masks[basis[i]] = m
+        while i:
+            i -= 1
+            m ^= m >> (1 << i)
+            masks[basis[i]] = m
+    return masks
 
 
 def formula_mask(

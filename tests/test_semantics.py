@@ -135,6 +135,42 @@ def test_atom_patterns_pointwise():
                 assert masks[name] == expected
 
 
+def test_atom_patterns_match_reference():
+    for k in range(19):
+        names = tuple(f"x{i:02d}" for i in range(k))
+        for basis in (names, names[::-1]):
+            masks = atom_patterns(basis)
+            assert list(masks.items()) == list(semantics_reference.atom_patterns(basis).items())
+
+
+def test_atom_pattern_table_keeps_narrow_widths_only():
+    for k in range(19):
+        atom_patterns(tuple(f"x{i}" for i in range(k)))
+    kept = dict(semantics._PATTERNS)
+    assert max(kept) <= 16 and len(kept) <= 17
+    assert sum(len(masks) << width for width, masks in kept.items()) <= 1 << 21
+    for k in (17, 18, MAX_MASK_ATOMS + 1):
+        wide = tuple(f"x{i}" for i in range(k))
+        if k > MAX_MASK_ATOMS:
+            with pytest.raises(BudgetExceeded):
+                atom_patterns(wide)
+        else:
+            atom_patterns(wide)
+        assert semantics._PATTERNS.keys() == kept.keys()
+        assert all(semantics._PATTERNS[w] is masks for w, masks in kept.items())
+
+
+def test_atom_patterns_survive_a_caller_changing_them():
+    basis = ("a", "b", "c")
+    expected = semantics_reference.atom_patterns(basis)
+    masks = atom_patterns(basis)
+    masks["a"] = 0
+    masks["z"] = 1
+    assert atom_patterns(basis) == expected
+    atom_patterns(basis).clear()
+    assert atom_patterns(basis) == expected
+
+
 def _flatten(f, op):
     if isinstance(f, op):
         return _flatten(f.left, op) + _flatten(f.right, op)

@@ -128,6 +128,12 @@ def test_parser_matches_reference():
                 texts.append(text[:at] + rng.choice(inserted) + text[at:])
     # the end of input sits where a comment ending the text starts
     texts += ["", "a &  # comment", "a &\n  # comment", "(a\n#", "a &\n  ", "a\t\r\n->"]
+    # comments with blanks in them, and straight after an operator or "("
+    texts += ["a & # x y\n b", "a &# c\nb", "a|#\nb", "a ->#c\n b", "a<->#\nb", "~#\na"]
+    texts += ["(# c\na)", "(#\n(a | b))", "exists q .# c\n q", "a #\t\r x\n& b # end"]
+    # form feed and vertical tab are not blanks; "-", "<" and "<-" are no tokens
+    texts += ["a\f& b", "a &\vb", "\f", "\va", "a # \f\n\v"]
+    texts += ["-", "<", "<-", "a - b", "a < b", "a <- b", "a -", "a <", "a\n<-\nb"]
     errors = 0
     for text in texts:
         expected = _outcome(syntax_reference.parse, text)
@@ -135,6 +141,46 @@ def test_parser_matches_reference():
         errors += isinstance(expected, tuple)
     assert len(texts) >= 5000
     assert 1000 <= errors <= len(texts) - 1000
+
+
+def _chains(n):
+    """Texts made of ``~`` and ``(`` chains n long, each with its outcome:
+    the number of ``Not`` nodes above the atom it parses to, and that
+    atom, or the error the reference parser gives."""
+    eoi = "unexpected 'end of input'"
+    return [
+        ("~" * n + "a", (n, a)),
+        ("~ " * n + "a # c", (n, a)),
+        ("(" * n + "a" + ")" * n, (0, a)),
+        ("(\n" * n + "a #\n" + ")" * n, (0, a)),
+        ("~(" * n + "a" + ")" * n, (n, a)),
+        ("~" * n, (f"1:{n + 1}: {eoi}", 1, n + 1)),
+        ("(" * n, (f"1:{n + 1}: {eoi}", 1, n + 1)),
+        ("(" * n + "a", (f"1:{n + 2}: expected ')', found 'end of input'", 1, n + 2)),
+        ("(" * n + "a" + ")" * (n + 1), (f"1:{2 * n + 2}: unexpected ')' after formula", 1, 2 * n + 2)),
+        ("~" * n + "a\f", (f"1:{n + 2}: unexpected character '\\x0c'", 1, n + 2)),
+    ]
+
+
+def _unwrapped(outcome):
+    # The number of Not nodes above the rest, and the rest; an error as it is.
+    if isinstance(outcome, tuple):
+        return outcome
+    depth = 0
+    while isinstance(outcome, Not):
+        outcome, depth = outcome.operand, depth + 1
+    return depth, outcome
+
+
+def test_long_chains_match_reference():
+    # The reference parser recurses once per "~" and several times per
+    # "(", so it checks the outcomes at a depth it reaches, and the
+    # parser must give them at 10^5.
+    for text, outcome in _chains(100):
+        assert _unwrapped(_outcome(syntax_reference.parse, text)) == outcome, text
+    for n in (100, 10**5):
+        for text, outcome in _chains(n):
+            assert _unwrapped(_outcome(parse, text)) == outcome, text[:20]
 
 
 def test_deep_nesting_parses():
