@@ -20,7 +20,6 @@ from .formula import (
     Iff,
     Implies,
     Not,
-    NotSubstitutible,
     Or,
     Top,
     all_names,
@@ -30,8 +29,6 @@ from .formula import (
     exists,
     forall,
     free_atoms,
-    free_binders,
-    is_substitutible,
     substitute,
 )
 from .syntax import ParseError, format_formula, parse

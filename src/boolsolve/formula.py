@@ -10,12 +10,16 @@ The node classes are final (``typing.final``).  Every formula walker of
 the package dispatches on a node's exact type, ``type(g) is And``,
 which is cheaper than an ``isinstance`` chain, so a subclass of a node
 class would not be walked as that node.  One walk, ``_scan``, answers
-every name question for ``free_atoms``, ``free_binders``, ``all_names``,
-``clean_variant`` and ``simplify``'s quantifier test.  The other walks
-stay separate because each returns something else: ``substitute`` and
-``clean_variant`` rebuild the tree, ``semantics._mask`` evaluates it,
-``simplify`` rewrites it, the printer prints it, and ``__eq__`` compares
-it per node shape, for speed.
+every name question for ``free_atoms``, ``all_names``, ``substitute``'s
+capture test, ``clean_variant`` and ``simplify``'s quantifier test.  The
+other walks stay separate because each returns something else:
+``substitute`` and ``clean_variant`` rebuild the tree,
+``semantics._mask`` evaluates it, ``simplify`` rewrites it, the printer
+prints it, and ``__eq__`` compares it per node shape, for speed.
+
+``substitute`` renames apart only the binders that would capture an
+atom of a replacement, while ``clean_variant`` renames every repeated
+or clashing binder, so each keeps its own rebuild walk.
 
 ``Record`` is the base of the package's immutable result values.
 """
@@ -267,26 +271,16 @@ def forall(names: Sequence[str], f: Formula) -> Formula:
     return f
 
 
-_UNBOUND: frozenset[str] = frozenset()
-
-
-def _scan(f: Formula) -> tuple[dict[str, frozenset[str]], set[str]]:
-    """Each free atom of ``f`` mapped to the names bound above its free
-    occurrences, and the set of binder names, from one walk.  A first
-    free occurrence stores its bound set as it is, and a later one under
-    the same set takes no union, so a quantifier-free formula takes none."""
-    free: dict[str, frozenset[str]] = {}
+def _scan(f: Formula) -> tuple[set[str], set[str]]:
+    """The free atoms of ``f`` and its binder names, from one walk."""
+    free: set[str] = set()
     binders: set[str] = set()
 
     def walk(g: Formula, bound: frozenset[str]) -> None:
         t = type(g)
         if t is Atom:
-            name = g.name
-            if name not in free:
-                if name not in bound:
-                    free[name] = bound
-            elif bound and name not in bound and free[name] is not bound:
-                free[name] |= bound
+            if g.name not in bound:
+                free.add(g.name)
         elif t is Not:
             walk(g.operand, bound)
         elif t in BINARY:
@@ -296,7 +290,7 @@ def _scan(f: Formula) -> tuple[dict[str, frozenset[str]], set[str]]:
             binders.add(g.var)
             walk(g.body, bound | {g.var})
 
-    walk(f, _UNBOUND)
+    walk(f, frozenset())
     return free, binders
 
 
@@ -311,109 +305,55 @@ def all_names(f: Formula) -> AtomSet:
     return tuple(sorted(binders.union(free)))  # a binder names each bound atom
 
 
-def free_binders(f: Formula) -> dict[str, frozenset[str]]:
-    """Map each free atom of ``f`` to the names bound by the quantifiers
-    above its free occurrences.
-
-    Replacing the atom by a formula whose free atoms meet this set would
-    capture them; an atom with no quantifier above any of its free
-    occurrences maps to the empty set.
-    """
-    return _scan(f)[0]
-
-
-class NotSubstitutible(BoolsolveError):
-    """A replacement sequence violates the substitution preconditions.
-
-    ``condition`` is 1 when a replacement would be captured by a
-    quantifier, 2 when a replacement mentions one of the replaced atoms;
-    ``index`` is the offending position.
-    """
-
-    def __init__(self, condition: int, index: int, detail: str = ""):
-        self.condition = condition
-        self.index = index
-        msg = f"condition ({condition}) violated at position {index}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
-def _substitution_violation(
-    gs: Sequence[Formula], ps: Sequence[str], f: Formula
-) -> tuple[int, int] | None:
-    """First violated (condition, index), or None when substitutible.
-
-    Condition (2) is tested at every position before condition (1), and
-    the lowest violating position is reported.  A position whose
-    replacement is literally the replaced atom is a no-op and is exempt
-    from both conditions.
-    """
-    active = [i for i, g in enumerate(gs) if g != Atom(ps[i])]
-    pset = set(ps)
-    free_gs = {i: set(free_atoms(gs[i])) for i in active}
-    for i in active:
-        if free_gs[i] & pset:
-            return (2, i)
-    if not any(free_gs.values()):
-        return None
-    binders = free_binders(f)
-    for i in active:
-        if binders.get(ps[i], _UNBOUND) & free_gs[i]:
-            return (1, i)
-    return None
-
-
-def is_substitutible(gs: Sequence[Formula], ps: Sequence[str], f: Formula) -> bool:
-    """True iff ``gs`` may simultaneously replace the atoms ``ps`` in ``f``.
-
-    Requires matching lengths and, for each replacement: no free
-    occurrence of the replaced atom lies under a quantifier binding a
-    free atom of the replacement, and the replacement mentions none of
-    the replaced atoms (identity positions are exempt no-ops).
-    """
-    if len(gs) != len(ps):
-        return False
-    return _substitution_violation(gs, ps, f) is None
-
-
 def substitute(f: Formula, ps: Sequence[str], gs: Sequence[Formula]) -> Formula:
     """Simultaneously replace free occurrences of each ``ps[i]`` by ``gs[i]``.
 
-    Bound occurrences are untouched.  Raises NotSubstitutible when the
-    replacement would capture or reintroduce a replaced atom.
+    Bound occurrences are untouched.  A binder is renamed apart exactly
+    when it binds a free atom of some ``gs[i]`` and ``ps[i]`` occurs free
+    in its body, not shadowed there.  Its new name is the binder's
+    ``fresh_name`` over every name of ``f`` and of ``gs`` and every name
+    chosen before it.
     """
     if len(ps) != len(gs):
         raise ValueError("atom and replacement sequences differ in length")
     if len(set(ps)) != len(ps):
         raise ValueError("replaced atoms must be distinct")
-    violation = _substitution_violation(gs, ps, f)
-    if violation is not None:
-        cond, i = violation
-        raise NotSubstitutible(cond, i, f"replacing {ps[i]} by {gs[i]}")
-    mapping = {p: g for p, g in zip(ps, gs) if g != Atom(p)}
-    if not mapping:
+    # each replaced atom maps to its replacement and that one's free atoms
+    env = {p: (g, _scan(g)[0]) for p, g in zip(ps, gs) if g != Atom(p)}
+    if not env:
         return f
+    capturable = set().union(*[free for _, free in env.values()])
+    used: set[str] = set()  # filled at the first renaming
 
-    def walk(g: Formula, shadowed: frozenset[str]) -> Formula:
+    def walk(g: Formula, env: dict[str, tuple[Formula, set[str]]]) -> Formula:
         t = type(g)
         if t is Atom:
-            if g.name in mapping and g.name not in shadowed:
-                return mapping[g.name]
-            return g
+            hit = env.get(g.name)
+            return g if hit is None else hit[0]
         if t is Not:
-            sub = walk(g.operand, shadowed)
+            sub = walk(g.operand, env)
             return g if sub is g.operand else Not(sub)
         if t in BINARY:
-            left = walk(g.left, shadowed)
-            right = walk(g.right, shadowed)
+            left = walk(g.left, env)
+            right = walk(g.right, env)
             return g if left is g.left and right is g.right else t(left, right)
         if t in QUANT:
-            body = walk(g.body, shadowed | {g.var})
-            return g if body is g.body else t(g.var, body)
+            var = g.var
+            if var in env:
+                env = {p: hit for p, hit in env.items() if p != var}
+            if var in capturable:
+                body_free = _scan(g.body)[0]
+                if any(var in free and p in body_free for p, (_, free) in env.items()):
+                    if not used:
+                        used.update(all_names(f), *[all_names(h) for h in gs])
+                    name = fresh_name(var, used)
+                    used.add(name)
+                    return t(name, walk(g.body, {**env, var: (Atom(name), set())}))
+            body = walk(g.body, env)
+            return g if body is g.body else t(var, body)
         return g
 
-    return walk(f, frozenset())
+    return walk(f, env)
 
 
 def fresh_name(base: str, used: Iterable[str]) -> str:
@@ -434,7 +374,7 @@ def clean_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:
     deterministic.  Names in ``avoid`` are treated as taken.
     """
     free, binders = _scan(f)
-    taken = set(free).union(avoid)
+    taken = free.union(avoid)
     used = taken | binders
 
     def walk(g: Formula, env: dict[str, str]) -> Formula:

@@ -9,9 +9,10 @@ solution is reachable by some instantiation).  The basis must not meet
 the unknowns, nor, for these checks, the parameters.
 
 Substitution is read up to renaming of bound atoms: F[p := G] replaces
-p in F after F's binders are renamed apart from the atoms of G, so no
-quantifier of F binds an atom of G.  The solvers read it so too: their
-masks never see binder names.  Every check composes truth tables, and
+p in F with every binder of F that would capture an atom of G renamed
+apart, as ``substitute`` does.  The solvers read it so too: their masks
+never see binder names.  ``check_particular`` tests the validity of
+``substitute``'s result; the other checks compose truth tables, and
 ``formula_mask`` evaluates quantifiers exactly, so composing tables
 gives the table of that substitution.
 
@@ -42,7 +43,6 @@ from .formula import (
     Formula,
     Or,
     Record,
-    clean_variant,
     free_atoms,
     substitute,
 )
@@ -302,7 +302,7 @@ def _mentions_unknown(sp: SolutionProblem, free: Iterable[Iterable[str]]) -> boo
 
 def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport:
     """Components free of the unknowns, and validity of the substituted
-    formula, its binders renamed apart from the components' atoms."""
+    formula, whose capturing binders ``substitute`` renames apart."""
 
     def failed(reason: str, valuation: dict[str, bool] | None = None) -> CheckReport:
         label = "(" + ", ".join(str(g) for g in sol) + ")"
@@ -313,8 +313,7 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
     free = [free_atoms(g) for g in sol]
     if _mentions_unknown(sp, free):
         return _MENTIONS_UNKNOWN
-    clean = clean_variant(sp.formula, avoid=[a for atoms in free for a in atoms])
-    counterexample = falsifying_valuation(substitute(clean, sp.unknowns, sol))
+    counterexample = falsifying_valuation(substitute(sp.formula, sp.unknowns, sol))
     if counterexample is not None:
         return failed("substituted formula falsified", counterexample)
     return CheckReport(True)

@@ -42,13 +42,12 @@ from boolsolve import (
     equivalent,
     formula_from_table,
     free_atoms,
-    is_substitutible,
     simplify,
-    substitute,
     truth_table,
 )
 from boolsolve.formula import BINARY, QUANT
 from boolsolve.semantics import decode_valuation, formula_mask, minterm
+from formula_reference import is_substitutible, substitute
 
 DNF_MINTERM_CUTOFF = 12
 

@@ -36,11 +36,11 @@ from boolsolve import (
     equivalent,
     free_atoms,
     is_valid,
-    substitute,
     truth_table,
 )
 from boolsolve import oracle
 from boolsolve.semantics import decode_valuation, formula_mask
+from formula_reference import substitute
 
 MENTIONS_UNKNOWN = CheckReport(
     False, (CheckFailure("components", "components mention an unknown"),)

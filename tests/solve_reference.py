@@ -43,10 +43,8 @@ from boolsolve import (
     entails,
     exists,
     free_atoms,
-    is_substitutible,
     is_valid,
     simplify,
-    substitute,
 )
 from boolsolve.semantics import (
     atom_patterns,
@@ -55,6 +53,7 @@ from boolsolve.semantics import (
     irredundant_two_level_mask,
 )
 from boolsolve.solve import _require_parameters
+from formula_reference import is_substitutible, substitute
 from elimination_reference import (
     Polarity,
     WitnessResult,

@@ -35,8 +35,6 @@ from boolsolve import (
     exists_solution,
     Forall,
     free_atoms,
-    free_binders,
-    is_substitutible,
     parse,
     solve_by_witnesses,
     solve_on_second_order,
@@ -55,6 +53,7 @@ from elimination_reference import (
     elim_witness_dnf,
     forall_eliminate,
 )
+from formula_reference import free_binders, is_substitutible
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 import solve_reference
 from solve_reference import rigorous_solution

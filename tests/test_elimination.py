@@ -18,7 +18,6 @@ from boolsolve import (
     exists,
     formula_from_table,
     free_atoms,
-    is_substitutible,
     parse,
     project_vocabulary,
     substitute,
@@ -37,6 +36,7 @@ from elimination_reference import (
     shannon_eliminate,
     to_dnf,
 )
+from formula_reference import is_substitutible
 from genutil import QUANT_POOL, random_formula, tree_nodes
 
 

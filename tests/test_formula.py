@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,24 +9,25 @@ from boolsolve import (
     Forall,
     Iff,
     Not,
-    NotSubstitutible,
     Or,
     And,
+    SolutionProblem,
     all_names,
     clean_variant,
     equivalent,
     exists,
     forall,
     free_atoms,
-    free_binders,
-    is_substitutible,
+    is_valid,
     parse,
     simplify,
+    solve_succ_elim,
     substitute,
     truth_table,
 )
 from elimination_reference import Polarity, polarity_of
 import formula_reference as reference
+from formula_reference import is_substitutible
 from genutil import QUANT_POOL, random_formula
 
 
@@ -39,22 +41,15 @@ def test_all_names_and_free_binders():
     # a binder that names no occurrence is still a name of the formula
     f = parse("exists q . a")
     assert all_names(f) == ("a", "q")
-    assert free_binders(f) == {"a": frozenset({"q"})}
-    # a name both free and bound: only its free occurrence is mapped
+    # a name both free and bound
     f = parse("p | exists p . p")
     assert all_names(f) == ("p",)
-    assert free_binders(f) == {"p": frozenset()}
     # nested binders sharing a name
     f = parse("(exists p . p & forall p . (p | a)) & forall q . exists q . b")
     assert all_names(f) == ("a", "b", "p", "q")
-    assert free_binders(f) == {"a": frozenset({"p"}), "b": frozenset({"q"})}
-    # a free atom under two different binder sets maps to their union
-    f = parse("(exists q . a & b) & (forall r . exists s . a) & a")
-    assert free_binders(f) == {"a": frozenset({"q", "r", "s"}), "b": frozenset({"q"})}
-    # without quantifiers every atom maps to the empty set
+    # without quantifiers
     f = parse("(a & ~b) -> (c | a)")
     assert all_names(f) == ("a", "b", "c")
-    assert free_binders(f) == dict.fromkeys(("a", "b", "c"), frozenset())
 
 
 def test_name_walkers_match_reference():
@@ -68,7 +63,6 @@ def test_name_walkers_match_reference():
         avoid = rng.sample(atoms + pool[2:], rng.randint(0, 3))
         assert free_atoms(f) == reference.free_atoms(f)
         assert all_names(f) == reference.all_names(f)
-        assert free_binders(f) == reference.free_binders(f)
         assert clean_variant(f, avoid) == reference.clean_variant(f, avoid)
         assert simplify(f) == reference.simplify(f)
 
@@ -105,20 +99,77 @@ def test_substitute_simultaneous():
     f = parse("p & q")
     out = substitute(f, ["p", "q"], [parse("a & b"), parse("~a")])
     assert out == parse("(a & b) & ~a")
-    # chained replacement through a replaced atom is rejected outright
+    # the literal reading refuses a replacement through a replaced atom;
+    # simultaneous replacement does not chain it
     assert not is_substitutible([Atom("q"), Atom("r")], ["p", "q"], f)
+    assert substitute(f, ["p", "q"], [Atom("q"), Atom("r")]) == parse("q & r")
 
 
-def test_substitute_rejects_capture():
-    with pytest.raises(NotSubstitutible) as info:
-        substitute(parse("exists t . (p & t)"), ["p"], [Atom("t")])
-    assert info.value.condition == 1
+def test_substitute_renames_capturing_binders():
+    f = parse("exists t . (p & t)")
+    assert substitute(f, ["p"], [Atom("t")]) == parse("exists t_1 . (t & t_1)")
+    # only a binder above a free occurrence of the replaced atom is renamed
+    f = parse("(exists t . p & t) & (exists t . t) & (p | exists p . (p & t))")
+    assert substitute(f, ["p"], [Atom("t")]) == parse(
+        "(exists t_1 . t & t_1) & (exists t . t) & (t | exists p . (p & t))"
+    )
+    # a fresh name avoids every name of the formula and of the replacements
+    f = parse("exists t . (p & t & t_1 & exists t . (p | t))")
+    assert substitute(f, ["p"], [parse("t | t_2")]) == parse(
+        "exists t_3 . ((t | t_2) & t_3 & t_1 & exists t_4 . ((t | t_2) | t_4))"
+    )
+    with pytest.raises(ValueError):
+        substitute(f, ["p", "p"], [Atom("a"), Atom("b")])
+    with pytest.raises(ValueError):
+        substitute(f, ["p"], [])
 
 
-def test_substitute_rejects_unknown_reintroduction():
-    with pytest.raises(NotSubstitutible) as info:
-        substitute(parse("p & q"), ["p", "q"], [Atom("q"), Atom("a")])
-    assert info.value.condition == 2
+def test_substitute_is_simultaneous():
+    assert substitute(parse("p & q"), ["p", "q"], [Atom("q"), Atom("a")]) == parse("q & a")
+    assert substitute(parse("p & q"), ["p", "q"], [Atom("q"), Atom("p")]) == parse("q & p")
+
+
+def test_substitute_matches_literal_reference():
+    # Binders reuse the free atoms' names and a replaced atom, a, is also
+    # a binder name, so both conditions of the literal reading fail
+    # often.  The literal substitution into a variant whose binders avoid
+    # the replacements' atoms, staged through fresh atoms so that it
+    # replaces simultaneously, must be equivalent; where the literal
+    # reading accepts, the result must be the literal one.
+    rng = random.Random(2701)
+    atoms = ("a", "b", "p", "q")
+    pool = ("a", "b", "q1")
+    seen = Counter()
+    for _ in range(2000):
+        f = random_formula(rng, atoms, depth=rng.randint(1, 6), quant_pool=pool, quant_prob=0.25)
+        ps = rng.sample(("p", "q", "a"), rng.randint(1, 2))
+        gs = [random_formula(rng, pool, depth=rng.randint(0, 2)) for _ in ps]
+        out = substitute(f, ps, gs)
+        violation = reference._substitution_violation(gs, ps, f)
+        if violation is None:
+            assert out == reference.substitute(f, ps, gs)
+        seen[violation and violation[0]] += 1
+        avoid = [x for g in gs for x in free_atoms(g)]
+        clean = reference.clean_variant(f, avoid)
+        zs = [f"z{i}" for i in range(len(ps))]
+        staged = reference.substitute(clean, ps, [Atom(z) for z in zs])
+        assert equivalent(out, reference.substitute(staged, zs, gs))
+        names = set(all_names(f)).union(*[all_names(g) for g in gs])
+        seen["renamed"] += not names.issuperset(all_names(out))
+    # accepted, refused by condition (1) only, by condition (2), renamed
+    assert seen[None] >= 1000 and seen[1] >= 100 and seen[2] >= 400, seen
+    assert seen["renamed"] >= 150, seen
+
+
+def test_substitute_takes_a_capturing_answer_back():
+    # The solvers and the oracle accept p := a here; substituting it
+    # renames the binder a apart.
+    sp = SolutionProblem(parse("(p <-> a) & (exists a . (a | p))"), ["p"], ["t"])
+    sol = solve_succ_elim(sp).components
+    assert sol == (Atom("a"),)
+    out = substitute(sp.formula, ["p"], sol)
+    assert str(out) == "(a <-> a) & (exists a_1 . a_1 | a)"
+    assert is_valid(out)
 
 
 def test_substitution_identity():

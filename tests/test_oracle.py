@@ -27,13 +27,13 @@ from boolsolve import (
     equivalent,
     exists_solution,
     formula_from_table,
-    free_binders,
     parse,
     solve_succ_elim,
     substitute,
     truth_table,
 )
 from boolsolve import oracle
+from formula_reference import free_binders
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 
 EXAMPLE = parse("(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))")

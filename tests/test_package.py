@@ -119,8 +119,9 @@ def test_benchmark_argv_take_the_exact_form_shortcut(tmp_path):
 
 # Names that no command reaches and README does not list: the paper's
 # formula-level constructions, now references in tests/solve_reference.py
-# and tests/elimination_reference.py, and the one-unknown wrappers of
-# the solver core.
+# and tests/elimination_reference.py, the one-unknown wrappers of the
+# solver core, and the literal substitution's refusal of capture, now in
+# tests/formula_reference.py.
 MOVED = {
     "solve": (
         "InternalCheckFailed",
@@ -135,7 +136,14 @@ MOVED = {
         "solve1_interval",
         "solve1_reproductive",
     ),
-    "formula": ("Polarity", "has_quantifier", "polarity_of"),
+    "formula": (
+        "NotSubstitutible",
+        "Polarity",
+        "free_binders",
+        "has_quantifier",
+        "is_substitutible",
+        "polarity_of",
+    ),
     "semantics": ("irredundant_two_level",),
 }
 
@@ -148,7 +156,7 @@ def _readme_code_names() -> set[str]:
 
 def test_api_is_what_readme_lists():
     moved = {name for names in MOVED.values() for name in names}
-    assert len(moved) == 15
+    assert len(moved) == 18
     for module, names in MOVED.items():
         old_home = importlib.import_module(f"boolsolve.{module}")
         for name in names:

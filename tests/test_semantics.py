@@ -28,7 +28,6 @@ from boolsolve import (
     exists,
     formula_from_table,
     free_atoms,
-    is_substitutible,
     is_valid,
     parse,
     simplify,
@@ -48,6 +47,7 @@ from boolsolve.semantics import (
     widen,
 )
 from elimination_reference import has_quantifier
+from formula_reference import is_substitutible
 from genutil import QUANT_POOL, random_formula
 from solve_reference import irredundant_two_level
 

@@ -10,7 +10,6 @@ from boolsolve import (
     Implies,
     MissingParameters,
     NoSolution,
-    NotSubstitutible,
     Solution,
     SolutionKind,
     SolutionProblem,
@@ -37,6 +36,7 @@ from boolsolve import (
 from boolsolve.semantics import formula_mask
 from boolsolve.solve import _stage_masks
 from elimination_reference import elim_witness, elim_witness_dnf
+from formula_reference import NotSubstitutible
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 import solve_reference
 from solve_reference import (
