@@ -11,6 +11,10 @@ Problem files are line-oriented ``key: value`` with ``#`` comments:
 Exit codes: 0 success/true, 1 no solution/false, 2 usage or input error,
 or a restricted search that stopped undecided at its budget.
 
+A problem file is read once, unbuffered, and decoded as UTF-8.  Its
+formula is walked once, by the parser, which hands the solvers the free
+atoms of a formula with no quantifier.
+
 One table, ``_COMMANDS``, lists each command's handler, options and
 positional.  An argv in the exact form that scripts send (each option
 named in full, see ``_read_exact``) is read from it directly; argparse,
@@ -31,7 +35,7 @@ from .elimination import (
     project_vocabulary,
     weakest_precondition,
 )
-from .formula import BoolsolveError, Formula, Record, all_names, free_atoms, fresh_name
+from .formula import AtomSet, BoolsolveError, Formula, Record, all_names, free_atoms, fresh_name
 from .semantics import truth_table
 from .solve import (
     NoSolution,
@@ -44,10 +48,13 @@ from .solve import (
     solve_restricted,
     solve_succ_elim,
 )
-from .syntax import IDENTIFIER, RESERVED, parse
+from .syntax import IDENTIFIER, RESERVED, _parse, parse
 
 _IDENT = re.compile(IDENTIFIER)
 _FORBID_KEY = re.compile(r"forbid\(([^)]*)\)$")
+# A name list _idents accepts: identifiers, none of them reserved.
+_NAME = rf"(?!(?:{'|'.join(sorted(RESERVED))})(?![A-Za-z0-9_])){IDENTIFIER}"
+_NAMES = re.compile(rf"\s*(?:{_NAME}(?:\s+{_NAME})*)?\s*")
 
 
 class ProblemFileError(BoolsolveError):
@@ -72,27 +79,32 @@ def _idents(value: str, context: str) -> tuple[str, ...]:
     """The names of a whitespace-separated list; a reserved word, which
     would print as a constant or a quantifier, is refused."""
     names = value.split()
-    for name in names:
-        if not _IDENT.fullmatch(name):
-            raise ProblemFileError(f"invalid identifier {name!r} in {context}")
-        if name in RESERVED:
-            raise ProblemFileError(f"reserved word {name!r} in {context}")
+    if not _NAMES.fullmatch(value):
+        bad = next(name for name in names if not _IDENT.fullmatch(name) or name in RESERVED)
+        kind = "reserved word" if bad in RESERVED else "invalid identifier"
+        raise ProblemFileError(f"{kind} {bad!r} in {context}")
     return tuple(names)
 
 
 def parse_problem_file(text: str) -> ProblemFile:
+    return _read_problem(text)[0]
+
+
+def _read_problem(text: str) -> tuple[ProblemFile, AtomSet | None]:
+    """The file's problem, and its formula's names when the parser hands
+    them over: the free atoms of a formula with no quantifier."""
     seen: dict[str, str] = {}
     per_forbid: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        key, colon, value = line.partition(":")
+        if not colon:
             raise ProblemFileError(f"line {lineno}: expected 'key: value'")
-        key, value = line.split(":", 1)
         key = key.strip()
         value = value.strip()
-        match = _FORBID_KEY.match(key)
+        match = key[:7] == "forbid(" and _FORBID_KEY.match(key)
         if match:
             unknown = match.group(1).strip()
             if not _IDENT.fullmatch(unknown) or unknown in RESERVED:
@@ -129,21 +141,25 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ProblemFileError(
                 f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
             )
+    formula, names = _parse(seen["formula"])
     # the solvers' own checks, whatever the command
-    problem = _problem(parse(seen["formula"]), unknowns, parameters, forbid)
-    return ProblemFile(problem, per_forbid)
+    problem = _problem(formula, unknowns, parameters, forbid, names)
+    return ProblemFile(problem, per_forbid), names
 
 
-def _load(path: str) -> ProblemFile:
+def _load(path: str) -> tuple[ProblemFile, AtomSet | None]:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_problem_file(handle.read())
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    return _read_problem(text)
 
 
-def _fresh_parameters(sp: SolutionProblem) -> tuple[str, ...]:
-    used = set(all_names(sp.formula)) | set(sp.unknowns) | set(sp.forbidden or ())
+def _fresh_parameters(sp: SolutionProblem, names: AtomSet | None) -> tuple[str, ...]:
+    """One parameter per unknown, apart from the formula's ``names``."""
+    used = set(all_names(sp.formula) if names is None else names)
+    used |= set(sp.unknowns) | set(sp.forbidden or ())
     out = []
     for _ in sp.unknowns:
         name = fresh_name("t", used)
@@ -169,10 +185,11 @@ def _problem(
     unknowns: Sequence[str],
     parameters: Sequence[str] | None,
     forbidden: Sequence[str] | None,
+    free: AtomSet | None,
 ) -> SolutionProblem:
     """A file's problem; one the solvers reject is an input error."""
     try:
-        return SolutionProblem(formula, unknowns, parameters, forbidden)
+        return SolutionProblem(formula, unknowns, parameters, forbidden, _free=free)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
 
@@ -193,7 +210,7 @@ def _print_solution(unknowns: tuple[str, ...], sol: Solution) -> None:
 
 
 def _cmd_exists(args: SimpleNamespace) -> int:
-    pf = _load(args.file)
+    pf, _ = _load(args.file)
     # With forbid: or forbid(p): this is solvability of the restricted problem.
     if exists_solution(pf.problem, _per_unknown(pf)):
         print("solvable")
@@ -203,7 +220,7 @@ def _cmd_exists(args: SimpleNamespace) -> int:
 
 
 def _cmd_solve(args: SimpleNamespace) -> int:
-    pf = _load(args.file)
+    pf, names = _load(args.file)
     per_unknown = _per_unknown(pf)
     if args.reproductive and args.method == "witnesses":
         print("error: the witnesses method yields particular solutions", file=sys.stderr)
@@ -215,7 +232,8 @@ def _cmd_solve(args: SimpleNamespace) -> int:
     needs_params = (args.method == "succ-elim" or args.reproductive) and not per_unknown
     sp = pf.problem
     if sp.parameters is None and needs_params:
-        sp = _problem(sp.formula, sp.unknowns, _fresh_parameters(sp), sp.forbidden)
+        parameters = _fresh_parameters(sp, names)
+        sp = _problem(sp.formula, sp.unknowns, parameters, sp.forbidden, sp.free)
     if sp.forbidden or per_unknown:
         sol = solve_restricted(sp, per_unknown)
         _print_solution(sp.unknowns, sol)
@@ -234,7 +252,7 @@ def _cmd_solve(args: SimpleNamespace) -> int:
 def _cmd_check(args: SimpleNamespace) -> int:
     from .oracle import check_particular  # loaded only by the commands that use it
 
-    pf = _load(args.file)
+    pf, _ = _load(args.file)
     texts = [part.strip() for part in args.with_.split(";")]
     if len(texts) != len(pf.problem.unknowns):
         print(
@@ -264,7 +282,7 @@ def _cmd_eliminate(args: SimpleNamespace) -> int:
 
 
 def _cmd_precondition(args: SimpleNamespace) -> int:
-    sp = _load(args.file).problem
+    sp = _load(args.file)[0].problem
     print(weakest_precondition(sp.unknowns, sp.formula))
     return 0
 
@@ -272,7 +290,7 @@ def _cmd_precondition(args: SimpleNamespace) -> int:
 def _cmd_enumerate(args: SimpleNamespace) -> int:
     from .oracle import enumerate_solutions  # loaded only by the commands that use it
 
-    pf = _load(args.file)
+    pf, _ = _load(args.file)
     basis = _idents(args.basis, "--basis")
     solutions = [
         sol

@@ -10,12 +10,13 @@ The node classes are final (``typing.final``).  Every formula walker of
 the package dispatches on a node's exact type, ``type(g) is And``,
 which is cheaper than an ``isinstance`` chain, so a subclass of a node
 class would not be walked as that node.  One walk, ``_scan``, answers
-every name question for ``free_atoms``, ``all_names``, ``substitute``'s
-capture test, ``clean_variant`` and ``simplify``'s quantifier test.  The
-other walks stay separate because each returns something else:
-``substitute`` and ``clean_variant`` rebuild the tree,
+every name question for ``free_atoms``, ``all_names`` and
+``clean_variant``.  The other walks stay separate because each returns
+something else: ``substitute`` and ``clean_variant`` rebuild the tree,
 ``semantics._mask`` evaluates it, ``simplify`` rewrites it, the printer
 prints it, and ``__eq__`` compares it per node shape, for speed.
+``substitute``'s capture test and ``simplify``'s quantifier test read
+each body's free atoms from one bottom-up walk, so a nest is walked once.
 
 ``substitute`` renames apart only the binders that would capture an
 atom of a replacement, while ``clean_variant`` renames every repeated
@@ -90,8 +91,6 @@ class Formula(_Immutable):
     __slots__ = ()
 
     def __str__(self) -> str:
-        from .syntax import format_formula
-
         return format_formula(self)
 
     def __repr__(self) -> str:
@@ -324,6 +323,21 @@ def substitute(f: Formula, ps: Sequence[str], gs: Sequence[Formula]) -> Formula:
         return f
     capturable = set().union(*[free for _, free in env.values()])
     used: set[str] = set()  # filled at the first renaming
+    body_free: dict[int, set[str]] = {}  # by id of each quantifier in a body walked
+
+    def free_of(g: Formula) -> set[str]:
+        # g's free atoms, bottom-up; each quantifier's body's go to body_free
+        t = type(g)
+        if t is Atom:
+            return {g.name}
+        if t is Not:
+            return free_of(g.operand)
+        if t in BINARY:
+            return free_of(g.left) | free_of(g.right)
+        if t in QUANT:
+            free = body_free[id(g)] = free_of(g.body)
+            return free - {g.var}
+        return set()
 
     def walk(g: Formula, env: dict[str, tuple[Formula, set[str]]]) -> Formula:
         t = type(g)
@@ -342,8 +356,8 @@ def substitute(f: Formula, ps: Sequence[str], gs: Sequence[Formula]) -> Formula:
             if var in env:
                 env = {p: hit for p, hit in env.items() if p != var}
             if var in capturable:
-                body_free = _scan(g.body)[0]
-                if any(var in free and p in body_free for p, (_, free) in env.items()):
+                inner = body_free[id(g)] if id(g) in body_free else free_of(g.body)
+                if any(var in free and p in inner for p, (_, free) in env.items()):
                     if not used:
                         used.update(all_names(f), *[all_names(h) for h in gs])
                     name = fresh_name(var, used)
@@ -395,3 +409,6 @@ def clean_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:
         return g
 
     return walk(f, {})
+
+
+from .syntax import format_formula  # noqa: E402  (syntax imports this module first)

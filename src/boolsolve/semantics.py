@@ -39,7 +39,6 @@ from .formula import (
     Or,
     Record,
     Top,
-    _scan,
     conj,
     disj,
     free_atoms,
@@ -575,23 +574,38 @@ def simplify(f: Formula) -> Formula:
     that no rule changes, and whose children come back unchanged, is
     returned as it is.
     """
+    return _simplify(f, False)[0]
+
+
+def _simplify(f: Formula, track: bool) -> tuple[Formula, frozenset[str] | None]:
+    """``simplify`` of ``f``, with the result's free atoms when ``track``
+    is set, as in a quantifier's body.  A rule that drops an operand
+    drops a constant or a copy of the other, so only a constant result
+    loses free atoms."""
     t = type(f)
+    if t is Atom:
+        return f, frozenset((f.name,)) if track else None
     if t is Not:
-        operand = simplify(f.operand)
+        operand, free = _simplify(f.operand, track)
         g = _not_rule(operand)
         if g is None:
             g = f if operand is f.operand else Not(operand)
-        return g
+        return g, free
     rule = _BINARY_RULES.get(t)
     if rule is not None:
-        left, right = simplify(f.left), simplify(f.right)
+        left, free = _simplify(f.left, track)
+        right, right_free = _simplify(f.right, track)
         g = rule(left, right)
         if g is None:
             g = f if left is f.left and right is f.right else t(left, right)
-        return g
+        if track:
+            constant = type(g) is Top or type(g) is Bot
+            free = frozenset() if constant else free | right_free
+        return g, free
     if t is Exists or t is Forall:
-        body = simplify(f.body)
-        if f.var not in _scan(body)[0]:
-            return body
-        return f if body is f.body else t(f.var, body)
-    return f
+        body, free = _simplify(f.body, True)
+        if f.var not in free:
+            return body, free if track else None
+        g = f if body is f.body else t(f.var, body)
+        return g, free - {f.var} if track else None
+    return f, frozenset() if track else None

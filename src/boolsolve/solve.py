@@ -97,7 +97,11 @@ class SolutionProblem(Record):
         unknowns: Sequence[str],
         parameters: Sequence[str] | None = None,
         forbidden: Sequence[str] | None = None,
+        *,
+        _free: AtomSet | None = None,
     ):
+        if _free is not None:
+            self.__dict__["free"] = _free
         object.__setattr__(self, "formula", formula)
         object.__setattr__(self, "unknowns", tuple(unknowns))
         object.__setattr__(
@@ -110,7 +114,8 @@ class SolutionProblem(Record):
 
     @cached_property
     def free(self) -> AtomSet:
-        """The formula's free atoms, found on first use; not compared."""
+        """The formula's free atoms; not compared.  A file's problem with no
+        quantifier gets the parser's; others are found on first use."""
         return free_atoms(self.formula)
 
     def _validate(self) -> None:
@@ -383,7 +388,7 @@ def _restricted_masks(
         raise ValueError("forbidden atoms must not be unknowns or parameters")
     order = sorted(range(len(banned)), key=lambda i: -len(banned[i]))
     banned = [banned[i] for i in order]
-    searched = SolutionProblem(sp.formula, [sp.unknowns[i] for i in order])
+    searched = SolutionProblem(sp.formula, [sp.unknowns[i] for i in order], _free=sp.free)
     found = _stage_masks(searched, sorted(set.intersection(*banned)) if banned else ())
     if found is None:
         return None

@@ -9,6 +9,10 @@ The tokenizer is one ``findall`` of a regex matching only tokens and
 comments, exact when the tokens join to the text less its blanks; only
 a text with a comment or a bad character is walked again, to drop the
 comments or find the first bad character.
+
+For a text with no quantifier the parser's table of atoms is the set of
+free atoms; ``_parse`` hands them over, sorted, so that a problem file's
+formula is not walked again for them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .formula import (
     TOP,
     And,
     Atom,
+    AtomSet,
     Bot,
     BoolsolveError,
     Exists,
@@ -119,6 +124,11 @@ def _tokens(text: str) -> list[str]:
 
 def parse(text: str) -> Formula:
     """Parse a formula, resolving precedence and quantifier scope."""
+    return _parse(text)[0]
+
+
+def _parse(text: str) -> tuple[Formula, AtomSet | None]:
+    """``parse``'s formula and, if the text has no quantifier, its free atoms."""
     tokens = _TOKEN.findall(text)
     # No token holds a blank and a comment yields "", so this holds
     # exactly when every other character lies in a token.
@@ -128,6 +138,7 @@ def parse(text: str) -> Formula:
     atoms: dict[str, Atom] = {}  # one node per name; nodes are immutable
     lefts: list[Formula] = []  # the left operands of pending binary operators
     ops: list[tuple] = []
+    quantified = False
     i = 0
     while True:
         # An operand: prefix operators and quantifiers, then an atom, a
@@ -150,6 +161,7 @@ def parse(text: str) -> Formula:
                 found = _shown(tokens[i + 1])
                 raise _syntax_error(text, tokens, i + 1, f"expected '.', found {found}")
             ops.append((0, _QUANTIFIERS[token], var))
+            quantified = True
             i += 2
             continue
         if token in _CONSTANTS:
@@ -180,7 +192,7 @@ def parse(text: str) -> Formula:
                 ops.pop()
                 continue
             if not token and not ops:
-                return operand
+                return operand, None if quantified else tuple(sorted(atoms))
             if ops:
                 message = f"expected ')', found {_shown(token)}"
             else:

@@ -1,10 +1,17 @@
 """The command-line parser the CLI had before it read argv from its own
-command table: argparse, one sub-parser per command.
+command table: argparse, one sub-parser per command; and the problem-file
+loader it had before it read a file with one unbuffered read.
 
-``read`` runs it the way the CLI ran it (a named command straight to its
-own sub-parser, anything else to the top-level parser) and returns the
-exit code argparse ends with and the fields it read, so the differential
-tests can hold ``boolsolve.cli``'s reader to the same argv.
+``read`` runs the parser the way the CLI ran it (a named command straight
+to its own sub-parser, anything else to the top-level parser) and returns
+the exit code argparse ends with and the fields it read, so the
+differential tests can hold ``boolsolve.cli``'s reader to the same argv.
+
+``load`` reads a file in text mode, splits each header line with
+``split``, checks each name of a list on its own and parses the formula
+with ``parse``, so the problem finds its free atoms by walking the
+formula.  ``boolsolve.cli._load`` must give an equal ``ProblemFile``, or
+raise a ``ProblemFileError`` with the same text.
 """
 
 from __future__ import annotations
@@ -12,9 +19,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import re
 from typing import Sequence
 
+from boolsolve import SolutionProblem, parse
 from boolsolve.cli import (
+    ProblemFile,
+    ProblemFileError,
     _cmd_check,
     _cmd_eliminate,
     _cmd_enumerate,
@@ -23,6 +34,7 @@ from boolsolve.cli import (
     _cmd_project,
     _cmd_solve,
 )
+from boolsolve.syntax import IDENTIFIER, RESERVED
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -95,3 +107,81 @@ def read(argv: Sequence[str]) -> tuple[int, argparse.Namespace | None]:
             return 0, command.parse_args(argv[1:])
     except SystemExit as exc:
         return (0 if exc.code in (0, None) else 2), None
+
+
+_IDENT = re.compile(IDENTIFIER)
+_FORBID_KEY = re.compile(r"forbid\(([^)]*)\)$")
+
+
+def idents(value: str, context: str) -> tuple[str, ...]:
+    """The names of a whitespace-separated list; a reserved word, which
+    would print as a constant or a quantifier, is refused."""
+    names = value.split()
+    for name in names:
+        if not _IDENT.fullmatch(name):
+            raise ProblemFileError(f"invalid identifier {name!r} in {context}")
+        if name in RESERVED:
+            raise ProblemFileError(f"reserved word {name!r} in {context}")
+    return tuple(names)
+
+
+def parse_problem_file(text: str) -> ProblemFile:
+    seen: dict[str, str] = {}
+    per_forbid: dict[str, tuple[str, ...]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ProblemFileError(f"line {lineno}: expected 'key: value'")
+        key, value = line.split(":", 1)
+        key = key.strip()
+        value = value.strip()
+        match = _FORBID_KEY.match(key)
+        if match:
+            unknown = match.group(1).strip()
+            if not _IDENT.fullmatch(unknown) or unknown in RESERVED:
+                raise ProblemFileError(f"line {lineno}: invalid unknown in {key!r}")
+            if unknown in per_forbid:
+                raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")
+            per_forbid[unknown] = idents(value, key)
+            continue
+        if key not in ("unknowns", "parameters", "forbid", "formula"):
+            raise ProblemFileError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")
+        seen[key] = value
+    if "unknowns" not in seen:
+        raise ProblemFileError("missing 'unknowns:' line")
+    if "formula" not in seen:
+        raise ProblemFileError("missing 'formula:' line")
+    unknowns = idents(seen["unknowns"], "unknowns")
+    if not unknowns:
+        raise ProblemFileError("'unknowns:' line names no unknown")
+    parameters = idents(seen["parameters"], "parameters") if "parameters" in seen else None
+    forbid = idents(seen["forbid"], "forbid") if "forbid" in seen else None
+    restrictions = {"forbid": forbid or ()}
+    for unknown, atoms in per_forbid.items():
+        if unknown not in unknowns:
+            raise ProblemFileError(f"forbid({unknown}): {unknown} is not an unknown")
+        restrictions[f"forbid({unknown})"] = atoms
+    reserved = set(unknowns) | set(parameters or ())
+    for key, atoms in restrictions.items():
+        clash = sorted(set(atoms) & reserved)
+        if clash:
+            raise ProblemFileError(
+                f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
+            )
+    try:
+        problem = SolutionProblem(parse(seen["formula"]), unknowns, parameters, forbid)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
+    return ProblemFile(problem, per_forbid)
+
+
+def load(path: str) -> ProblemFile:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_problem_file(handle.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFileError(f"cannot read {path}: {exc}") from exc

@@ -105,3 +105,33 @@ def random_solvable_sp(
         if exists_solution(sp):
             return sp
     raise AssertionError("no solvable problem found; generator is miscalibrated")
+
+
+def timed_deep(fn, repeat: int = 3):
+    """The least time of ``repeat`` calls of ``fn`` and its last result,
+    run in a thread with room for a recursion thousands of nodes deep."""
+    import sys
+    import threading
+    import time
+
+    out = {}
+
+    def run() -> None:
+        best = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            out["result"] = fn()
+            best = min(best, time.perf_counter() - start)
+        out["seconds"] = best
+
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(100_000)
+    threading.stack_size(256 * 1024 * 1024)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    return out["seconds"], out["result"]

@@ -16,6 +16,12 @@ recurses on half-width cofactors.  The reference below keeps every
 cofactor at full width, splits it on its position in place, and
 rebuilds every cube on each level.  Its formulas must equal the
 kernel's.
+
+``simplify`` returns each rewritten subtree with its free atoms, so a
+quantifier reads whether it binds anything without walking its body
+again.  The reference below scans the rewritten body at every
+quantifier, so a q-deep nest is scanned q times.  Its formulas must
+equal the package's.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ from boolsolve import (
     conj,
     disj,
 )
-from boolsolve.semantics import MAX_MASK_ATOMS, BudgetExceeded
+from boolsolve.formula import _scan
+from boolsolve.semantics import _BINARY_RULES, MAX_MASK_ATOMS, BudgetExceeded, _not_rule
 
 
 def atom_patterns(basis: tuple[str, ...]) -> dict[str, int]:
@@ -203,3 +210,29 @@ def irredundant_two_level_mask(
     if zeros is not None:
         return conj(disj(literal(a, not v) for a, v in c) for c in zeros)
     return disj(conj(literal(a, v) for a, v in c) for c in ones)
+
+
+def simplify(f: Formula) -> Formula:
+    """Equivalent formula with constants absorbed, double negations
+    removed and structurally equal operands of ``&``/``|`` merged; a
+    node that no rule changes is returned as it is."""
+    t = type(f)
+    if t is Not:
+        operand = simplify(f.operand)
+        g = _not_rule(operand)
+        if g is None:
+            g = f if operand is f.operand else Not(operand)
+        return g
+    rule = _BINARY_RULES.get(t)
+    if rule is not None:
+        left, right = simplify(f.left), simplify(f.right)
+        g = rule(left, right)
+        if g is None:
+            g = f if left is f.left and right is f.right else t(left, right)
+        return g
+    if t is Exists or t is Forall:
+        body = simplify(f.body)
+        if f.var not in _scan(body)[0]:
+            return body
+        return f if body is f.body else t(f.var, body)
+    return f

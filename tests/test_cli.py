@@ -13,9 +13,11 @@ import pytest
 import boolsolve.solve
 from boolsolve import cli
 from boolsolve import (
+    BoolsolveError,
     SolutionProblem,
     check_particular,
     equivalent,
+    free_atoms,
     is_valid,
     parse,
     substitute,
@@ -644,6 +646,85 @@ def test_undecodable_file_is_an_input_error(tmp_path, capsys):
         assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
 
 
+_LOADER_CORPUS = [
+    b"unknowns: p1 p2\nformula: (a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))\n",
+    b"unknowns: p1 p2\r\nformula: (a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))\r\n",
+    b"unknowns: p1 p2\rformula: (a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))\r",
+    b"unknowns: p\r\r\nformula: p & a\n\r",
+    "\ufeffunknowns: p\nformula: p & a\n".encode(),
+    b"unknowns: p\nformula: p & \xff a\n",
+    b"unknowns: p\xc3\nformula: p\n",
+    b"unknowns: p\nformula: p & a\x00\n",
+    b"unknowns: p\x00q\nformula: p & q\n",
+    b"\x00",
+    b"",
+    b"unknowns:\tp1\t p2 \t\nparameters:\tt1  t2\nformula:\tp1 & p2 | a\t\n",
+    b"# header\n\n   \nunknowns: p # the unknown\n\n# F\nformula: p -> a # note\n\n",
+    b"unknowns: p q\nforbid: b\nforbid( q ):\ta b\nformula: (a & b) -> p & q\n",
+    b"unknowns: p\nforbid(p: a\nformula: p\n",
+    b"unknowns: p\nforbid(true): a\nformula: p\n",
+    b"unknowns: p\nforbid(q): a\nformula: p\n",
+    b"unknowns: p\nunknowns: q\nformula: p\n",
+    b"unknowns: p\nformula p\n",
+    b"unknowns: p\nsolution: q\nformula: p\n",
+    b"unknowns: p exists\nformula: p\n",
+    b"unknowns: p Q\nformula: p\n",
+    b"unknowns: p\nparameters: t true\nformula: p\n",
+    b"unknowns: p\nparameters: a\nformula: p & a\n",
+    b"unknowns: p\nforbid: p\nformula: p\n",
+    b"unknowns:\nformula: p\n",
+    b"formula: p\n",
+    b"unknowns: p\n",
+    b"unknowns: p\nformula: p -> -> a\n",
+    b"unknowns: p\nformula: exists q . q & p\n",
+] + [
+    f"unknowns: p{sep}q\nformula: p & q | a\n".encode()
+    for sep in ("\f", "\v", "\x1c", "\x1f", "\x85", "\u00a0", "\u2028", "\u3000", "\t")
+] + [
+    f"unknowns: p\nforbid: a{sep}b\nformula: p & a\n".encode()
+    for sep in ("\f", "\v", "\x1c", "\u00a0", "\u2028")
+]
+
+
+def _loaded(load, arg):
+    """What ``load`` makes of ``arg``: its result, or its error."""
+    try:
+        return load(arg)
+    except BoolsolveError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_loader_matches_text_mode_reference(tmp_path):
+    # One unbuffered read, partitioned header lines and one regex per name
+    # list give the problem, or the error text, that text mode, split
+    # lines and a test per name gave.
+    paths = [str(tmp_path / "missing.sp"), str(tmp_path)]
+    for i, data in enumerate(_LOADER_CORPUS):
+        path = tmp_path / f"corpus{i}.sp"
+        path.write_bytes(data)
+        paths.append(str(path))
+    loaded = 0
+    for path in paths:
+        got = _loaded(lambda p: cli._load(p)[0], path)
+        assert got == _loaded(cli_reference.load, path), (path, got)
+        if isinstance(got, cli.ProblemFile):
+            loaded += 1
+            assert got.problem.free == free_atoms(got.problem.formula)
+    assert loaded == 13
+
+
+def test_name_lists_match_per_name_reference():
+    rng = random.Random(2802)
+    pieces = ["p", "q1", "a_B", "true", "forall", "trueish", "Q", "1a", "é", "p-q",
+              " ", "\t", "\f", "\v", "\x1c", "\x1f", "\u00a0", "\u2028", "\u3000", ""]
+    values = ["", " ", "p", " p q ", "p\u00a0q", "p true", "p\u200bq"]
+    values += ["".join(rng.choices(pieces, k=rng.randint(1, 6))) for _ in range(3000)]
+    for value in values:
+        assert _loaded(lambda v: cli._idents(v, "unknowns"), value) == _loaded(
+            lambda v: cli_reference.idents(v, "unknowns"), value
+        ), repr(value)
+
+
 def test_syntax_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.sp"
     path.write_text("unknowns: p\nformula: p -> -> a\n")
@@ -693,13 +774,35 @@ def test_enumerate_honours_forbid(tmp_path, capsys):
 
 
 def test_deep_formula_exit_code(tmp_path, capsys):
+    # 1,201 atoms: exists and solve read the parser's atoms and stop at
+    # the width cap before any walk; precondition walks the tree first.
     path = tmp_path / "deep.sp"
     clauses = " & ".join(f"(a{i} | p)" for i in range(1200))
     path.write_text(f"unknowns: p\nformula: {clauses}\n")
-    assert run(["exists", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: formula nested too deeply\n"
+    cap = "error: 1201 atoms exceed the truth-table cap of 26 atoms (8 MB per mask)\n"
+    for command, err in (
+        ("exists", cap),
+        ("solve", cap),
+        ("precondition", "error: formula nested too deeply\n"),
+    ):
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), command
+
+
+def test_deep_cnf_over_few_atoms_exit_code(tmp_path, capsys):
+    # A CNF of 1,200 clauses over 11 atoms is a left-nested & chain 1,200
+    # deep: within the width cap, too deep for the recursive walkers.
+    path = tmp_path / "cnf.sp"
+    atoms = [f"a{i}" for i in range(10)]
+    clauses = " & ".join(
+        f"({atoms[i % 10]} | ~{atoms[(i * 7 + 3) % 10]} | p)" for i in range(1200)
+    )
+    path.write_text(f"unknowns: p\nformula: {clauses}\n")
+    for command in ("exists", "precondition", "solve"):
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: formula nested too deeply\n")
 
 
 def test_solve_prints_all_lines_or_none(tmp_path, capsys):
@@ -894,20 +997,22 @@ def test_solve_prints_the_definiens_of_a_defined_unknown(tmp_path, capsys):
             assert captured.err == ""
 
 
-def test_cli_walks_the_problem_formula_once(tmp_path, capsys, monkeypatch):
-    # The problem a file states is built and validated once, and the
-    # solver reads its free atoms from it: one walk of the formula per
-    # call, with declared parameters, with generated ones and for exists.
+def test_cli_reads_a_quantifier_free_file_with_no_free_atom_walk(tmp_path, capsys, monkeypatch):
+    # The parser hands over the free atoms of a formula with no
+    # quantifier, so no name walk (free_atoms, all_names: each one
+    # _scan) reads the formula, with declared parameters, with generated
+    # ones and for exists.  A formula with a quantifier is walked once.
     import importlib
 
     import boolsolve.formula
 
     text = "(a -> b) -> ((p1 -> p2) & (a -> p2) & (p2 -> b))"
+    quantified = f"exists q . q & ({text})"
     walked = []
-    original = boolsolve.formula.free_atoms
+    original = boolsolve.formula._scan
 
     def spy(f):
-        if f == parse(text):
+        if f in (parse(text), parse(quantified)):
             walked.append(f)
         return original(f)
 
@@ -915,19 +1020,21 @@ def test_cli_walks_the_problem_formula_once(tmp_path, capsys, monkeypatch):
         "cli", "elimination", "formula", "oracle", "semantics", "solve", "syntax"
     ))):
         module = importlib.import_module(name)
-        if getattr(module, "free_atoms", None) is original:
-            monkeypatch.setattr(module, "free_atoms", spy)
+        if getattr(module, "_scan", None) is original:
+            monkeypatch.setattr(module, "_scan", spy)
     declared = tmp_path / "declared.sp"
     declared.write_text(f"unknowns: p1 p2\nparameters: t1 t2\nformula: {text}\n")
     plain = tmp_path / "plain.sp"
     plain.write_text(f"unknowns: p1 p2\nformula: {text}\n")
-    for argv in (["solve", str(declared)], ["solve", str(plain)],
-                 ["solve", "--method", "second-order", str(plain)],
-                 ["exists", str(declared)]):
+    bound = tmp_path / "bound.sp"
+    bound.write_text(f"unknowns: p1 p2\nparameters: t1 t2\nformula: {quantified}\n")
+    for argv, walks in ((["solve", str(declared)], 0), (["solve", str(plain)], 0),
+                        (["solve", "--method", "second-order", str(plain)], 0),
+                        (["exists", str(declared)], 0), (["exists", str(bound)], 1)):
         walked.clear()
         assert run(argv) == 0
         capsys.readouterr()
-        assert len(walked) == 1, argv
+        assert len(walked) == walks, argv
 
 
 def test_commands_agree_when_the_formula_binds_a_base_atom(tmp_path, capsys):

@@ -14,6 +14,7 @@ from boolsolve import (
     SolutionProblem,
     all_names,
     clean_variant,
+    conj,
     equivalent,
     exists,
     forall,
@@ -28,7 +29,7 @@ from boolsolve import (
 from elimination_reference import Polarity, polarity_of
 import formula_reference as reference
 from formula_reference import is_substitutible
-from genutil import QUANT_POOL, random_formula
+from genutil import QUANT_POOL, random_formula, timed_deep
 
 
 def test_free_atoms():
@@ -159,6 +160,23 @@ def test_substitute_matches_literal_reference():
     # accepted, refused by condition (1) only, by condition (2), renamed
     assert seen[None] >= 1000 and seen[1] >= 100 and seen[2] >= 400, seen
     assert seen["renamed"] >= 150, seen
+
+
+def test_substitute_tests_capture_in_linear_time():
+    # exists a0 ... exists a399 . p & a0 & ... & a399 with p := a0 & ... &
+    # a399: every binder captures, and each reads its body's free atoms
+    # from one bottom-up walk.  Scanning each body again took 0.25 s.
+    names = [f"a{i}" for i in range(400)]
+    f = conj([Atom("p"), *map(Atom, names)])
+    for name in reversed(names):
+        f = Exists(name, f)
+    g = conj(map(Atom, names))
+    seconds, out = timed_deep(lambda: substitute(f, ["p"], [g]))
+    expected = conj([g, *(Atom(f"{name}_1") for name in names)])
+    for name in reversed(names):
+        expected = Exists(f"{name}_1", expected)
+    assert timed_deep(lambda: out == expected, repeat=1)[1]
+    assert seconds < 0.03, seconds
 
 
 def test_substitute_takes_a_capturing_answer_back():

@@ -204,3 +204,24 @@ def test_identifiers_are_ascii():
     assert str(info.value) == (
         "2:3: invalid identifier 'Beta': identifiers start with a lowercase letter"
     )
+
+
+def test_parser_hands_over_the_free_atoms_of_quantifier_free_text():
+    # _parse gives parse's formula, and with it, whenever the text has no
+    # quantifier, the formula's free atoms, sorted.
+    from boolsolve.formula import free_atoms
+    from boolsolve.syntax import _parse
+
+    rng = random.Random(2801)
+    handed = 0
+    for pool in ((), QUANT_POOL):
+        for _ in range(1000):
+            f = random_formula(rng, ("a", "b", "c", "p1"), rng.randint(0, 6), pool, 0.3)
+            text = format_formula(f)
+            formula, free = _parse(text)
+            assert formula == parse(text) == f
+            if free is not None:
+                handed += 1
+                assert free == free_atoms(f)
+            assert (free is None) == ("exists" in text or "forall" in text)
+    assert handed >= 1200
