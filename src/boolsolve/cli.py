@@ -43,6 +43,7 @@ from .solve import (
     SolutionProblem,
     Strategy,
     exists_solution,
+    precondition,
     solve_by_witnesses,
     solve_on_second_order,
     solve_restricted,
@@ -282,8 +283,11 @@ def _cmd_eliminate(args: SimpleNamespace) -> int:
 
 
 def _cmd_precondition(args: SimpleNamespace) -> int:
-    sp = _load(args.file)[0].problem
-    print(weakest_precondition(sp.unknowns, sp.formula))
+    pf, _ = _load(args.file)
+    if pf.per_forbid:
+        print("error: precondition does not take per-component restrictions", file=sys.stderr)
+        return 2
+    print(precondition(pf.problem))
     return 0
 
 

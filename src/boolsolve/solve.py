@@ -20,7 +20,9 @@ bound, the reproductive pair of bounds or a constructive case (a
 constant or the definiens of a defined unknown).  Forbidden atoms are
 quantified universally first, whichever view runs.  Per-component
 vocabulary restrictions search the same intervals, narrowed to the
-components each unknown may depend on.
+components each unknown may depend on.  The weakest precondition is
+stage 0 printed, and ``elimination`` reads dependence and projection
+off the same phase 1.
 """
 
 from __future__ import annotations
@@ -156,7 +158,16 @@ def exists_solution(
     may raise ``Undecided``."""
     if per_unknown is not None:
         return _restricted_masks(sp, per_unknown) is not None
-    return _stage_masks(sp, sp.forbidden or ()) is not None
+    base, stages, _ = _stage_masks(sp)
+    return stages[0] == _full_mask(len(base))
+
+
+def precondition(sp: SolutionProblem) -> Formula:
+    """The weakest antecedent making the problem solvable, with the atoms
+    B of ``sp.forbidden`` restricted: ``exists P forall B . F``, stage 0
+    of ``_stage_masks``, as its irredundant two-level form."""
+    base, stages, patterns = _stage_masks(sp)
+    return irredundant_two_level_mask(stages[0], base, patterns)
 
 
 def _require_parameters(sp: SolutionProblem) -> tuple[str, ...]:
@@ -170,33 +181,28 @@ def _prepared(sp: SolutionProblem) -> Formula:
     return clean_variant(sp.formula, avoid=avoid)
 
 
-_Stages = tuple[tuple[str, ...], list[int], list[int]]
-
-
-def _stage_masks(sp: SolutionProblem, forbidden: Sequence[str] = ()) -> _Stages | None:
+def _stage_masks(sp: SolutionProblem) -> tuple[tuple[str, ...], list[int], list[int]]:
     """Phase 1 of successive elimination, on truth tables.
 
     The formula's mask spans its k sorted base atoms, then the unknowns
     in their listed order, so unknown i (from 1) sits at position
-    k + i - 1.  The ``forbidden`` atoms are quantified universally
+    k + i - 1.  The atoms of ``sp.forbidden`` are quantified universally
     first, by AND of their cofactors.  Stage i, the formula with
     unknowns i+1..n eliminated, is then a mask over the first k + i
     positions: eliminating the last position ORs the two halves of the
     mask.  Returns the base atoms, stages 0..n and the positions' atom
-    masks, or None when stage 0 is not valid: then no solution exists.
+    masks.  The problem has a solution exactly when stage 0 is valid.
+    Every mask elimination of the package is a view of this phase 1.
     """
     base = tuple(sorted(set(sp.free) - set(sp.unknowns)))
     basis = base + sp.unknowns
     patterns = atom_patterns(basis)
     mask = formula_mask(sp.formula, basis, patterns)
-    for b in forbidden:
+    for b in sp.forbidden or ():
         if b in base:  # an atom absent from the formula is quantified vacuously
             zero, one = cofactors(mask, base.index(b), patterns[b])
             mask = zero & one
-    stages = existential_stages(mask, len(basis), len(base))
-    if stages[0] != _full_mask(len(base)):
-        return None
-    return base, stages, list(patterns.values())
+    return base, existential_stages(mask, len(basis), len(base)), list(patterns.values())
 
 
 def _interval(
@@ -256,15 +262,14 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
     the problem, universally quantified over ``sp.forbidden``, has none.
     """
     params = _require_parameters(sp) if bound is _Bound.PAIR else None
-    found = _stage_masks(sp, sp.forbidden or ())
-    if found is None:
+    base, stages, patterns = _stage_masks(sp)
+    k = len(base)
+    if stages[0] != _full_mask(k):
         if sp.forbidden is not None:
             raise NoSolution(
                 f"no solution avoids the forbidden atoms ({', '.join(sp.forbidden)})"
             )
         raise NoSolution("the existential closure over the unknowns is not valid")
-    base, stages, patterns = found
-    k = len(base)
     # Without parameters no component depends on a replaced position, so
     # the unknown's own name stands in for it.
     names = [*base, *(sp.unknowns if params is None else params)]
@@ -388,13 +393,14 @@ def _restricted_masks(
         raise ValueError("forbidden atoms must not be unknowns or parameters")
     order = sorted(range(len(banned)), key=lambda i: -len(banned[i]))
     banned = [banned[i] for i in order]
-    searched = SolutionProblem(sp.formula, [sp.unknowns[i] for i in order], _free=sp.free)
-    found = _stage_masks(searched, sorted(set.intersection(*banned)) if banned else ())
-    if found is None:
-        return None
-    base, stages, patterns = found
+    common = set.intersection(*banned) if banned else None
+    unknowns = [sp.unknowns[i] for i in order]
+    searched = SolutionProblem(sp.formula, unknowns, None, common, _free=sp.free)
+    base, stages, patterns = _stage_masks(searched)
     k = len(base)
     full = _full_mask(k)
+    if stages[0] != full:
+        return None
     chosen: list[int] = []  # chosen[j]: G_{j+1} over the k base positions
     masks: list[int] = []  # the same, widened as _interval takes them
     budget = _SEARCH_BUDGET

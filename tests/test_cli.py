@@ -192,6 +192,22 @@ def test_precondition_command(unsolvable_path, capsys):
     assert capsys.readouterr().out == "~a | b\n"
 
 
+def test_precondition_honours_forbid(tmp_path, capsys):
+    # With forbid: b the answer is exists p forall b F; the unrestricted
+    # exists p F is true.
+    path = tmp_path / "forbid.sp"
+    path.write_text("unknowns: p\nforbid: b\nformula: a -> (p <-> b)\n")
+    assert run(["precondition", str(path)]) == 0
+    assert capsys.readouterr().out == "~a\n"
+    assert run(["exists", str(path)]) == 1
+    capsys.readouterr()
+    path.write_text("unknowns: p\nforbid(p): b\nformula: a -> (p <-> b)\n")
+    assert run(["precondition", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_enumerate_command(example_path, capsys):
     assert run(["enumerate", "--basis", "a b", example_path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -774,20 +790,16 @@ def test_enumerate_honours_forbid(tmp_path, capsys):
 
 
 def test_deep_formula_exit_code(tmp_path, capsys):
-    # 1,201 atoms: exists and solve read the parser's atoms and stop at
-    # the width cap before any walk; precondition walks the tree first.
+    # 1,201 atoms: every command reads the parser's atoms and stops at
+    # the width cap before any walk.
     path = tmp_path / "deep.sp"
     clauses = " & ".join(f"(a{i} | p)" for i in range(1200))
     path.write_text(f"unknowns: p\nformula: {clauses}\n")
     cap = "error: 1201 atoms exceed the truth-table cap of 26 atoms (8 MB per mask)\n"
-    for command, err in (
-        ("exists", cap),
-        ("solve", cap),
-        ("precondition", "error: formula nested too deeply\n"),
-    ):
+    for command in ("exists", "solve", "precondition"):
         assert run([command, str(path)]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", err), command
+        assert (captured.out, captured.err) == ("", cap), command
 
 
 def test_deep_cnf_over_few_atoms_exit_code(tmp_path, capsys):

@@ -189,6 +189,9 @@ def test_weakest_precondition():
     assert weakest_precondition(["p"], parse("(p -> a) & (p | b)")) == parse("a | b")
     # a repeated unknown spans one position of the mask, not one per copy
     assert weakest_precondition(["p"] * 30, parse("p & a")) == parse("a")
+    # names absent from the formula span no position either, so 30 of
+    # them do not widen the mask past the width cap
+    assert weakest_precondition([f"x{i}" for i in range(30)] + ["p"], parse("p & a")) == parse("a")
 
 
 # Binders named like an eliminated atom (p1) or a base atom (a) as well

@@ -148,6 +148,15 @@ MOVED = {
 }
 
 
+def test_elimination_reads_the_solver_core():
+    # The package has one phase 1, solve._stage_masks; elimination builds
+    # no mask of its own.
+    import boolsolve.elimination as elimination
+
+    for name in ("atom_patterns", "formula_mask", "existential_stages", "cofactors"):
+        assert not hasattr(elimination, name), name
+
+
 def _readme_code_names() -> set[str]:
     """The identifiers in README's code blocks and inline code spans."""
     spans = re.findall(r"```[a-z]*\n(.*?)```|`([^`]+)`", README.read_text(encoding="utf-8"), re.S)

@@ -300,8 +300,8 @@ def test_cover_parity_retries_the_literal_budget():
 
 
 def test_cover_patterns_over_a_wider_basis():
-    # The solver core and weakest_precondition pass the atom masks of a
-    # wider basis, whose first positions the mask spans.
+    # The solver core, whose stage 0 weakest_precondition prints, passes
+    # the atom masks of a wider basis, whose first positions the mask spans.
     rng = random.Random(61)
     for _ in range(200):
         layout = rng.sample(["a", "b", "c", "d", "e", "f"], rng.randint(1, 6))

@@ -24,6 +24,7 @@ from boolsolve import (
     enumerate_solutions,
     equivalent,
     exists_solution,
+    forall,
     formula_from_table,
     free_atoms,
     parse,
@@ -34,7 +35,8 @@ from boolsolve import (
     substitute,
 )
 from boolsolve.semantics import formula_mask
-from boolsolve.solve import _stage_masks
+from boolsolve.solve import _stage_masks, precondition
+import elimination_reference
 from elimination_reference import elim_witness, elim_witness_dnf
 from formula_reference import NotSubstitutible
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
@@ -675,6 +677,24 @@ def test_weakest_precondition_is_weakest():
             guarded = SolutionProblem(Implies(candidate, f), ["p1", "p2"])
             if exists_solution(guarded):
                 assert entails(candidate, wp)
+
+
+def test_precondition_honours_forbidden_atoms():
+    # precondition(sp) is exists P forall B F, the weakest antecedent of
+    # the restricted problem, and exists_solution holds exactly when it
+    # is true.
+    rng = random.Random(29)
+    for _ in range(300):
+        unknowns = ("p1", "p2", "p3")[: rng.choice([2, 3])]
+        base = ("a", "b", "c", "d", "e")[: rng.choice([3, 4, 5])]
+        f = random_formula(rng, unknowns + base, depth=5)
+        forbidden = rng.sample(base, rng.choice([1, 2]))
+        sp = SolutionProblem(f, unknowns, forbidden=forbidden)
+        wp = precondition(sp)
+        expected = elimination_reference.weakest_precondition(unknowns, forall(forbidden, f))
+        assert equivalent(wp, expected), (str(f), forbidden)
+        assert not set(free_atoms(wp)) & set(forbidden + list(unknowns)), (str(f), str(wp))
+        assert exists_solution(sp) == (wp == TOP), (str(f), forbidden)
 
 
 def _printed(run):
