@@ -28,11 +28,17 @@ any basis valuation, and every solution is reachable when each basis
 valuation's allowed tuples are reachable there.  The loops over tuples
 of basis functions and over the enumerated solutions run only once a
 clause is known to fail, to list its first five failures.
+
+The parameterised checks learn a candidate's names from its table
+walk: its components are evaluated over F's other free atoms, the
+basis and the parameters, and an atom outside those raises there.
+Only then are the components scanned for their free atoms, to report
+a mentioned unknown or to evaluate them over their other atoms too.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (
@@ -47,7 +53,9 @@ from .formula import (
     substitute,
 )
 from .semantics import (
+    BudgetExceeded,
     TruthTable,
+    UnboundAtom,
     atom_patterns,
     decode_valuation,
     falsifying_valuation,
@@ -241,11 +249,16 @@ def _solution_tables(composer: _Composer) -> Iterator[tuple[int, ...]]:
     valuation.  So table j takes, at each basis valuation, the values
     that some allowed tuple agreeing with the earlier tables there has,
     the highest basis valuation (the table's top bit) varying slowest.
+    Each level hands the tables chosen so far down to the next, and the
+    last level yields whole tuples, so a tuple passes through no Python
+    frame.
     """
     allowed = composer.allowed
-    if not all(allowed):
-        return
     n = composer.n_unknowns
+    if not all(allowed):
+        return iter(())
+    if n == 0:
+        return iter([()])
     every = (1 << (1 << n)) - 1
     # sides[j][x]: the value tuples in which unknown j has value x
     sides = []
@@ -253,22 +266,26 @@ def _solution_tables(composer: _Composer) -> Iterator[tuple[int, ...]]:
         ones = _bits(v for v in range(1 << n) if (v >> j) & 1)
         sides.append((every ^ ones, ones))
     betas = range(len(allowed) - 1, -1, -1)
+    # bit_options[b][k]: a table's choices of bit b, for k = 1 (value 0
+    # only), 2 (value 1 only) and 3 (both)
+    bit_options = [((), (0,), (1 << b,), (0, 1 << b)) for b in range(len(allowed))]
 
-    def extend(j: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
-        # rest[b]: the tuples allowed at b that agree with tables 0..j-1
-        if j == n:
-            yield ()
-            return
-        zero, one = sides[j]
+    def extend(j: int, rest: list[int], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # rest[b]: the value tuples allowed at b that agree with
+        # ``prefix``, the tables 0..j-1
+        side = zero, one = sides[j]
         options = [
-            [x << b for x, side in ((0, zero), (1, one)) if rest[b] & side] for b in betas
+            bit_options[b][(rest[b] & zero != 0) | (rest[b] & one != 0) << 1] for b in betas
         ]
-        for t in map(sum, product(*options)):
-            narrowed = [r & sides[j][(t >> b) & 1] for b, r in enumerate(rest)]
-            for tail in extend(j + 1, narrowed):
-                yield (t,) + tail
+        tables = map(sum, product(*options))
+        if j == n - 1:
+            return zip(*map(repeat, prefix), tables)
+        return chain.from_iterable(
+            extend(j + 1, [r & side[(t >> b) & 1] for b, r in enumerate(rest)], prefix + (t,))
+            for t in tables
+        )
 
-    yield from extend(0, allowed)
+    return extend(0, allowed, ())
 
 
 def enumerate_solutions(
@@ -322,31 +339,28 @@ def check_particular(sp: SolutionProblem, sol: Sequence[Formula]) -> CheckReport
 class _ReproductiveChecker:
     """Shared table machinery for the parametric, reproductive and
     general checks.  Parameter value tuples are ints like the unknowns'
-    ones, bit j for parameter j.  ``comp_free`` holds each component's
-    free atoms."""
+    ones, bit j for parameter j.  ``comp_masks`` are the components'
+    tables over ``comp_names``, the composer's eval names and the
+    parameters."""
 
     def __init__(
         self,
         sp: SolutionProblem,
-        sol: Sequence[Formula],
-        comp_free: list[AtomSet],
+        composer: _Composer,
+        comp_names: AtomSet,
+        comp_masks: Sequence[int],
         basis: AtomSet,
     ):
         self.params = sp.parameters
-        extra = {a for atoms in comp_free for a in atoms} - set(self.params)
-        self.composer = _Composer(sp, basis, extra)
+        self.composer = composer
         self.space = FunctionSpace(basis)
         self._texts: dict[int, str] = {}  # tuple_label's formula texts
-        eval_names = self.composer.eval_names
-        comp_names = tuple(sorted(set(eval_names) | set(self.params)))
-        patterns = atom_patterns(comp_names)
-        comp_masks = [formula_mask(g, comp_names, patterns) for g in sol]
         bit = {a: 1 << i for i, a in enumerate(comp_names)}
         param_rows = _or_table([bit[t] for t in self.params])
         # values[w][a]: the components' value tuple at eval row w when the
         # parameters take the value tuple a
         self.values: list[list[int]] = []
-        for row in _or_table([bit[a] for a in eval_names]):
+        for row in _or_table([bit[a] for a in composer.eval_names]):
             self.values.append(
                 [
                     sum(((mask >> (row | pr)) & 1) << i for i, mask in enumerate(comp_masks))
@@ -415,6 +429,11 @@ class _ReproductiveChecker:
         return "(" + ", ".join(self._texts[t] for t in tables) + ")"
 
 
+def _component_masks(sol: Sequence[Formula], names: AtomSet) -> list[int]:
+    patterns = atom_patterns(names)
+    return [formula_mask(g, names, patterns) for g in sol]
+
+
 def _checker(
     kind: str,
     sp: SolutionProblem,
@@ -423,14 +442,34 @@ def _checker(
     allow_large: bool,
 ) -> _ReproductiveChecker | CheckReport:
     """The checker for a parameterised candidate, or the failed report
-    when a component mentions an unknown."""
+    when a component mentions an unknown.
+
+    The components' tables are evaluated first, over F's free atoms
+    other than the unknowns, the basis and the parameters, with no walk
+    for names: a candidate over those atoms is walked once.  A free
+    occurrence of any other atom raises ``UnboundAtom`` there, and only
+    then, or when those atoms are too many for a table, are the
+    components scanned for their free atoms.  The scan reports a
+    mentioned unknown before F's table is built, or widens the names by
+    the components' other atoms.
+    """
     if sp.parameters is None:
         raise ValueError(f"{kind} check needs a problem with parameters")
     basis_t = _basis(sp, basis, allow_large, parameters=True)
-    comp_free = [free_atoms(g) for g in sol]
-    if _mentions_unknown(sp, comp_free):
-        return _MENTIONS_UNKNOWN
-    return _ReproductiveChecker(sp, sol, comp_free, basis_t)
+    names = tuple(sorted(set(sp.free).difference(sp.unknowns).union(basis_t, sp.parameters)))
+    try:
+        comp_masks = _component_masks(sol, names)
+    except (UnboundAtom, BudgetExceeded):
+        comp_free = [free_atoms(g) for g in sol]
+        if _mentions_unknown(sp, comp_free):
+            return _MENTIONS_UNKNOWN
+        extra = {a for atoms in comp_free for a in atoms} - set(sp.parameters)
+        composer = _Composer(sp, basis_t, extra)
+        names = tuple(sorted(set(composer.eval_names).union(sp.parameters)))
+        comp_masks = _component_masks(sol, names)
+    else:
+        composer = _Composer(sp, basis_t)
+    return _ReproductiveChecker(sp, composer, names, comp_masks, basis_t)
 
 
 # A failing clause lists at most this many failures.

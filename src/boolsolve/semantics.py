@@ -137,7 +137,11 @@ class _Scope(dict):
     """The atom masks a quantifier's body reads: its binder's, stored,
     and every other atom's from the enclosing ``outer`` scope, widened
     by one top position above its ``half`` bits unless ``half`` is 0.
-    A widened mask is not stored, so each lives only while it is used."""
+    A widened mask is not stored, so each lives only while it is used.
+    An unwidened read is stored, so the per-cofactor walks below read
+    each atom through the scopes above once.  Storing it keeps alive no
+    mask wider than 2^18 bits: the read is a mask the enclosing scopes
+    already hold, or one widened to at most ``_WIDEN_BELOW`` positions."""
 
     __slots__ = ("outer", "half")
 
@@ -147,7 +151,10 @@ class _Scope(dict):
 
     def __missing__(self, name: str) -> int:
         mask = self.outer[name]
-        return mask | mask << self.half if self.half else mask
+        if self.half:
+            return mask | mask << self.half
+        self[name] = mask
+        return mask
 
 
 def _mask(g: Formula, values: dict[str, int], full: int) -> int:

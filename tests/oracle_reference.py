@@ -15,7 +15,13 @@ quantifiers over tuples of basis functions literally, where the oracle
 decides them per basis valuation.  On the oracle's truth tables, it
 loops over every tuple to enumerate the solutions, to check every
 instantiation and to collect the instantiations' images for
-reachability.  Its reports must equal the oracle's exactly.
+reachability.  It tests a candidate for unknowns by its own name scan.
+Its reports must equal the oracle's exactly.
+
+``nested_solution_tables`` enumerates the allowed tables by nested
+generators, one per unknown, each prepending its table to every tail
+the next one yields.  The oracle's enumeration must yield the same
+sequence.
 """
 
 from __future__ import annotations
@@ -248,6 +254,38 @@ class _TupleChecker(_TupleLoops):
         return failures
 
 
+def nested_solution_tables(composer) -> Iterator[tuple[int, ...]]:
+    """The oracle's enumeration order on ``composer.allowed``, by nested
+    generators: each level narrows the allowed value tuples to those
+    agreeing with its table and prepends its table to every tail the
+    next level yields."""
+    allowed = composer.allowed
+    if not all(allowed):
+        return
+    n = composer.n_unknowns
+    every = (1 << (1 << n)) - 1
+    sides = []
+    for j in range(n):
+        ones = oracle._bits(v for v in range(1 << n) if (v >> j) & 1)
+        sides.append((every ^ ones, ones))
+    betas = range(len(allowed) - 1, -1, -1)
+
+    def extend(j: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
+        if j == n:
+            yield ()
+            return
+        zero, one = sides[j]
+        options = [
+            [x << b for x, side in ((0, zero), (1, one)) if rest[b] & side] for b in betas
+        ]
+        for t in map(sum, product(*options)):
+            narrowed = [r & sides[j][(t >> b) & 1] for b, r in enumerate(rest)]
+            for tail in extend(j + 1, narrowed):
+                yield (t,) + tail
+
+    yield from extend(0, allowed)
+
+
 def tuple_enumerate_solutions(
     sp: SolutionProblem, basis: Sequence[str], allow_large: bool = False
 ) -> list[Solution]:
@@ -267,9 +305,13 @@ def tuple_any_enumerated_solution(
 
 
 def _tuple_checker(kind, sp, sol, basis) -> _TupleChecker | CheckReport:
+    """The reference's own unknown-mention test, then the loops over the
+    oracle checker's tables and labels."""
+    if _mentions_unknown(sp, sol):
+        return MENTIONS_UNKNOWN
     checker = oracle._checker(kind, sp, sol, basis, allow_large=True)
     if isinstance(checker, CheckReport):
-        return checker
+        raise AssertionError(f"the oracle refused a candidate the reference accepts: {checker}")
     return _TupleChecker(sp, sol, checker)
 
 

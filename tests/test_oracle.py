@@ -1,5 +1,9 @@
+import math
 import random
+import tempfile
 import time
+import types
+from itertools import islice
 
 import pytest
 
@@ -32,7 +36,8 @@ from boolsolve import (
     substitute,
     truth_table,
 )
-from boolsolve import oracle
+from boolsolve import formula, oracle
+from boolsolve.semantics import BudgetExceeded
 from formula_reference import free_binders
 from genutil import QUANT_POOL, random_formula, random_solvable_sp
 
@@ -523,8 +528,8 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
     # 3), problems with and without quantifiers, binders that bind a basis
     # atom above an unknown, and candidates that are solver outputs,
     # enumerated solutions, bare parameters, candidates binding a basis
-    # atom above a parameter, and components mentioning an atom outside
-    # the basis.
+    # atom above a parameter, components mentioning an atom outside
+    # the basis, and components mentioning an unknown.
     decided = {True: 0, False: 0}  # clause (b) or (b') decided outright, or listed
     every_solution = oracle._ReproductiveChecker.every_solution
 
@@ -563,6 +568,7 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
         candidates.append(
             [random_formula(rng, (outside, "a") + params, 3, quant_pool=("a",)) for _ in params]
         )
+        candidates.append([Or(Atom(t), Atom(unknowns[-1])) for t in params])
         for report, listed in _matches_per_tuple(sp, candidates, basis):
             cut += listed > len(report.failures)
             verdicts.add(report.verdict)
@@ -575,7 +581,120 @@ def test_per_valuation_checks_match_per_tuple_reference(monkeypatch):
     # passing checks and every kind of failure were compared
     assert verdicts == {True, False}
     assert {
+        "components mention an unknown",
         "instantiated components do not solve the problem",
         "not reachable by any parameter instantiation",
     } <= reasons
     assert any(r.endswith("is not reproduced") for r in reasons)
+
+
+def _random_allowed(rng, n, width):
+    """Allowed value tuples of n unknowns at each of the 2^width basis
+    valuations: each row nonempty and of random density, or now and
+    then empty."""
+    density = rng.random()
+    return [
+        0
+        if rng.random() < 0.02
+        else 1 << rng.randrange(1 << n)
+        | sum(1 << v for v in range(1 << n) if rng.random() < density)
+        for _ in range(1 << width)
+    ]
+
+
+def test_flat_enumeration_matches_nested_reference():
+    # The whole sequence of tuples, in order, for 1-3 unknowns over 0-3
+    # basis atoms; sets of at most 4096 solutions keep the test short.
+    rng = random.Random(127)
+    shapes, empty, tuples, compared = set(), 0, 0, 0
+    while compared < 3000:
+        n, width = rng.randint(1, 3), rng.randint(0, 3)
+        allowed = _random_allowed(rng, n, width)
+        if math.prod(bin(a).count("1") for a in allowed) > 4096:
+            continue
+        composer = types.SimpleNamespace(allowed=allowed, n_unknowns=n)
+        flat = list(oracle._solution_tables(composer))
+        assert flat == list(reference.nested_solution_tables(composer)), (n, allowed)
+        compared += 1
+        shapes.add((n, width))
+        empty += not flat
+        tuples += len(flat)
+    assert len(shapes) == 12 and empty >= 100 and tuples >= 300_000, (shapes, empty, tuples)
+    # no unknowns: one empty tuple, or none when some row is empty
+    for allowed in ([1], [1, 1], [1, 0]):
+        composer = types.SimpleNamespace(allowed=allowed, n_unknowns=0)
+        assert list(oracle._solution_tables(composer)) == [()] * all(allowed)
+    # lazy: 2^64 solutions over 5 basis atoms, the first ones at once
+    composer = types.SimpleNamespace(allowed=[15] * 32, n_unknowns=2)
+    first = [(0, 0), (0, 1), (0, 2)]
+    assert list(islice(oracle._solution_tables(composer), 3)) == first
+
+
+def _count_scans(monkeypatch):
+    """A list that counts every name scan from now on."""
+    calls = []
+    scan = formula._scan
+
+    def counted(f):
+        calls.append(f)
+        return scan(f)
+
+    monkeypatch.setattr(formula, "_scan", counted)
+    return calls
+
+
+def test_checks_scan_only_candidates_outside_the_problems_atoms(monkeypatch):
+    # verify's candidates name only F's atoms, the basis and the
+    # parameters: every check walks each component once, for its table
+    import bench_golden  # noqa: F401  (puts bench/ on the path)
+    import workloads
+
+    with tempfile.TemporaryDirectory() as workdir:
+        ops = workloads.build_verify(random.Random(1), workloads.ProblemFiles(workdir))
+    scans = _count_scans(monkeypatch)
+    checks = [op for op in ops if "check" in op.label]
+    assert len(checks) == 80
+    for op in checks:
+        op.check(op.run())
+    assert scans == []
+    # a component naming an unknown, or an atom outside F and the basis,
+    # is scanned once, and reported as the name scan reports it
+    sp = SolutionProblem(EXAMPLE, ["p1", "p2"], parameters=["t1", "t2"])
+    rep = solve_succ_elim(sp).components
+    candidates = [
+        [parse("p2"), rep[1]],
+        [rep[0], parse("p1 & t2")],
+        [parse("c & t1"), rep[1]],
+        [rep[0], parse("exists a . a & d | t2")],
+    ]
+    for sol in candidates:
+        for name in CHECKS:
+            del scans[:]
+            report = getattr(oracle, name)(sp, sol, ["a", "b"])
+            assert scans == list(sol)
+            full = getattr(reference, "tuple_" + name)(sp, sol, ["a", "b"])
+            assert report == _first_listed(full)
+    assert oracle.check_reproductive(sp, candidates[1], ["a", "b"]) == reference.MENTIONS_UNKNOWN
+
+
+def test_unknown_mention_reported_before_the_problems_table(monkeypatch):
+    # F's table is built only for a candidate free of the unknowns, so
+    # the mention is reported whatever F's width
+    sp = SolutionProblem(EXAMPLE, ["p1", "p2"], parameters=["t1", "t2"])
+    rep = solve_succ_elim(sp).components
+    wide_f = And(EXAMPLE, parse(" | ".join(f"x{i}" for i in range(27))))
+    wide = SolutionProblem(wide_f, ["p1", "p2"], parameters=["t1", "t2"])
+    for name in CHECKS:
+        check = getattr(oracle, name)
+        assert check(wide, [parse("p2"), rep[1]], ["a", "b"]) == reference.MENTIONS_UNKNOWN
+        with pytest.raises(BudgetExceeded):
+            check(wide, rep, ["a", "b"])
+
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("F's table built for a candidate naming an unknown")
+
+    monkeypatch.setattr(oracle, "_Composer", Refused)
+    for sol in ([parse("p2"), rep[1]], [parse("c & t1"), parse("p1 | d")]):
+        for name in CHECKS:
+            assert getattr(oracle, name)(sp, sol, ["a", "b"]) == reference.MENTIONS_UNKNOWN

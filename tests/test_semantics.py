@@ -572,3 +572,41 @@ def test_nest_does_not_widen_the_basis():
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 100 * 1024
+
+
+_NEST_TIME_PROBE = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from boolsolve import free_atoms, parse
+from boolsolve.semantics import formula_mask
+q = 24
+chain = " & ".join(f"(q{i} -> q{i + 1} | a{i % 4})" for i in range(q - 1))
+f = parse("".join(f"exists q{i} . " for i in range(q)) + chain)
+basis = free_atoms(f)
+start = time.perf_counter()
+mask = formula_mask(f, basis)
+print(time.perf_counter() - start, mask == (1 << (1 << len(basis))) - 1)
+"""
+
+
+def test_per_cofactor_walks_keep_their_scope_reads(monkeypatch):
+    # nested_prefix(24) over 4 atoms: the binders past the widening
+    # width are walked per cofactor, and each of those walks reads an
+    # atom through the widened scopes above once, not at every read.
+    result = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", _NEST_TIME_PROBE, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    seconds, valid = result.stdout.split()
+    assert valid == "True"
+    assert float(seconds) < 0.5, seconds
+    # at a lowered cap, per-cofactor walks under widened scopes keep the
+    # reads they make and still give the reference's masks
+    monkeypatch.setattr(semantics, "MAX_MASK_ATOMS", 6)
+    for q in (9, 11):
+        f = nested_prefix(q)
+        basis = free_atoms(f)
+        assert formula_mask(f, basis) == semantics_reference.formula_mask(f, basis)
