@@ -49,7 +49,7 @@ from .solve import (
     solve_restricted,
     solve_succ_elim,
 )
-from .syntax import IDENTIFIER, RESERVED, _parse, parse
+from .syntax import IDENTIFIER, RESERVED, ParseError, _parse, parse
 
 _IDENT = re.compile(IDENTIFIER)
 _FORBID_KEY = re.compile(r"forbid\(([^)]*)\)$")
@@ -142,10 +142,24 @@ def _read_problem(text: str) -> tuple[ProblemFile, AtomSet | None]:
             raise ProblemFileError(
                 f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
             )
-    formula, names = _parse(seen["formula"])
+    try:
+        formula, names = _parse(seen["formula"])
+    except ParseError as exc:
+        raise _in_file(exc, text) from None
     # the solvers' own checks, whatever the command
     problem = _problem(formula, unknowns, parameters, forbid, names)
     return ProblemFile(problem, per_forbid), names
+
+
+def _in_file(exc: ParseError, text: str) -> ParseError:
+    """``exc``, found in the one-line value of ``formula:``, placed at its
+    line and column in the problem file ``text``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        key, colon, value = raw.partition("#")[0].partition(":")
+        if colon and key.strip() == "formula":
+            break
+    start = len(key) + 1 + len(value) - len(value.lstrip())
+    return ParseError(exc.message, lineno, start + exc.col)
 
 
 def _load(path: str) -> tuple[ProblemFile, AtomSet | None]:

@@ -372,18 +372,24 @@ def irredundant_two_level_mask(
 
 
 def _irredundant_two_level_masks(
-    masks: Sequence[int], names: Sequence[str], patterns: Sequence[int]
+    masks: Sequence[int | tuple[int, int]], names: Sequence[str], patterns: Sequence[int]
 ) -> list[Formula]:
     """``irredundant_two_level_mask`` of each of ``masks``, all over the
-    positions of ``names``.  The split order and the delta-swap
-    selectors are computed once, and not at all when every mask is
-    constant.  A literal node is built only for an atom some form
-    uses, once for all the forms."""
+    positions of ``names``, where a pair ``(lower, upper)`` stands for
+    some function between its bounds and a mask m for (m, m).  A pair
+    gives ``false`` when lower = 0, ``true`` when upper = full; its
+    negation is (~upper, ~lower).  A read-once sum of products skips the
+    product of sums only when lower = upper: an interval's cover need
+    not mention each atom its members depend on.  The split order and
+    the delta-swap selectors are computed once, and not at all when
+    every form is constant.  A literal node is built only for an atom
+    some form uses, once for all the forms."""
     width = len(names)
     fulls = _FULLS if width < len(_FULLS) else [(1 << (1 << w)) - 1 for w in range(width + 1)]
     full = fulls[width]
-    if all(m == 0 or m == full for m in masks):
-        return [BOT if m == 0 else TOP for m in masks]
+    pairs = [m if type(m) is tuple else (m, m) for m in masks]
+    if all(lower == 0 or upper == full for lower, upper in pairs):
+        return [BOT if lower == 0 else TOP for lower, _ in pairs]
     order = sorted(range(width), key=names.__getitem__)
     swaps: list[tuple[int, int]] = []  # (selector, delta) of each delta swap
     held = list(range(width))  # held[p]: the position of ``names`` now at p
@@ -443,34 +449,39 @@ def _irredundant_two_level_masks(
             w += 1
         return c
 
-    def within(target: int, limit: int) -> list[_Cube] | None:
-        # The cubes of target's cover, or None if it has over limit literals.
+    def within(lower: int, upper: int, limit: int) -> list[_Cube] | None:
+        # The cubes of the pair's cover, or None if it has over limit literals.
         nonlocal cubes, spent, budget
         cubes, spent, budget = [], 0, limit
         try:
-            cover(target, target, width, ())
+            cover(lower, upper, width, ())
         except _OverBudget:
             return None
         return cubes
 
     literals: dict[int, Formula] = {}  # literal j of the split order, and ~j
     forms: list[Formula] = []
-    for mask in masks:
-        if mask == 0 or mask == full:
-            forms.append(BOT if mask == 0 else TOP)
+    for lower, upper in pairs:
+        if lower == 0 or upper == full:
+            forms.append(BOT if lower == 0 else TOP)
             continue
-        for select, delta in swaps:
-            t = (mask ^ mask >> delta) & select
-            mask ^= t | t << delta
+        exact = lower == upper
+        for select, delta in swaps:  # both bounds, laid out alike
+            t = (lower ^ lower >> delta) & select
+            lower ^= t | t << delta
+            if not exact:
+                t = (upper ^ upper >> delta) & select
+                upper ^= t | t << delta
+        upper = lower if exact else upper
         limit = 64
         while True:
-            ones = within(mask, limit)
+            ones = within(lower, upper, limit)
             if ones is not None:
                 size = sum(map(len, ones))
-                once = size == len({j if j >= 0 else ~j for c in ones for j in c})
-                zeros = None if once else within(full ^ mask, size - 1)
+                once = exact and size == len({j if j >= 0 else ~j for c in ones for j in c})
+                zeros = None if once else within(full ^ upper, full ^ lower, size - 1)
                 break
-            zeros = within(full ^ mask, limit)
+            zeros = within(full ^ upper, full ^ lower, limit)
             if zeros is not None:
                 break
             limit *= 4

@@ -39,7 +39,6 @@ from .formula import (
     AtomSet,
     BoolsolveError,
     Formula,
-    Not,
     Or,
     Record,
     clean_variant,
@@ -228,7 +227,7 @@ class _Bound(Enum):
 
     LOWER = "lower"  # the interval strategy
     UPPER = "upper"  # the elimination witness
-    PAIR = "pair"  # the reproductive (L_i & ~t_i) | (U_i & t_i)
+    PAIR = "pair"  # the reproductive L_i | (U' & t_i), U' in [U_i & ~L_i, U_i]
     CASE = "case"  # the constructive case: true, false or the one member
 
 
@@ -241,13 +240,15 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
     [L_i, U_i] of each stage with the earlier components substituted.
     Unknown i gets L_i, U_i or, over the parameters t_i, the
     reproductive ``(L_i & ~t_i) | (U_i & t_i)``, as ``bound`` says, each
-    bound printed as the irredundant two-level form of its mask.  When
-    L_i = U_i, p_i is defined and the reproductive component is that one
-    cover, free of t_i.  Otherwise both covers share one layout of their
-    masks, and the pair is built with the constant rules of ``simplify``
-    at its three top nodes only, since a cover has nothing left to
-    simplify: ``U_i & t_i`` when L_i is false, ``L_i & ~t_i | t_i`` when
-    U_i is true, and ``t_i`` when both hold.  The
+    bound printed as the irredundant two-level form of its mask.  As
+    L_i <= U_i, the reproductive one prints as ``L_i | (U' & t_i)``,
+    with U' the cover of the interval [U_i & ~L_i, U_i].  When L_i = U_i,
+    p_i is defined and the component is that one cover, free of t_i.
+    Otherwise both covers share one layout of their masks, and the
+    component is built with the constant rules of ``simplify`` at its
+    three top nodes only, since a cover has nothing left to simplify:
+    ``U' & t_i`` when L_i is false, ``L_i | t_i`` when U' (so U_i) is
+    true, and ``t_i`` when both hold.  The
     constructive case is true when U_i is valid, else false when L_i is
     unsatisfiable, else the one member when L_i = U_i (p_i is defined);
     when an interval allows none of these, the result is None.  The last
@@ -298,10 +299,12 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
         if lower == upper:  # a defined unknown: its definiens, free of t_i
             components.append(irredundant_two_level_mask(lower, shown, patterns))
             continue
-        lower_f, upper_f = _irredundant_two_level_masks((lower, upper), shown, patterns)
+        lower_f, upper_f = _irredundant_two_level_masks(
+            (lower, (upper ^ lower, upper)), shown, patterns
+        )
         t = Atom(params[i])
         upper_t = t if upper_f is TOP else And(upper_f, t)
-        components.append(upper_t if lower_f is BOT else Or(And(lower_f, Not(t)), upper_t))
+        components.append(upper_t if lower_f is BOT else Or(lower_f, upper_t))
     kind = SolutionKind.PARTICULAR if params is None else SolutionKind.REPRODUCTIVE
     return Solution(components, kind)
 

@@ -43,6 +43,7 @@ RESERVED = frozenset({"true", "false", "exists", "forall"})
 class ParseError(BoolsolveError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

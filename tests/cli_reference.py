@@ -10,8 +10,9 @@ differential tests can hold ``boolsolve.cli``'s reader to the same argv.
 ``load`` reads a file in text mode, splits each header line with
 ``split``, checks each name of a list on its own and parses the formula
 with ``parse``, so the problem finds its free atoms by walking the
-formula.  ``boolsolve.cli._load`` must give an equal ``ProblemFile``, or
-raise a ``ProblemFileError`` with the same text.
+formula; a syntax error in the formula is placed at its line and column
+in the file.  ``boolsolve.cli._load`` must give an equal
+``ProblemFile``, or raise an error of the same type with the same text.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import io
 import re
 from typing import Sequence
 
-from boolsolve import SolutionProblem, parse
+from boolsolve import ParseError, SolutionProblem, parse
 from boolsolve.cli import (
     ProblemFile,
     ProblemFileError,
@@ -151,6 +152,8 @@ def parse_problem_file(text: str) -> ProblemFile:
         if key in seen:
             raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = value
+        if key == "formula":
+            formula_at = lineno, re.match(r"\s*formula\s*:\s*", raw).end()
     if "unknowns" not in seen:
         raise ProblemFileError("missing 'unknowns:' line")
     if "formula" not in seen:
@@ -173,7 +176,12 @@ def parse_problem_file(text: str) -> ProblemFile:
                 f"{key}: {', '.join(clash)} must not be an unknown or a parameter"
             )
     try:
-        problem = SolutionProblem(parse(seen["formula"]), unknowns, parameters, forbid)
+        formula = parse(seen["formula"])
+    except ParseError as exc:
+        line, start = formula_at
+        raise ParseError(exc.message, line, start + exc.col) from None
+    try:
+        problem = SolutionProblem(formula, unknowns, parameters, forbid)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
     return ProblemFile(problem, per_forbid)

@@ -12,10 +12,12 @@ with the bound atom false and once with it true, so q nested binders
 walk the innermost body 2^q times.  Its masks must equal the kernel's.
 
 ``irredundant_two_level_mask`` lays the mask out in split order and
-recurses on half-width cofactors.  The reference below keeps every
-cofactor at full width, splits it on its position in place, and
-rebuilds every cube on each level.  Its formulas must equal the
-kernel's.
+recurses on half-width cofactors, and skips the product of sums of a
+read-once sum of products.  The reference below keeps every cofactor
+at full width, splits it on its position in place, rebuilds every cube
+on each level, and always builds both forms.  It takes a
+``(lower, upper)`` pair as the kernel's ``_irredundant_two_level_masks``
+does.  Its formulas must equal the kernel's.
 
 ``simplify`` returns each rewritten subtree with its free atoms, so a
 quantifier reads whether it binds anything without walking its body
@@ -29,6 +31,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from boolsolve import (
+    BOT,
+    TOP,
     And,
     Atom,
     Bot,
@@ -117,10 +121,14 @@ class _OverBudget(Exception):
 
 
 def irredundant_two_level_mask(
-    mask: int, names: Sequence[str], patterns: Sequence[int]
+    mask: int | tuple[int, int], names: Sequence[str], patterns: Sequence[int]
 ) -> Formula:
     """Irredundant two-level form of the function with bitmask ``mask``,
     where position i of a valuation's index is the atom ``names[i]``.
+    A pair ``(lower, upper)`` with lower <= upper gives the form of some
+    function between the two, covering the pair for the sum of products
+    and (~upper, ~lower) for the product of sums; it is ``false`` when
+    lower = 0, else ``true`` when upper is every valuation.
 
     The Minato-Morreale recursion (Minato, IEICE Trans. Fundamentals
     1993) splits on the positions in the sorted order of their names,
@@ -140,6 +148,9 @@ def irredundant_two_level_mask(
     width = len(names)
     order = sorted(range(width), key=names.__getitem__)
     full = (1 << (1 << width)) - 1
+    lower, upper = mask if isinstance(mask, tuple) else (mask, mask)
+    if lower == 0 or upper == full:
+        return BOT if lower == 0 else TOP
     Cube = tuple[tuple[str, bool], ...]
     spent = budget = 0
 
@@ -184,22 +195,22 @@ def irredundant_two_level_mask(
         )
         return cubes, (c0 ^ (c0 & pos)) | (c1 & pos) | cr
 
-    def within(target: int, limit: int) -> list[Cube] | None:
-        # The cubes of target's cover, or None if it has over limit literals.
+    def within(low: int, high: int, limit: int) -> list[Cube] | None:
+        # The cubes of the pair's cover, or None if it has over limit literals.
         nonlocal spent, budget
         spent, budget = 0, limit
         try:
-            return cover(target, target, 0, 0)[0]
+            return cover(low, high, 0, 0)[0]
         except _OverBudget:
             return None
 
     limit = 64
     while True:
-        ones = within(mask, limit)
+        ones = within(lower, upper, limit)
         if ones is not None:
-            zeros = within(full ^ mask, sum(map(len, ones)) - 1)
+            zeros = within(full ^ upper, full ^ lower, sum(map(len, ones)) - 1)
             break
-        zeros = within(full ^ mask, limit)
+        zeros = within(full ^ upper, full ^ lower, limit)
         if zeros is not None:
             break
         limit *= 4

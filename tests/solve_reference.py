@@ -53,6 +53,7 @@ from boolsolve.semantics import (
     irredundant_two_level_mask,
 )
 from boolsolve.solve import _require_parameters
+import semantics_reference
 from formula_reference import is_substitutible, substitute
 from elimination_reference import (
     Polarity,
@@ -106,9 +107,12 @@ def solve_succ_elim_stages(sp: SolutionProblem) -> tuple[Formula, ...]:
 
 def solve_stages(sp: SolutionProblem, params) -> list[Formula]:
     """Phase 2 over the stored stage formulas: unknown i gets the lower
-    bound ``~F_i[G.., p_i := false]``, or with ``params`` the reproductive
-    ``(lower & ~t_i) | (F_i[G.., p_i := true] & t_i)``, which is the one
-    cover when the two bounds print alike (the unknown is defined)."""
+    bound L_i = ``~F_i[G.., p_i := false]``, or with ``params`` the
+    reproductive ``(L_i & ~t_i) | (U_i & t_i)`` for the upper bound
+    U_i = ``F_i[G.., p_i := true]``, which is the one cover when the two
+    bounds print alike (the unknown is defined).  Since L_i <= U_i it
+    prints as ``L_i | (U' & t_i)``, with U' the reference cover of the
+    interval [U_i & ~L_i, U_i] over the atoms of both bounds."""
     if not is_valid(exists(sp.unknowns, sp.formula)):
         raise NoSolution("the existential closure over the unknowns is not valid")
     stages = solve_succ_elim_stages(sp)
@@ -116,16 +120,22 @@ def solve_stages(sp: SolutionProblem, params) -> list[Formula]:
     for i in range(len(sp.unknowns)):
         stage = stages[i + 1]
         ps = list(sp.unknowns[: i + 1])
-        lower = irredundant_two_level(Not(substitute(stage, ps, [*components, BOT])))
+        low = Not(substitute(stage, ps, [*components, BOT]))
+        lower = irredundant_two_level(low)
         if params is None:
             components.append(lower)
             continue
-        upper = irredundant_two_level(substitute(stage, ps, [*components, TOP]))
-        if lower == upper:
+        high = substitute(stage, ps, [*components, TOP])
+        if lower == irredundant_two_level(high):
             components.append(lower)
             continue
-        t = Atom(params[i])
-        components.append(simplify(Or(And(lower, Not(t)), And(upper, t))))
+        basis = tuple(sorted(set(free_atoms(low)) | set(free_atoms(high))))
+        patterns = atom_patterns(basis)
+        l_mask, u_mask = (formula_mask(g, basis, patterns) for g in (low, high))
+        upper = semantics_reference.irredundant_two_level_mask(
+            (u_mask ^ l_mask, u_mask), basis, list(patterns.values())
+        )
+        components.append(simplify(Or(lower, And(upper, Atom(params[i])))))
     return components
 
 

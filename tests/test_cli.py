@@ -172,7 +172,7 @@ def test_generated_parameters_avoid_binder_names(tmp_path, capsys):
     path = tmp_path / "binder.sp"
     path.write_text("unknowns: p\nformula: (a -> p) & (exists t_1 . t_1)\n")
     assert run(["solve", str(path)]) == 0
-    assert capsys.readouterr().out == "p := a & ~t_2 | t_2\n"
+    assert capsys.readouterr().out == "p := a | t_2\n"
 
 
 def test_check_rejects_non_solution(example_path, capsys):
@@ -378,13 +378,32 @@ def test_non_ascii_identifier_refused_by_every_command(tmp_path, capsys):
         assert run([*command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: 1:7: unexpected character 'é'\n"
+        assert captured.err == "error: 2:16: unexpected character 'é'\n"
     path.write_text("unknowns: p\nforbid: é\nformula: p\n")
     assert run(["exists", str(path)]) == 2
     assert capsys.readouterr().err == "error: invalid identifier 'é' in forbid\n"
     for command in (["eliminate", "--vars", "p"], ["project", "--keep", "p"]):
         assert run([*command, "p <-> é"]) == 2
         assert capsys.readouterr().err == "error: 1:7: unexpected character 'é'\n"
+
+
+def test_formula_error_points_into_the_file(tmp_path, capsys):
+    # A formula's syntax error is reported at its line and column in the
+    # problem file, past blank and comment lines, the key and its blanks.
+    path = tmp_path / "open.sp"
+    path.write_text("unknowns: p\n\n# a note\n  formula:\t (a -> p # unclosed\n")
+    assert run(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 4:20: expected ')', found 'end of input'\n"
+    path.write_text("unknowns: p\n\n\nformula: (a -> p\n")
+    assert run(["exists", str(path)]) == 2
+    assert capsys.readouterr().err == "error: 4:17: expected ')', found 'end of input'\n"
+    path.write_text("formula: p & B\nunknowns: p\n")
+    assert run(["exists", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 1:14: invalid identifier 'B': identifiers start with a lowercase letter\n"
+    )
 
 
 _RESERVED_NAME_CASES = (
@@ -692,6 +711,9 @@ _LOADER_CORPUS = [
     b"formula: p\n",
     b"unknowns: p\n",
     b"unknowns: p\nformula: p -> -> a\n",
+    b"unknowns: p\r\n\r\n  formula :\t(p & a # open\r\n",
+    b"unknowns: p\rformula: p )\r",
+    "unknowns: p\n\u00a0formula:\u3000p <-> \u00e9\n".encode(),
     b"unknowns: p\nformula: exists q . q & p\n",
 ] + [
     f"unknowns: p{sep}q\nformula: p & q | a\n".encode()
@@ -917,21 +939,21 @@ def test_clause_bounds_stay_clauses(tmp_path, capsys):
 CHAIN_SECOND_ORDER_GOLDEN = {
     (2, False): "p1 := a & b\np2 := a & b\n",
     (2, True): (
-        "p1 := a & b & ~t_1 | (a | b) & t_1\n"
-        "p2 := (a | t_1) & b & ~t_2 | (a | b) & t_2\n"
+        "p1 := a & b | (a | b) & t_1\n"
+        "p2 := (a | t_1) & b | (a | b) & t_2\n"
     ),
     (3, False): "p1 := a & b\np2 := a & b\np3 := a & b\n",
     (3, True): (
-        "p1 := a & b & ~t_1 | (a | b) & t_1\n"
-        "p2 := (a | t_1) & b & ~t_2 | (a | b) & t_2\n"
-        "p3 := (a | t_1 | t_2) & b & ~t_3 | (a | b) & t_3\n"
+        "p1 := a & b | (a | b) & t_1\n"
+        "p2 := (a | t_1) & b | (a | b) & t_2\n"
+        "p3 := (a | t_1 | t_2) & b | (a | b) & t_3\n"
     ),
     (4, False): "p1 := a & b\np2 := a & b\np3 := a & b\np4 := a & b\n",
     (4, True): (
-        "p1 := a & b & ~t_1 | (a | b) & t_1\n"
-        "p2 := (a | t_1) & b & ~t_2 | (a | b) & t_2\n"
-        "p3 := (a | t_1 | t_2) & b & ~t_3 | (a | b) & t_3\n"
-        "p4 := (a | t_1 | t_2 | t_3) & b & ~t_4 | (a | b) & t_4\n"
+        "p1 := a & b | (a | b) & t_1\n"
+        "p2 := (a | t_1) & b | (a | b) & t_2\n"
+        "p3 := (a | t_1 | t_2) & b | (a | b) & t_3\n"
+        "p4 := (a | t_1 | t_2 | t_3) & b | (a | b) & t_4\n"
     ),
 }
 

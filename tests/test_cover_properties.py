@@ -34,10 +34,10 @@ def _terms(g, op):
     return [g]
 
 
-def _irredundant(g, outer, patterns, full):
+def _irredundant(g, outer, patterns, full, lower, upper):
     # g read as an outer-combination of terms, each an inner-combination
-    # of literals: no term and no literal of a term can be dropped
-    # without changing g's mask.
+    # of literals: no term and no literal of a term can be dropped while
+    # g's mask stays in [lower, upper].
     inner = And if outer is Or else Or
 
     def fold(values, op):
@@ -57,14 +57,17 @@ def _irredundant(g, outer, patterns, full):
         terms = [[literal(x) for x in _terms(t, inner)] for t in _terms(g, outer)]
     except TypeError:  # g is not of this shape
         return False
-    mask = fold((fold(t, inner) for t in terms), outer)
+
+    def within(mask):
+        return not lower & ~mask and not mask & ~upper
+
     for i, term in enumerate(terms):
         others = [fold(t, inner) for t in terms[:i] + terms[i + 1 :]]
-        if fold(others, outer) == mask:
+        if within(fold(others, outer)):
             return False
         for j in range(len(term)):
             shortened = fold(term[:j] + term[j + 1 :], inner)
-            if fold([*others, shortened], outer) == mask:
+            if within(fold([*others, shortened], outer)):
                 return False
     return True
 
@@ -82,8 +85,8 @@ def test_cover_properties(drawn):
     }
     assert set(free_atoms(shown)) == depends
     if shown not in (TOP, BOT):
-        assert _irredundant(shown, Or, patterns, full) or _irredundant(
-            shown, And, patterns, full
+        assert _irredundant(shown, Or, patterns, full, mask, mask) or _irredundant(
+            shown, And, patterns, full, mask, mask
         )
     reference = semantics_reference.irredundant_two_level_mask(
         mask, layout, list(patterns.values())
@@ -116,3 +119,43 @@ def test_shared_layout_gives_the_one_mask_forms(drawn, data):
     assert shown == [
         semantics_reference.irredundant_two_level_mask(m, layout, patterns) for m in several
     ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masks(), st.data())
+def test_interval_cover_properties(drawn, data):
+    # A pair (lower, upper) prints the reference's form of a function in
+    # its interval, from which no cube (clause) or literal can be dropped
+    # while the function stays in the interval; a pair with lower = upper
+    # prints what its plain mask prints.
+    mask, layout = drawn
+    patterns = atom_patterns(layout)
+    positions = list(patterns.values())
+    full = (1 << (1 << len(layout))) - 1
+    other = data.draw(st.integers(0, full))
+    lower, upper = mask & other, mask | other
+    shown = _irredundant_two_level_masks([(lower, upper)], layout, positions)[0]
+    assert shown == semantics_reference.irredundant_two_level_mask(
+        (lower, upper), layout, positions
+    )
+    got = formula_mask(shown, layout, patterns)
+    assert not lower & ~got and not got & ~upper
+    if shown not in (TOP, BOT):
+        assert _irredundant(shown, Or, patterns, full, lower, upper) or _irredundant(
+            shown, And, patterns, full, lower, upper
+        )
+    assert _irredundant_two_level_masks([(mask, mask)], layout, positions) == [
+        irredundant_two_level_mask(mask, layout, positions)
+    ]
+
+
+def test_read_once_shortcut_needs_an_exact_mask():
+    # The sum of products of this interval, ~a & ~b | c & ~d, is read
+    # once, yet the product of sums of its negation's pair is smaller:
+    # an interval's cover need not mention each atom its members depend on.
+    layout = ("a", "b", "c", "d")
+    positions = list(atom_patterns(layout).values())
+    pair = (0b100100000, 0b1101000111110111)
+    shown = _irredundant_two_level_masks([pair], layout, positions)[0]
+    assert str(shown) == "(~a | ~d) & ~b"
+    assert shown == semantics_reference.irredundant_two_level_mask(pair, layout, positions)

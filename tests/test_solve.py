@@ -10,6 +10,7 @@ from boolsolve import (
     Implies,
     MissingParameters,
     NoSolution,
+    Not,
     Solution,
     SolutionKind,
     SolutionProblem,
@@ -34,12 +35,12 @@ from boolsolve import (
     solve_succ_elim,
     substitute,
 )
-from boolsolve.semantics import formula_mask
+from boolsolve.semantics import atom_patterns, formula_mask
 from boolsolve.solve import _stage_masks, precondition
 import elimination_reference
 from elimination_reference import elim_witness, elim_witness_dnf
 from formula_reference import NotSubstitutible
-from genutil import QUANT_POOL, random_formula, random_solvable_sp
+from genutil import QUANT_POOL, random_formula, random_solvable_sp, tree_nodes
 import solve_reference
 from solve_reference import (
     InternalCheckFailed,
@@ -777,3 +778,57 @@ def test_reproductive_solvers_do_not_simplify(monkeypatch):
         for sol in (solve_succ_elim(sp), solve_on_second_order(sp, Strategy.REPRODUCTIVE)):
             assert calls == []
             assert list(sol.components) == reference
+
+
+def _upper_part(component, t):
+    """U' of a reproductive component printed as ``L | (U' & t)``, in
+    each of its constant forms; None for a defined unknown's one cover."""
+    if t not in free_atoms(component):
+        return None
+    if type(component) is And:  # U' & t
+        return component.left
+    if component == Atom(t) or component.right == Atom(t):  # t, or L | t
+        return TOP
+    return component.right.left
+
+
+def test_reproductive_component_covers_the_upper_interval():
+    # Each succ-elim component is (L_i & ~t_i) | (U_i & t_i) as a
+    # function, printed as L_i | (U' & t_i) with U' in [U_i & ~L_i, U_i]
+    # and no larger than U_i's cover, and the solution stays reproductive;
+    # on the running example grown to n = 2..8 and on random problems.
+    rng = random.Random(211)
+    problems = []
+    for n in range(2, 9):
+        unknowns = [f"p{i}" for i in range(1, n + 1)]
+        links = zip(["a", *unknowns], [*unknowns, "b"])
+        chain = parse("(a -> b) -> (" + " & ".join(f"({x} -> {y})" for x, y in links) + ")")
+        problems.append(SolutionProblem(chain, unknowns, [f"t{i}" for i in range(1, n + 1)]))
+    for k in range(200):
+        problems.append(random_solvable_sp(rng, 1 + k % 2, 2, depth=4, parameters=True))
+    shortened = 0
+    for sp in problems:
+        components = solve_succ_elim(sp).components
+        stages = solve_reference.solve_succ_elim_stages(sp)
+        for i, (c, t) in enumerate(zip(components, sp.parameters)):
+            ps, earlier = sp.unknowns[: i + 1], components[:i]
+            lower = Not(substitute(stages[i + 1], ps, [*earlier, BOT]))
+            upper = substitute(stages[i + 1], ps, [*earlier, TOP])
+            upper_part = _upper_part(c, t)
+            basis = tuple(sorted({t, *free_atoms(c), *free_atoms(lower), *free_atoms(upper)}))
+            patterns = atom_patterns(basis)
+            c_m, l_m, u_m, t_m = (
+                formula_mask(g, basis, patterns) for g in (c, lower, upper, Atom(t))
+            )
+            assert c_m == (l_m & ~t_m) | (u_m & t_m), (str(sp.formula), str(c))
+            if upper_part is None:
+                assert l_m == u_m
+                continue
+            part_m = formula_mask(upper_part, basis, patterns)
+            assert not (u_m & ~l_m) & ~part_m and not part_m & ~u_m, str(c)
+            upper_cover = solve_reference.irredundant_two_level(upper)
+            assert tree_nodes(upper_part) <= tree_nodes(upper_cover), str(c)
+            shortened += tree_nodes(upper_part) < tree_nodes(upper_cover)
+        report = check_reproductive(sp, components, ("a", "b"), allow_large=True)
+        assert report.verdict, str(sp.formula)
+    assert shortened > 0
