@@ -9,16 +9,18 @@ time.  On top of that the module computes weakest preconditions
 problem with unknowns ``ps``), decides dependence on a set of atoms (the
 two quantifications differ) and projects a formula onto a vocabulary
 (uniform interpolation), refusing with ``NotIndependent`` when the
-formula depends on an atom it would drop.  Elimination witnesses are
-the upper bounds of the solver core (``solve.solve_by_witnesses``).
+formula depends on an atom it would drop.  A projection prints as the
+weakest precondition of its dropped atoms does, from the mask.
+Elimination witnesses are the upper bounds of the solver core
+(``solve.solve_by_witnesses``).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .formula import BOT, AtomSet, BoolsolveError, Formula, free_atoms, substitute
-from .semantics import decode_valuation, simplify, top_cofactors
+from .formula import AtomSet, BoolsolveError, Formula, free_atoms
+from .semantics import decode_valuation, irredundant_two_level_mask, top_cofactors
 from .solve import SolutionProblem, _stage_masks, precondition
 
 
@@ -79,9 +81,9 @@ def project_vocabulary(f: Formula, keep: Sequence[str]) -> Formula:
     each group sorted.  Quantifying the dropped positions existentially
     and universally (``_quantified``) gives two masks over the kept
     positions, and ``f`` is independent of the dropped atoms iff they
-    are equal.  Then ``f`` with every dropped atom replaced by ``false``
-    is equivalent to it, and its simplified form is returned, never
-    larger than ``f``.  With nothing dropped ``f`` itself is returned.
+    are equal.  Then the irredundant two-level form of that mask is
+    returned, the text ``weakest_precondition`` gives for the dropped
+    atoms; with nothing dropped it is the form of ``f``'s own mask.
 
     Otherwise raises NotIndependent with a pair of valuations that
     differ only on dropped atoms: at the lowest kept valuation where the
@@ -91,11 +93,9 @@ def project_vocabulary(f: Formula, keep: Sequence[str]) -> Formula:
     atoms = free_atoms(f)
     keep_set = set(keep)
     dropped = tuple(a for a in atoms if a not in keep_set)
-    if not dropped:
-        return f
     kept, patterns, mask, some, every = _quantified(f, atoms, dropped)
     if some == every:
-        return simplify(substitute(f, dropped, [BOT] * len(dropped)))
+        return irredundant_two_level_mask(some, kept, patterns)
     order = kept + dropped
     diff = some ^ every
     start = (diff & -diff).bit_length() - 1

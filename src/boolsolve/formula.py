@@ -20,7 +20,9 @@ each body's free atoms from one bottom-up walk, so a nest is walked once.
 
 ``substitute`` renames apart only the binders that would capture an
 atom of a replacement, while ``clean_variant`` renames every repeated
-or clashing binder, so each keeps its own rebuild walk.
+or clashing binder, so each keeps its own rebuild walk.  No solver
+rewrites a formula with them: every answer is printed from its mask.
+They are public API, and the oracle's particular check substitutes.
 
 ``Record`` is the base of the package's immutable result values.
 """

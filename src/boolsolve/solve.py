@@ -22,7 +22,9 @@ quantified universally first, whichever view runs.  Per-component
 vocabulary restrictions search the same intervals, narrowed to the
 components each unknown may depend on.  The weakest precondition is
 stage 0 printed, and ``elimination`` reads dependence and projection
-off the same phase 1.
+off the same phase 1.  No answer rewrites the input formula: each is
+printed from its mask by the one cover of ``semantics``, so equivalent
+problems print the same text.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from .formula import (
     Formula,
     Or,
     Record,
-    clean_variant,
     free_atoms,
-    substitute,
 )
 from .semantics import (
     _full_mask,
@@ -53,7 +53,6 @@ from .semantics import (
     existential_stages,
     formula_mask,
     irredundant_two_level_mask,
-    simplify,
     top_cofactors,
     widen,
 )
@@ -175,11 +174,6 @@ def _require_parameters(sp: SolutionProblem) -> tuple[str, ...]:
     return sp.parameters
 
 
-def _prepared(sp: SolutionProblem) -> Formula:
-    avoid = set(sp.unknowns) | set(sp.parameters or ())
-    return clean_variant(sp.formula, avoid=avoid)
-
-
 def _stage_masks(sp: SolutionProblem) -> tuple[tuple[str, ...], list[int], list[int]]:
     """Phase 1 of successive elimination, on truth tables.
 
@@ -251,10 +245,8 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
     true, and ``t_i`` when both hold.  The
     constructive case is true when U_i is valid, else false when L_i is
     unsatisfiable, else the one member when L_i = U_i (p_i is defined);
-    when an interval allows none of these, the result is None.  The last
-    unknown's definiens, U_n = F[G.., p_n := true], is printed from the
-    formula by substitution unless atoms are forbidden: it needs no
-    elimination and keeps the formula's structure.
+    when an interval allows none of these, the result is None.  Every
+    component, the constructive ones too, is printed from its mask.
     Once p_j is replaced, its position means t_j: the masks keep k + n
     positions however many parameters the components mention, and the
     printed cover splits positions in the sorted order of their names,
@@ -286,10 +278,6 @@ def _solve_stages(sp: SolutionProblem, bound: _Bound) -> Solution | None:
                 g = upper if upper == full else lower if lower in (0, upper) else None
                 if g is None:
                     return None
-                if 0 < g < full and i == len(sp.unknowns) - 1 and not sp.forbidden:
-                    work = substitute(_prepared(sp), sp.unknowns, [*components, TOP])
-                    components.append(simplify(work))
-                    continue
             else:
                 g = lower if bound is _Bound.LOWER else upper
             components.append(irredundant_two_level_mask(g, shown, patterns))

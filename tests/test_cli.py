@@ -251,7 +251,7 @@ def test_project_drops_20_atoms(capsys):
     xs = " <-> ".join(f"x{i}" for i in range(20))
     start = time.perf_counter()
     assert run(["project", "--keep", "a b", f"((a -> b) & ({xs})) | ((a -> b) & ~({xs}))"]) == 0
-    assert capsys.readouterr().out == "a -> b\n"
+    assert capsys.readouterr().out == "~a | b\n"
     assert run(["project", "--keep", "a b", f"(a -> b) & (({xs}) | b)"]) == 1
     assert capsys.readouterr().out.startswith("not independent: depends on a dropped atom (x0, ")
     assert time.perf_counter() - start < 2

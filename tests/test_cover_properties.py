@@ -121,19 +121,54 @@ def test_shared_layout_gives_the_one_mask_forms(drawn, data):
     ]
 
 
+@st.composite
+def spread_intervals(draw):
+    """The interval between a drawn mask and another over its layout."""
+    mask, layout = draw(masks())
+    other = draw(st.integers(0, (1 << (1 << len(layout))) - 1))
+    return mask & other, mask | other, layout
+
+
+@st.composite
+def read_once_intervals(draw):
+    """The interval [f & g, f | g] around a read-once sum of products f
+    over 4 to 6 atoms: g is a read-once product of sums over all of f's
+    atoms but one, each with f's polarity, so the interval's sum of
+    products may be read once while its product of sums is smaller."""
+    width = draw(st.integers(4, 6))
+    layout = tuple(draw(st.permutations(NAMES))[:width])
+    patterns = atom_patterns(layout)
+    full = (1 << (1 << width)) - 1
+    literal = {x: patterns[x] if draw(st.booleans()) else full ^ patterns[x] for x in layout}
+
+    def two_level(atoms, outer):
+        # Terms of one to three atoms each, every atom once.
+        atoms = list(draw(st.permutations(atoms)))
+        out = 0 if outer is Or else full
+        while atoms:
+            size = draw(st.integers(1, min(3, len(atoms))))
+            term = full if outer is Or else 0
+            for x in atoms[:size]:
+                term = term & literal[x] if outer is Or else term | literal[x]
+            out = out | term if outer is Or else out & term
+            del atoms[:size]
+        return out
+
+    f, g = two_level(layout, Or), two_level(layout[1:], And)
+    return f & g, f | g, layout
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(masks(), st.data())
-def test_interval_cover_properties(drawn, data):
+@given(st.one_of(spread_intervals(), read_once_intervals()))
+def test_interval_cover_properties(drawn):
     # A pair (lower, upper) prints the reference's form of a function in
     # its interval, from which no cube (clause) or literal can be dropped
     # while the function stays in the interval; a pair with lower = upper
     # prints what its plain mask prints.
-    mask, layout = drawn
+    lower, upper, layout = drawn
     patterns = atom_patterns(layout)
     positions = list(patterns.values())
     full = (1 << (1 << len(layout))) - 1
-    other = data.draw(st.integers(0, full))
-    lower, upper = mask & other, mask | other
     shown = _irredundant_two_level_masks([(lower, upper)], layout, positions)[0]
     assert shown == semantics_reference.irredundant_two_level_mask(
         (lower, upper), layout, positions
@@ -144,9 +179,10 @@ def test_interval_cover_properties(drawn, data):
         assert _irredundant(shown, Or, patterns, full, lower, upper) or _irredundant(
             shown, And, patterns, full, lower, upper
         )
-    assert _irredundant_two_level_masks([(mask, mask)], layout, positions) == [
-        irredundant_two_level_mask(mask, layout, positions)
-    ]
+    for mask in (lower, upper):
+        assert _irredundant_two_level_masks([(mask, mask)], layout, positions) == [
+            irredundant_two_level_mask(mask, layout, positions)
+        ]
 
 
 def test_read_once_shortcut_needs_an_exact_mask():

@@ -157,6 +157,17 @@ def test_elimination_reads_the_solver_core():
         assert not hasattr(elimination, name), name
 
 
+def test_answers_rewrite_no_formula():
+    # Every answer prints from its mask: the solvers and elimination
+    # import none of the formula rewriters.
+    import boolsolve.elimination as elimination
+    import boolsolve.solve as solve
+
+    for module in (solve, elimination):
+        for name in ("substitute", "clean_variant", "simplify"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
 def _readme_code_names() -> set[str]:
     """The identifiers in README's code blocks and inline code spans."""
     spans = re.findall(r"```[a-z]*\n(.*?)```|`([^`]+)`", README.read_text(encoding="utf-8"), re.S)

@@ -25,9 +25,13 @@ from boolsolve import (
     SolutionProblem,
     Top,
     TruthTable,
+    check_parametric,
+    check_particular,
+    check_reproductive,
     parse,
+    solve_restricted,
 )
-from boolsolve.cli import ProblemFile, parse_problem_file
+from boolsolve.cli import ProblemFile, ProblemFileError, parse_problem_file
 
 a, b = Atom("a"), Atom("b")
 
@@ -221,3 +225,48 @@ def test_problem_file_record():
     assert pf == ProblemFile(problem=pf.problem, per_forbid={})
     with pytest.raises(TypeError):
         hash(pf)  # a mutable record
+
+
+_P = SolutionProblem(parse("p"), ["p"])
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: parse_problem_file("unknowns: p\nforbid(p): a\nforbid(p): b\nformula: p\n"),
+            (ProblemFileError, "line 3: duplicate key 'forbid(p)'"),
+        ),
+        (
+            lambda: check_particular(_P, [TOP, BOT]),
+            (CheckReport, "component count differs from unknown count"),
+        ),
+        (
+            lambda: check_parametric(_P, [TOP], ["a"]),
+            (ValueError, "parametric check needs a problem with parameters"),
+        ),
+        (
+            lambda: check_reproductive(_P, [TOP], ["a"]),
+            (ValueError, "reproductive check needs a problem with parameters"),
+        ),
+        (
+            lambda: SolutionProblem(parse("p"), ["p"], ["t"], forbidden=["t"]),
+            (ValueError, "forbidden atoms must not be parameters"),
+        ),
+        (
+            lambda: solve_restricted(_P, [["a"], ["b"]]),
+            (ValueError, "one forbidden set per unknown is required"),
+        ),
+        (lambda: solve_restricted(_P), (ValueError, "a forbidden atom set is required")),
+    ],
+)
+def test_refusals_name_their_cause(call, expected):
+    # An input the API refuses raises its own type with its own message;
+    # a candidate with the wrong number of components fails its check.
+    try:
+        report = call()
+    except Exception as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert not report.verdict
+        assert (type(report), report.failures[0].reason) == expected
